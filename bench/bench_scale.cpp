@@ -1,24 +1,24 @@
-// bench_scale — the flagship large-population benchmark for the sharded
-// engine (ISSUE 7 tentpole deliverable). Two measurements into
-// BENCH_scale.json:
+// bench_scale — the large-population benchmark for the sharded engine.
+// Two measurements into BENCH_scale.json:
 //
 //   1. engine_parity_1k: the same 1k-node scenario on the classic
 //      single-threaded WhisperTestbed and on ScaleTestbed at S=1. The
 //      sharded builder must not cost anything when sharding is off — the
 //      acceptance bar is S=1 within 5% of the old engine.
 //   2. scale_sweep: a 100k-node deployment booted and run to completion at
-//      S=1 and S=8, reporting aggregate sim-events per wall-second and the
-//      S=8/S=1 speedup.
+//      S=1 and S=8, reporting aggregate sim-events per wall-second, the
+//      S=8/S=1 speedup, and the probe lengths of a DenseMap holding each
+//      shard's live internal endpoints (the key set of the shard's Network
+//      and NatFabric tables; the worst shard is reported).
 //
 // Honest-numbers note: the speedup is whatever the hardware gives, and
 // the JSON carries "hardware_threads" so the reader can tell parallelism
-// from the rest. Two effects stack: thread parallelism (needs cores) and
-// a purely algorithmic win — S shards keep S small event heaps instead
-// of one population-sized heap, so every push/pop walks fewer levels
-// over a working set that actually fits in cache. The committed 1-thread
-// baseline isolates the second effect: identical executed-event counts
-// at S=1 and S=8, yet S=8 runs >3x faster. The determinism gate
-// (tests/integration/sharded_determinism_test.cpp) is unconditional
+// from the rest. S=1 and S=8 execute identical events, so on one hardware
+// thread only the cost per event can differ. That cost once hid a hash
+// collapse: with unmixed Endpoint hashes every endpoint lookup scanned its
+// table, so S-times-shorter shard tables made S=8 3.3x faster on one
+// thread. The probe stats make such a collapse visible. The determinism
+// gate (tests/integration/sharded_determinism_test.cpp) is unconditional
 // either way.
 //
 //   bench_scale [--quick] [--json=<dir>] [--nodes=100000] [--minutes=2]
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/densemap.hpp"
 #include "whisper/keypool.hpp"
 #include "whisper/scale.hpp"
 #include "whisper/testbed.hpp"
@@ -41,6 +42,27 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+using EndpointMap = whisper::DenseMap<whisper::Endpoint, std::size_t>;
+
+/// Worst probe stats over shards of a DenseMap keyed by each shard's live
+/// internal endpoints. Kept out of the registries: merged gauges sum, and
+/// probe lengths depend on per-shard table size, so they would break the
+/// S-invariant exports.
+EndpointMap::ProbeStats endpoint_probe_stats(whisper::ScaleTestbed& tb) {
+  EndpointMap::ProbeStats worst;
+  for (std::size_t s = 0; s < tb.shard_count(); ++s) {
+    EndpointMap eps;
+    for (std::size_t i = s; i < tb.node_count(); i += tb.shard_count()) {
+      const whisper::WhisperNode& n = *tb.node_at(i);
+      if (n.running()) eps[n.internal_endpoint()] = i;
+    }
+    const auto st = eps.probe_stats();
+    worst.max = std::max(worst.max, st.max);
+    worst.mean = std::max(worst.mean, st.mean);
+  }
+  return worst;
 }
 
 }  // namespace
@@ -54,7 +76,7 @@ int main(int argc, char** argv) {
   const std::size_t minutes = bench::arg_size(argc, argv, "minutes", quick ? 1 : 2);
 
   bench::banner("Scale - sharded engine at large populations",
-                "not a paper figure; the ISSUE-7 100k-node deliverable");
+                "not a paper figure; the 100k-node deliverable");
 
   bench::Json out;
   out.put("schema", "whisper.bench.scale/v1");
@@ -152,6 +174,7 @@ int main(int argc, char** argv) {
       const double run_wall_s = seconds_since(run_start);
       const double events_per_wall_sec =
           static_cast<double>(tb.executed_events()) / run_wall_s;
+      const auto probes = endpoint_probe_stats(tb);
 
       bench::Json j;
       j.put("shards", static_cast<std::uint64_t>(shards));
@@ -163,6 +186,8 @@ int main(int argc, char** argv) {
       j.put("sim_events_per_wall_sec", events_per_wall_sec);
       j.put("cross_shard_messages", tb.cross_shard_messages());
       j.put("alive_nodes", static_cast<std::uint64_t>(tb.alive_count()));
+      j.put("endpoint_probe_max", static_cast<std::uint64_t>(probes.max));
+      j.put("endpoint_probe_mean", probes.mean);
       if (shards == 1) {
         s1_run_wall = run_wall_s;
       } else {
@@ -170,15 +195,18 @@ int main(int argc, char** argv) {
       }
       sweep.put("s" + std::to_string(shards), j);
       std::printf("scale %zu nodes / S=%zu: boot %.1fs, run %.1fs "
-                  "(%.0f events/s, %llu cross-shard)\n",
+                  "(%.0f events/s, %llu cross-shard, endpoint probe max %zu "
+                  "mean %.2f)\n",
                   nodes, shards, boot_wall_s, run_wall_s, events_per_wall_sec,
-                  (unsigned long long)tb.cross_shard_messages());
+                  (unsigned long long)tb.cross_shard_messages(), probes.max,
+                  probes.mean);
     }
     sweep.put("note",
-              "speedup_vs_s1 stacks thread parallelism (needs cores; see "
-              "hardware_threads) on an algorithmic win from S small "
-              "per-shard event heaps replacing one population-sized heap; "
-              "executed-event counts are identical across S");
+              "executed-event counts are identical across S; speedup_vs_s1 "
+              "is mostly thread parallelism (see hardware_threads). "
+              "endpoint_probe_max/mean: the worst shard's DenseMap probe "
+              "distances over its live internal endpoints, short at any S "
+              "because DenseMap mixes its hashes");
     out.put("scale_sweep", sweep);
   }
 

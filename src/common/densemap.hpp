@@ -15,8 +15,20 @@
 //  - erase(iterator) returns an iterator at the SAME position (now holding
 //    the swapped-in last element), which makes the standard expiry-sweep
 //    `it = map.erase(it)` idiom work unchanged.
+//
+// Every hash passes through mix64 (splitmix64) before it is masked to a
+// bucket. libstdc++'s std::hash of an integer is the identity, so
+// std::hash<Endpoint> is `(ip << 16) | port`: with every simulated endpoint
+// on one port, the low bits the mask keeps are the same for all keys and
+// lookups degrade to a scan of the whole table. Mixed, regular key layouts
+// probe in O(1) on average. The std::hash specialisations in ids.hpp stay
+// the identity: std::unordered_* containers keyed by them keep their
+// iteration order, and DenseMap's order (insertion order) never depended
+// on the hash. A fixed finalizer can be inverted, so keys an adversary
+// picks to collide are not covered here.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +36,8 @@
 #include <iterator>
 #include <utility>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace whisper {
 
@@ -160,6 +174,28 @@ class DenseMap {
     return iterator(this, it.i_);
   }
 
+  /// How far stored keys sit from their home bucket (0 = found on the
+  /// first probe). One walk over the index, on demand only.
+  struct ProbeStats {
+    std::size_t max = 0;
+    double mean = 0.0;
+  };
+  ProbeStats probe_stats() const {
+    ProbeStats st;
+    if (keys_.empty()) return st;
+    const std::size_t mask = index_.size() - 1;
+    std::size_t total = 0;
+    for (std::size_t b = 0; b < index_.size(); ++b) {
+      const std::uint32_t slot = index_[b];
+      if (slot == kEmpty || slot == kTombstone) continue;
+      const std::size_t d = (b - home(keys_[slot], mask)) & mask;
+      total += d;
+      st.max = std::max(st.max, d);
+    }
+    st.mean = static_cast<double>(total) / static_cast<double>(keys_.size());
+    return st;
+  }
+
  private:
   static constexpr std::uint32_t kEmpty = UINT32_MAX;
   static constexpr std::uint32_t kTombstone = UINT32_MAX - 1;
@@ -171,11 +207,16 @@ class DenseMap {
     return cap;
   }
 
+  /// First bucket probed for `key`.
+  static std::size_t home(const K& key, std::size_t mask) {
+    return static_cast<std::size_t>(mix64(Hash{}(key))) & mask;
+  }
+
   /// Bucket holding `key`, or kNpos.
   std::size_t find_bucket(const K& key) const {
     if (index_.empty()) return kNpos;
     const std::size_t mask = index_.size() - 1;
-    std::size_t b = Hash{}(key)&mask;
+    std::size_t b = home(key, mask);
     for (;;) {
       const std::uint32_t slot = index_[b];
       if (slot == kEmpty) return kNpos;
@@ -189,7 +230,7 @@ class DenseMap {
       rehash(index_pow2_for(keys_.size() + 1));
     }
     const std::size_t mask = index_.size() - 1;
-    std::size_t b = Hash{}(key)&mask;
+    std::size_t b = home(key, mask);
     while (index_[b] != kEmpty && index_[b] != kTombstone) b = (b + 1) & mask;
     if (index_[b] == kTombstone) --tombstones_;
     index_[b] = static_cast<std::uint32_t>(keys_.size());
@@ -220,7 +261,7 @@ class DenseMap {
     tombstones_ = 0;
     const std::size_t mask = buckets - 1;
     for (std::uint32_t i = 0; i < keys_.size(); ++i) {
-      std::size_t b = Hash{}(keys_[i]) & mask;
+      std::size_t b = home(keys_[i], mask);
       while (index_[b] != kEmpty) b = (b + 1) & mask;
       index_[b] = i;
     }

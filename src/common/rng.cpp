@@ -8,21 +8,16 @@ namespace whisper {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  // The first four words of the splitmix64 stream seeded with `seed`.
+  for (auto& s : s_) {
+    s = mix64(seed);
+    seed += kSplitmixGamma;
+  }
 }
 
 std::uint64_t Rng::next_u64() {

@@ -10,6 +10,19 @@
 
 namespace whisper {
 
+/// splitmix64's increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64 output function: a bijective 64-bit mix in which every input
+/// bit moves every output bit. `mix64(s + k * kSplitmixGamma)` for
+/// k = 0, 1, 2, ... is the splitmix64 stream seeded with `s`.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += kSplitmixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic PRNG (xoshiro256** core) with convenience draws.
 /// Not cryptographically secure on its own; crypto key material is derived
 /// through SHA-256-based extraction in crypto/random.hpp.

@@ -19,13 +19,6 @@ std::uint64_t pack_endpoint(Endpoint ep) {
   return (std::uint64_t{ep.ip} << 16) | ep.port;
 }
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 std::uint64_t TrafficCounters::total_up() const {
@@ -199,7 +192,7 @@ std::optional<Time> Network::draw_latency(Endpoint wire_src, Endpoint public_dst
   // Stateless per-copy stream: the draw depends only on (salt, sender seq),
   // never on how many other sends interleaved — shard-count invariant.
   Rng copy_rng(mix64(latency_salt_ ^ mix64(pack_endpoint(wire_src)) ^
-                     mix64(kb * 0x9e3779b97f4a7c15ULL + 1)));
+                     mix64(kb * kSplitmixGamma + 1)));
   return latency_->sample(wire_src, public_dst, copy_rng);
 }
 

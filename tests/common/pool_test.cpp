@@ -177,6 +177,47 @@ TEST(DenseMap, EndpointKeys) {
   EXPECT_TRUE(m.contains(b));
 }
 
+struct ConstantHash {
+  std::size_t operator()(std::uint32_t) const { return 7; }
+};
+
+TEST(DenseMap, ProbeStatsSeeCollisions) {
+  DenseMap<std::uint32_t, int, ConstantHash> m;
+  EXPECT_EQ(m.probe_stats().max, 0u);
+  for (std::uint32_t i = 0; i < 100; ++i) m[i] = 0;
+  const auto st = m.probe_stats();
+  EXPECT_EQ(st.max, 99u);
+  EXPECT_DOUBLE_EQ(st.mean, 49.5);
+}
+
+/// Fills maps of 1k, 20k and 100k keys and checks that every key sits near
+/// its home bucket.
+template <typename MakeKey>
+void expect_short_probes(MakeKey make_key) {
+  for (const std::uint32_t n : {1'000u, 20'000u, 100'000u}) {
+    DenseMap<decltype(make_key(0u)), std::uint32_t> m;
+    for (std::uint32_t i = 0; i < n; ++i) m[make_key(i)] = i;
+    ASSERT_EQ(m.size(), n);
+    const auto st = m.probe_stats();
+    EXPECT_LT(st.mean, 2.0) << "n=" << n;
+    EXPECT_LT(st.max, 128u) << "n=" << n;
+  }
+}
+
+// ScaleTestbed's address plan. Unmixed, std::hash<Endpoint> is
+// (ip << 16) | 5000 and every key starts probing at the same bucket.
+TEST(DenseMap, ProbeStatsEndpointKeys) {
+  expect_short_probes([](std::uint32_t i) { return Endpoint{0x0a000001u + i, 5000}; });
+}
+
+TEST(DenseMap, ProbeStatsDeviceIps) {
+  expect_short_probes([](std::uint32_t i) { return 0x64000001u + 2 * i; });
+}
+
+TEST(DenseMap, ProbeStatsNodeIds) {
+  expect_short_probes([](std::uint32_t i) { return NodeId{i + 1u}; });
+}
+
 TEST(DenseSet, BasicOps) {
   DenseSet<NodeId> s;
   EXPECT_TRUE(s.insert(NodeId{1}));

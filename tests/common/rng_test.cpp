@@ -14,6 +14,23 @@ TEST(Rng, DeterministicForSameSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
+// Every seeded run, golden trace and committed baseline depends on these
+// exact streams: splitmix64 seeding into xoshiro256**.
+TEST(Rng, StreamIsPinned) {
+  Rng a(0);
+  EXPECT_EQ(a.next_u64(), 0x99ec5f36cb75f2b4ull);
+  EXPECT_EQ(a.next_u64(), 0xbf6e1f784956452aull);
+  Rng b(42);
+  EXPECT_EQ(b.next_u64(), 0x15780b2e0c2ec716ull);
+  EXPECT_EQ(b.next_u64(), 0x6104d9866d113a7eull);
+}
+
+TEST(Rng, Mix64IsTheSplitmix64Stream) {
+  // Reference values of splitmix64 seeded with 0 (Vigna's splitmix64.c).
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(mix64(kSplitmixGamma), 0x6e789e6aa1b965f4ull);
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1), b(2);
   int equal = 0;

@@ -90,6 +90,7 @@
 #include <unistd.h>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "nat/rules.hpp"
 #include "pss/contact.hpp"
@@ -193,13 +194,12 @@ std::string exit_cause(int status) {
   return "status " + std::to_string(status);
 }
 
-/// splitmix64 — deterministic victim selection from --seed, no libs.
-std::uint64_t splitmix64(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+/// Fisher-Yates shuffle driven by the splitmix64 stream seeded with
+/// `seed`: deterministic NAT dealing and victim selection from --seed.
+void seeded_shuffle(std::vector<std::uint64_t>& ids, std::uint64_t seed) {
+  for (std::size_t i = ids.size(); i > 1; --i, seed += whisper::kSplitmixGamma) {
+    std::swap(ids[i - 1], ids[whisper::mix64(seed) % i]);
+  }
 }
 
 /// --chaos=kill:0.3,stop:1,natreboot:1 — each value is a count when >= 1,
@@ -405,12 +405,9 @@ int main(int argc, char** argv) {
   // order. Deterministic per --seed, independent of the chaos draw.
   std::vector<nat::NatType> nat_of(nodes + 1, nat::NatType::kNone);
   if (!nat_mix.empty()) {
-    std::uint64_t prng = std::strtoull(seed.c_str(), nullptr, 10) ^ 0x4a7;
     std::vector<std::uint64_t> ids;
     for (std::uint64_t i = 2; i <= nodes; ++i) ids.push_back(i);
-    for (std::size_t i = ids.size(); i > 1; --i) {
-      std::swap(ids[i - 1], ids[splitmix64(prng) % i]);
-    }
+    seeded_shuffle(ids, std::strtoull(seed.c_str(), nullptr, 10) ^ 0x4a7);
     std::size_t next = 0;
     for (const NatMixItem& item : nat_mix) {
       std::uint64_t n = item.amount >= 1e17
@@ -732,12 +729,9 @@ int main(int argc, char** argv) {
     const std::uint64_t stop_n = ChaosSpec::resolve(chaos.stop, nodes);
     // Deterministic victim draw: shuffle 1..N by seeded splitmix, take
     // kill victims then stop victims from the front (disjoint sets).
-    std::uint64_t prng = std::strtoull(seed.c_str(), nullptr, 10) ^ 0xc4405;
     std::vector<std::uint64_t> ids;
     for (std::uint64_t i = 1; i <= nodes; ++i) ids.push_back(i);
-    for (std::size_t i = ids.size(); i > 1; --i) {
-      std::swap(ids[i - 1], ids[splitmix64(prng) % i]);
-    }
+    seeded_shuffle(ids, std::strtoull(seed.c_str(), nullptr, 10) ^ 0xc4405);
     if (kill_n + stop_n > nodes) {
       std::fprintf(stderr, "chaos spec selects more victims than nodes\n");
       return 2;
