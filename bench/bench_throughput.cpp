@@ -1,9 +1,10 @@
 // bench_throughput — machine-readable crypto + event-loop throughput.
 //
 // Seeds the bench trajectory with durable numbers: RSA private ops/sec with
-// the plain path vs the CRT fast path, sealed envelopes/sec, raw simulator
-// events/sec, and the wall-clock of the paper-scale scenario (1k nodes, 8
-// groups, 30 virtual minutes). Emits BENCH_crypto.json and BENCH_sim.json
+// the plain path vs the CRT fast path, sealed envelopes/sec, AES-CTR on 1 KB
+// through aes128_ctr vs its portable fallback, raw simulator events/sec, and
+// the wall-clock of the paper-scale scenario (1k nodes, 8 groups, 30 virtual
+// minutes). Emits BENCH_crypto.json and BENCH_sim.json
 // into --json=<dir> (default ".") so CI can diff runs against the committed
 // baseline at the repo root.
 //
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "crypto/aes128.hpp"
 #include "crypto/envelope.hpp"
 #include "crypto/rsa.hpp"
 #include "common/stats.hpp"
@@ -406,6 +408,28 @@ int main(int argc, char** argv) {
     j.put("open_ops_per_sec", open);
     crypto_json.put("envelope", j);
     std::printf("envelope-512/256B: seal %.0f ops/s, open %.0f ops/s\n", seal, open);
+  }
+  {
+    // Both sides in one run, so the ratio does not depend on the runner: a
+    // dispatch that falls back to the portable path reads about 1x.
+    crypto::AesKey key{};
+    crypto::AesBlock iv{};
+    for (std::size_t i = 0; i < 16; ++i) {
+      key[i] = static_cast<std::uint8_t>(7 * i + 1);
+      iv[i] = static_cast<std::uint8_t>(0xf0 + i);
+    }
+    const Bytes data(1024, 0x5c);
+    const double ctr = ops_per_sec(budget_s, [&] { crypto::aes128_ctr(key, iv, data); });
+    const double portable =
+        ops_per_sec(budget_s, [&] { crypto::aes128_ctr_portable(key, iv, data); });
+    bench::Json j;
+    j.put("payload_bytes", std::uint64_t{1024});
+    j.put("ctr_ops_per_sec", ctr);
+    j.put("portable_ctr_ops_per_sec", portable);
+    j.put("aes_ctr_speedup", ctr / portable);
+    crypto_json.put("aes_ctr", j);
+    std::printf("aes128-ctr/1KB: %.0f ops/s vs portable fallback %.0f ops/s (%.1fx)\n", ctr,
+                portable, ctr / portable);
   }
 
   // ---- Simulator: raw event dispatch, then the paper-scale scenario. ----

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace whisper::crypto {
 
@@ -283,6 +284,9 @@ u64 BigInt::mod_u64(u64 m) const {
 
 MontgomeryCtx::MontgomeryCtx(const BigInt& modulus) : modulus_(modulus) {
   assert(modulus.is_odd() && !modulus.is_zero());
+  if (modulus.limbs_.size() > kMaxLimbs) {
+    throw std::invalid_argument("MontgomeryCtx: modulus wider than kMaxLimbs");
+  }
   n_ = modulus.limbs_;
   const std::size_t k = n_.size();
   // n' = -n[0]^{-1} mod 2^64, via Newton iteration.
@@ -300,14 +304,22 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& modulus) : modulus_(modulus) {
   one_mont_.assign(k, 0);
   std::vector<u64> one(k, 0);
   one[0] = 1;
-  scratch_.assign(k + 2, 0);
   mul(one.data(), r2_.data(), one_mont_.data());
 }
 
-void MontgomeryCtx::mul(const u64* a, const u64* b, u64* out) const {
-  const std::size_t k = n_.size();
-  std::vector<u64>& t = scratch_;
-  std::fill(t.begin(), t.end(), 0);
+namespace {
+
+// CIOS Montgomery multiplication on k-limb buffers: out = a*b*R^{-1} mod n.
+// kFixed > 0 fixes k at compile time so the limb loops unroll; kFixed == 0
+// takes k from `width` (at most MontgomeryCtx::kMaxLimbs). The accumulator
+// is a local array, so concurrent calls share nothing. out may alias a or
+// b: every read of a and b happens before out is written.
+template <std::size_t kFixed>
+void cios_mul(const u64* a, const u64* b, const u64* n, u64 n_prime, std::size_t width,
+              u64* out) {
+  const std::size_t k = kFixed ? kFixed : width;
+  u64 t[(kFixed ? kFixed : MontgomeryCtx::kMaxLimbs) + 2];
+  std::fill(t, t + k + 2, 0);
   for (std::size_t i = 0; i < k; ++i) {
     // t += a[i] * b
     u128 carry = 0;
@@ -321,14 +333,14 @@ void MontgomeryCtx::mul(const u64* a, const u64* b, u64* out) const {
     t[k + 1] = static_cast<u64>(cur >> 64);
 
     // m = t[0] * n' mod 2^64; t += m * n; t >>= 64
-    const u64 m = t[0] * n_prime_;
+    const u64 m = t[0] * n_prime;
     carry = 0;
     {
-      u128 c0 = static_cast<u128>(m) * n_[0] + t[0];
+      u128 c0 = static_cast<u128>(m) * n[0] + t[0];
       carry = c0 >> 64;
     }
     for (std::size_t j = 1; j < k; ++j) {
-      u128 c = static_cast<u128>(m) * n_[j] + t[j] + carry;
+      u128 c = static_cast<u128>(m) * n[j] + t[j] + carry;
       t[j - 1] = static_cast<u64>(c);
       carry = c >> 64;
     }
@@ -342,8 +354,8 @@ void MontgomeryCtx::mul(const u64* a, const u64* b, u64* out) const {
   if (!ge) {
     ge = true;
     for (std::size_t i = k; i-- > 0;) {
-      if (t[i] != n_[i]) {
-        ge = t[i] > n_[i];
+      if (t[i] != n[i]) {
+        ge = t[i] > n[i];
         break;
       }
     }
@@ -352,8 +364,8 @@ void MontgomeryCtx::mul(const u64* a, const u64* b, u64* out) const {
     u64 borrow = 0;
     for (std::size_t i = 0; i < k; ++i) {
       const u64 lhs = t[i];
-      u64 diff = lhs - n_[i];
-      u64 b2 = lhs < n_[i] ? 1 : 0;
+      u64 diff = lhs - n[i];
+      u64 b2 = lhs < n[i] ? 1 : 0;
       const u64 diff2 = diff - borrow;
       b2 |= diff < borrow ? 1 : 0;
       out[i] = diff2;
@@ -362,6 +374,16 @@ void MontgomeryCtx::mul(const u64* a, const u64* b, u64* out) const {
   } else {
     for (std::size_t i = 0; i < k; ++i) out[i] = t[i];
   }
+}
+
+}  // namespace
+
+void MontgomeryCtx::mul(const u64* a, const u64* b, u64* out) const {
+  // Only 4 limbs (the CRT halves of a 512-bit key) measurably gains from a
+  // fixed width; at 8 limbs and up the carry chain bounds the loop.
+  const std::size_t k = n_.size();
+  if (k == 4) return cios_mul<4>(a, b, n_.data(), n_prime_, k, out);
+  cios_mul<0>(a, b, n_.data(), n_prime_, k, out);
 }
 
 BigInt MontgomeryCtx::modexp(const BigInt& base, const BigInt& exp) const {

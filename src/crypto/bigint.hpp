@@ -101,17 +101,23 @@ class BigInt {
 /// modexp() uses fixed 4-bit windows: a 16-entry power table is built per
 /// call (it depends on the base), then the main loop does 4 squarings plus
 /// at most one table multiply per window. The inner loop runs entirely on
-/// preallocated limb buffers — the CIOS accumulator is a context-owned
-/// scratch vector, so no limb storage is allocated per multiplication.
-/// Results are bit-identical to the square-and-multiply path: both compute
-/// plain (base ^ exp) mod n.
+/// preallocated limb buffers, and the CIOS accumulator lives on the stack
+/// of each multiplication, which is compiled at a fixed width of 4 limbs
+/// (the CRT halves of a 512-bit key) and at run-time width for every other
+/// size. Results are bit-identical to the square-and-multiply path: both
+/// compute plain (base ^ exp) mod n.
 ///
-/// Thread-compatible, not thread-safe: the shared scratch buffer means one
-/// context must not be used from two threads at once (the simulator is
-/// single-threaded throughout).
+/// Immutable after construction: a const context holds no mutable state,
+/// so one context may be used from any number of threads at once (copies
+/// of a warmed key share theirs, and nodes that borrow one pooled key can
+/// run on different shard threads).
 class MontgomeryCtx {
  public:
-  /// `modulus` must be odd and non-zero.
+  /// Widest modulus accepted: 8192 bits, the kMaxKeyComponentBytes wire cap.
+  static constexpr std::size_t kMaxLimbs = 128;
+
+  /// `modulus` must be odd and non-zero; one wider than kMaxLimbs limbs
+  /// throws std::invalid_argument.
   explicit MontgomeryCtx(const BigInt& modulus);
 
   const BigInt& modulus() const { return modulus_; }
@@ -124,8 +130,8 @@ class MontgomeryCtx {
 
  private:
   /// CIOS Montgomery multiplication: out = a*b*R^{-1} mod n on raw k-limb
-  /// buffers. Uses the context scratch; out may alias a or b (all reads of
-  /// a/b happen before out is written).
+  /// buffers. out may alias a or b (all reads of a/b happen before out is
+  /// written).
   void mul(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
 
   BigInt modulus_;
@@ -133,7 +139,6 @@ class MontgomeryCtx {
   std::uint64_t n_prime_ = 0;            // -n^{-1} mod 2^64
   std::vector<std::uint64_t> r2_;        // R^2 mod n, R = 2^(64k)
   std::vector<std::uint64_t> one_mont_;  // R mod n = Montgomery form of 1
-  mutable std::vector<std::uint64_t> scratch_;  // CIOS accumulator, reused
 };
 
 }  // namespace whisper::crypto

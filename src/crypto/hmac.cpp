@@ -1,5 +1,6 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace whisper::crypto {
@@ -10,7 +11,7 @@ Digest256 hmac_sha256(BytesView key, BytesView data) {
     const Digest256 hashed = Sha256::hash(key);
     std::memcpy(block, hashed.data(), hashed.size());
   } else {
-    std::memcpy(block, key.data(), key.size());
+    std::copy(key.begin(), key.end(), block);  // memcpy would reject an empty key's null data()
   }
 
   std::uint8_t ipad[64], opad[64];

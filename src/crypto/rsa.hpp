@@ -27,6 +27,8 @@ namespace whisper::crypto {
 /// 8192-bit moduli, far above anything the stack generates. A forged length
 /// prefix cannot allocate (or modexp) beyond it.
 inline constexpr std::size_t kMaxKeyComponentBytes = 1024;
+static_assert(kMaxKeyComponentBytes <= 8 * MontgomeryCtx::kMaxLimbs,
+              "every modulus the wire accepts must fit a MontgomeryCtx");
 /// Cap on a whole serialized public key blob (two components + prefixes,
 /// plus fixed-width piggyback padding).
 inline constexpr std::size_t kMaxKeyWireBytes = 4096;

@@ -53,17 +53,18 @@ inline const char* cpu_category_name(CpuCategory cat) {
 
 class CpuMeter {
  public:
-  /// Run `fn`, measure its wall-clock duration, account it under `cat`, and
-  /// return the elapsed time as microseconds (>= 1).
+  /// Run `fn`, measure its wall-clock duration, account it under `cat` to
+  /// the nanosecond, and return the elapsed time as microseconds (>= 1).
   template <typename Fn>
   Time charge(CpuCategory cat, Fn&& fn) {
     const auto start = std::chrono::steady_clock::now();
     fn();
     const auto end = std::chrono::steady_clock::now();
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(end - start).count();
-    const Time t = us > 0 ? static_cast<Time>(us) : 1;
-    spent_[static_cast<std::size_t>(cat)] += t;
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count());
+    spent_ns_[static_cast<std::size_t>(cat)] += ns;
     ++ops_[static_cast<std::size_t>(cat)];
+    const Time t = ns >= 1000 ? ns / 1000 : 1;
     if (probe_) probe_(cat, t);
     return t;
   }
@@ -72,20 +73,24 @@ class CpuMeter {
   /// distributions of individual crypto-operation durations).
   void set_probe(std::function<void(CpuCategory, Time)> probe) { probe_ = std::move(probe); }
 
-  Time spent(CpuCategory cat) const { return spent_[static_cast<std::size_t>(cat)]; }
+  /// Wall time accumulated under `cat`, in whole microseconds.
+  Time spent(CpuCategory cat) const { return spent_ns_[static_cast<std::size_t>(cat)] / 1000; }
   std::uint64_t ops(CpuCategory cat) const { return ops_[static_cast<std::size_t>(cat)]; }
+  /// Sum of spent() over every category.
   Time total() const {
     Time t = 0;
-    for (auto v : spent_) t += v;
+    for (std::size_t c = 0; c < static_cast<std::size_t>(CpuCategory::kCount); ++c) {
+      t += spent(static_cast<CpuCategory>(c));
+    }
     return t;
   }
   void reset() {
-    for (auto& v : spent_) v = 0;
+    for (auto& v : spent_ns_) v = 0;
     for (auto& v : ops_) v = 0;
   }
 
  private:
-  Time spent_[static_cast<std::size_t>(CpuCategory::kCount)] = {};
+  std::uint64_t spent_ns_[static_cast<std::size_t>(CpuCategory::kCount)] = {};
   std::uint64_t ops_[static_cast<std::size_t>(CpuCategory::kCount)] = {};
   std::function<void(CpuCategory, Time)> probe_;
 };

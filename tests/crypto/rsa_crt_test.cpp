@@ -4,6 +4,10 @@
 // shapes. A fast path that is ever wrong is worse than no fast path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "crypto/bigint.hpp"
 #include "crypto/rsa.hpp"
 
@@ -117,10 +121,14 @@ BigInt reference_modexp(const BigInt& base, const BigInt& exp, const BigInt& m) 
 
 TEST(MontgomeryCtx, MatchesReferenceAcrossShapes) {
   Drbg d(3700);
-  for (const std::size_t bits : {64u, 192u, 512u, 1024u}) {
+  // 256 bits (4 limbs, the CRT half of a 512-bit key) takes the fixed-width
+  // multiply; every other width, 320 and 2048 bits included, the run-time
+  // one.
+  for (const std::size_t bits : {64u, 192u, 256u, 320u, 512u, 1024u, 2048u}) {
     BigInt m = BigInt::from_bytes(d.bytes(bits / 8));
     if (!m.is_odd()) m = m + BigInt{1};
     const MontgomeryCtx ctx(m);
+    ASSERT_EQ(ctx.limb_count(), bits / 64);
     for (int i = 0; i < 6; ++i) {
       // Bases both below and above the modulus; exponents from tiny (binary
       // path) through full-width (windowed path).
@@ -171,6 +179,40 @@ TEST(MontgomeryCtx, AgreesWithBigIntModexp) {
     const BigInt base = BigInt::from_bytes(d.bytes(64));
     const BigInt exp = BigInt::from_bytes(d.bytes(64));
     EXPECT_EQ(ctx.modexp(base, exp), base.modexp(exp, m));
+  }
+}
+
+TEST(MontgomeryCtx, SharedAcrossThreads) {
+  // Copies of a warmed key share its contexts, and nodes that borrow one
+  // pooled key can run on different shard threads: concurrent private ops
+  // through one context, via the same key object or via copies, must each
+  // get their own plaintext back.
+  Drbg d(4300);
+  const RsaKeyPair key = RsaKeyPair::generate(512, d);
+  key.warm_cache();
+  std::vector<Bytes> msgs;
+  std::vector<Bytes> cts;
+  for (std::size_t i = 0; i < 64; ++i) {
+    msgs.push_back(d.bytes(8 + i % 40));
+    cts.push_back(rsa_encrypt(key.pub, msgs.back(), d));
+  }
+  for (const bool copies : {false, true}) {
+    const RsaKeyPair copy_a = key;
+    const RsaKeyPair copy_b = key;
+    ASSERT_EQ(copy_a.mont_p_cache.get(), key.mont_p_cache.get());
+    std::atomic<int> wrong{0};
+    auto worker = [&](const RsaKeyPair* k, std::size_t offset) {
+      for (std::size_t i = 0; i < 2000; ++i) {
+        const std::size_t j = (i + offset) % cts.size();
+        const auto pt = rsa_decrypt(*k, cts[j]);
+        if (!pt || *pt != msgs[j]) ++wrong;
+      }
+    };
+    std::thread a(worker, copies ? &copy_a : &key, 0);
+    std::thread b(worker, copies ? &copy_b : &key, 17);
+    a.join();
+    b.join();
+    EXPECT_EQ(wrong.load(), 0) << (copies ? "copies of one key" : "one key object");
   }
 }
 
