@@ -19,8 +19,8 @@
 namespace whisper {
 namespace {
 
-TestbedConfig base_config(std::uint64_t seed) {
-  TestbedConfig cfg;
+ScaleConfig base_config(std::uint64_t seed) {
+  ScaleConfig cfg;
   cfg.initial_nodes = 120;
   cfg.natted_fraction = 0.7;
   cfg.latency = "planetlab";
@@ -38,7 +38,7 @@ struct SendStats {
   double attempts_per_send = 0;
 };
 
-SendStats measure_sends(WhisperTestbed& tb, std::size_t count, Rng& rng) {
+SendStats measure_sends(ScaleTestbed& tb, std::size_t count, Rng& rng) {
   auto nodes = tb.alive_nodes();
   std::size_t delivered = 0;
   Samples latencies;
@@ -49,12 +49,12 @@ SendStats measure_sends(WhisperTestbed& tb, std::size_t count, Rng& rng) {
     WhisperNode* src = nodes[rng.pick_index(nodes)];
     WhisperNode* dst = nodes[rng.pick_index(nodes)];
     if (src == dst || !src->running() || !dst->running()) continue;
-    const net::Time sent_at = tb.clock().now();
+    const net::Time sent_at = tb.now();
     bool done = false;
     dst->wcl().on_deliver = [&](Bytes) {
       if (!done) {
         ++delivered;
-        latencies.add(static_cast<double>(tb.clock().now() - sent_at) /
+        latencies.add(static_cast<double>(tb.simulator(0).now() - sent_at) /
                       net::kSecond);
         done = true;
       }
@@ -79,9 +79,9 @@ void ablation_path_length() {
   std::printf("\n[A] path length (f mixes): cost of collusion resistance\n");
   Table t({"mixes", "delivered", "mean latency", "attempts/send"});
   for (std::size_t mixes : {1u, 2u, 3u, 4u}) {
-    TestbedConfig cfg = base_config(2000 + mixes);
+    ScaleConfig cfg = base_config(2000 + mixes);
     cfg.node.wcl.mixes = mixes;
-    WhisperTestbed tb(cfg);
+    ScaleTestbed tb(cfg);
     tb.run_for(6 * net::kMinute);
     Rng rng(cfg.seed);
     SendStats s = measure_sends(tb, 40, rng);
@@ -96,8 +96,8 @@ void ablation_path_length() {
 void ablation_mix_selection() {
   std::printf("\n[B] mix selection: CB/helper-guided vs random nodes\n");
   // WHISPER selection.
-  TestbedConfig cfg = base_config(2100);
-  WhisperTestbed tb(cfg);
+  ScaleConfig cfg = base_config(2100);
+  ScaleTestbed tb(cfg);
   tb.run_for(6 * net::kMinute);
   Rng rng(2101);
   SendStats guided = measure_sends(tb, 40, rng);
@@ -142,17 +142,17 @@ void ablation_retry_budget() {
   std::printf("\n[C] retry budget under churn (5%%/min)\n");
   Table t({"max retries", "delivered"});
   for (std::size_t retries : {0u, 1u, 3u, 5u}) {
-    TestbedConfig cfg = base_config(2200 + retries);
+    ScaleConfig cfg = base_config(2200 + retries);
     cfg.latency = "cluster";
     cfg.node.wcl.max_retries = retries;
-    WhisperTestbed tb(cfg);
+    ScaleTestbed tb(cfg);
     Rng rng(cfg.seed ^ 1);
     tb.run_for(6 * net::kMinute);
     churn::ChurnEngine engine(
-        tb.clock(), [&](std::size_t n) {
+        tb.simulator(0), [&](std::size_t n) {
           std::size_t k = 0;
           for (std::size_t i = 0; i < n; ++i) {
-            if (!tb.kill_random_node().is_nil()) ++k;
+            if (tb.kill_random_node() != static_cast<std::size_t>(-1)) ++k;
           }
           return k;
         },
@@ -161,7 +161,7 @@ void ablation_retry_budget() {
         },
         [&] { return tb.alive_count(); });
     churn::ChurnPhase phase;
-    phase.start = tb.clock().now();
+    phase.start = tb.now();
     phase.end = phase.start + 30 * net::kMinute;
     phase.leave_fraction = 0.05;
     engine.schedule(phase);
@@ -182,12 +182,12 @@ void ablation_lease_regime() {
   // diverge once the descriptor (and therefore the helper's NAT state) has
   // aged — exactly the situation of a PPSS view entry several cycles old.
   for (bool udp : {false, true}) {
-    TestbedConfig cfg = base_config(2300 + (udp ? 1 : 0));
+    ScaleConfig cfg = base_config(2300 + (udp ? 1 : 0));
     cfg.latency = "cluster";
     if (udp) {
       cfg.node.transport.route_ttl = 2 * net::kMinute;  // < 5 min UDP lease
     }
-    WhisperTestbed tb(cfg);
+    ScaleTestbed tb(cfg);
     tb.run_for(8 * net::kMinute);
     Rng rng(cfg.seed ^ 2);
 

@@ -28,14 +28,14 @@ struct Fig5Row {
 };
 
 Fig5Row run_config(std::size_t n_nodes, std::size_t pi) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = 0.7;
   cfg.latency = "cluster";
   cfg.node.pss.view_size = 10;
   cfg.node.pss.pi_min_public = pi;
   cfg.seed = 500 + pi;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   // PSS cycle is 10 s; let the overlay converge for 60 cycles.
   tb.run_for(10 * net::kMinute);
 

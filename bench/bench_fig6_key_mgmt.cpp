@@ -20,7 +20,7 @@ struct Fig6Row {
 
 Fig6Row run_config(std::size_t n_nodes, double natted_fraction, std::size_t pi,
                    bool key_sampling, const std::string& label) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = natted_fraction;
   cfg.latency = "cluster";
@@ -28,18 +28,18 @@ Fig6Row run_config(std::size_t n_nodes, double natted_fraction, std::size_t pi,
   cfg.node.pss.pi_min_public = pi;
   cfg.node.keys.key_wire_size = key_sampling ? 1024 : 0;
   cfg.seed = 600 + pi + (key_sampling ? 7 : 0);
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
 
   // Warm-up, then measure over a window.
   tb.run_for(5 * net::kMinute);
-  tb.reset_traffic();
+  tb.network(0).reset_counters();
   const std::size_t cycles = 30;
   tb.run_for(cycles * cfg.node.pss.cycle);
 
   // Bandwidth comes straight off the telemetry registry: the network books
   // every byte into per-node "net.node.bytes" counters labeled by
   // node/proto/direction.
-  const telemetry::Registry& reg = tb.registry();
+  const telemetry::Registry& reg = tb.registry(0);
   const auto node_bytes = [&](Endpoint ep, net::Proto proto, const char* dir) {
     return reg.counter_value("net.node.bytes", sim::Network::traffic_labels(ep, proto, dir));
   };

@@ -16,20 +16,20 @@ namespace {
 
 void run_testbed(const std::string& latency, std::size_t n_nodes, std::size_t n_groups,
                  std::size_t target_exchanges) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = 0.7;
   cfg.latency = latency;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = 1000 + n_nodes;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   Rng rng(cfg.seed ^ 0xf16);
 
   tb.run_for(5 * net::kMinute);
   std::vector<ppss::Ppss*> leaders;
   std::vector<GroupId> gids;
-  auto publics = tb.alive_public_nodes();
+  auto publics = bench::alive_public_nodes(tb);
   for (std::size_t g = 0; g < n_groups; ++g) {
     const GroupId gid{7000 + g};
     crypto::Drbg d(cfg.seed + g);
@@ -63,7 +63,7 @@ void run_testbed(const std::string& latency, std::size_t n_nodes, std::size_t n_
   }
   while (rtt_samples.count() < target_exchanges) {
     tb.run_for(net::kMinute);
-    if (tb.clock().now() > 4ull * 3600 * net::kSecond) break;  // safety valve
+    if (tb.now() > 4ull * 3600 * net::kSecond) break;  // safety valve
   }
 
   // Crypto operations are sub-millisecond: report them in ms.
@@ -79,7 +79,7 @@ void run_testbed(const std::string& latency, std::size_t n_nodes, std::size_t n_
 
   // Tail latency from the live registry histogram (the same p50/p95/p99 the
   // JSONL exporter emits), cross-checking the callback-collected samples.
-  const telemetry::Histogram& h = tb.registry().histogram(
+  const telemetry::Histogram& h = tb.registry(0).histogram(
       "ppss.exchange.rtt_us", telemetry::BucketSpec::log_spaced(1'000, 60'000'000));
   std::printf("  rtt tail (s):         p50=%.3f p95=%.3f p99=%.3f (histogram, %llu obs)\n",
               h.percentile(50) / net::kSecond, h.percentile(95) / net::kSecond,

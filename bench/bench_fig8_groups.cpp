@@ -21,21 +21,21 @@ struct Fig8Row {
 };
 
 Fig8Row run_config(std::size_t n_nodes, std::size_t n_groups, std::size_t subs) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = 0.7;
   cfg.latency = "planetlab";
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = 1100 + subs;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   Rng rng(cfg.seed ^ 0xabc);
 
   tb.run_for(5 * net::kMinute);
   // Every P-node leads one group (up to n_groups).
   std::vector<ppss::Ppss*> leaders;
   std::vector<GroupId> gids;
-  auto publics = tb.alive_public_nodes();
+  auto publics = bench::alive_public_nodes(tb);
   for (std::size_t g = 0; g < n_groups && g < publics.size(); ++g) {
     const GroupId gid{6000 + g};
     crypto::Drbg d(cfg.seed + g);
@@ -62,7 +62,7 @@ Fig8Row run_config(std::size_t n_nodes, std::size_t n_groups, std::size_t subs) 
   tb.run_for(5 * net::kMinute);
 
   // Measure across complete PPSS cycles.
-  tb.reset_traffic();
+  tb.network(0).reset_counters();
   const std::size_t cycles = 5;
   tb.run_for(cycles * cfg.node.ppss.cycle);
   const double window_s =
@@ -70,7 +70,7 @@ Fig8Row run_config(std::size_t n_nodes, std::size_t n_groups, std::size_t subs) 
 
   Samples n_up, n_down, p_up, p_down;
   for (WhisperNode* node : tb.alive_nodes()) {
-    const auto& c = tb.traffic(node->internal_endpoint());
+    const auto& c = tb.network(0).counters(node->internal_endpoint());
     const double up = static_cast<double>(c.total_up()) / window_s / 1024.0;    // KB/s
     const double down = static_cast<double>(c.total_down()) / window_s / 1024.0;
     if (node->is_public()) {

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                 "delays from ~2 network RTTs to a ~1.5 s-scale multi-hop tail; "
                 "smooth CDF; correct owners found");
 
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = nodes;
   cfg.natted_fraction = 0.7;
   cfg.latency = "cluster";
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   cfg.node.wcl.pi = 3;
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.seed = 1200;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   Rng rng(1201);
 
   tb.run_for(5 * net::kMinute);
@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
   chord::TChordConfig tc;
   tc.cycle = 20 * net::kSecond;
   std::vector<std::unique_ptr<chord::TChord>> rings;
+  Rng ring_rng(cfg.seed ^ 0xc40d);
   for (WhisperNode* m : group_members) {
-    rings.push_back(std::make_unique<chord::TChord>(tb.clock(), *m->group(gid), tc,
-                                                    tb.rng().fork()));
+    rings.push_back(std::make_unique<chord::TChord>(tb.simulator(0), *m->group(gid), tc,
+                                                    ring_rng.fork()));
     rings.back()->start();
   }
   tb.run_for(10 * net::kMinute);  // T-Chord converges in a few cycles

@@ -1,15 +1,9 @@
 // bench_scale — the large-population benchmark for the sharded engine.
-// Two measurements into BENCH_scale.json:
-//
-//   1. engine_parity_1k: the same 1k-node scenario on the classic
-//      single-threaded WhisperTestbed and on ScaleTestbed at S=1. The
-//      sharded builder must not cost anything when sharding is off — the
-//      acceptance bar is S=1 within 5% of the old engine.
-//   2. scale_sweep: a 100k-node deployment booted and run to completion at
-//      S=1 and S=8, reporting aggregate sim-events per wall-second, the
-//      S=8/S=1 speedup, and the probe lengths of a DenseMap holding each
-//      shard's live internal endpoints (the key set of the shard's Network
-//      and NatFabric tables; the worst shard is reported).
+// scale_sweep into BENCH_scale.json: a 100k-node deployment booted and run
+// to completion at S=1 and S=8, reporting aggregate sim-events per
+// wall-second, the S=8/S=1 speedup, and the probe lengths of a DenseMap
+// holding each shard's live internal endpoints (the key set of the shard's
+// Network and NatFabric tables; the worst shard is reported).
 //
 // Honest-numbers note: the speedup is whatever the hardware gives, and
 // the JSON carries "hardware_threads" so the reader can tell parallelism
@@ -34,7 +28,6 @@
 #include "common/densemap.hpp"
 #include "whisper/keypool.hpp"
 #include "whisper/scale.hpp"
-#include "whisper/testbed.hpp"
 
 namespace {
 
@@ -85,64 +78,7 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
 
   {
-    // --- 1. S=1 parity against the classic engine at 1k nodes. ---
-    const std::size_t kParityNodes = quick ? 200 : 1'000;
-    const net::Time kParityRun = (quick ? 2 : 10) * net::kMinute;
-
-    // The RSA key pool is process-wide and lazily grown: whichever testbed
-    // boots first would pay every keygen. Warm it up front so both sides
-    // time the engine, not the pool.
-    for (std::size_t i = 0; i < kParityNodes; ++i) pooled_keypair(i, 512);
-
-    const auto classic_start = Clock::now();
-    double classic_wall_s = 0;
-    std::uint64_t classic_events = 0;
-    {
-      TestbedConfig cfg;
-      cfg.initial_nodes = kParityNodes;
-      cfg.natted_fraction = 0.7;
-      cfg.latency = "cluster";
-      cfg.seed = 7;
-      WhisperTestbed tb(cfg);
-      tb.run_for(kParityRun);
-      classic_wall_s = seconds_since(classic_start);
-      classic_events = tb.executed_events();
-    }
-
-    const auto sharded_start = Clock::now();
-    double sharded_wall_s = 0;
-    std::uint64_t sharded_events = 0;
-    {
-      ScaleConfig cfg;
-      cfg.initial_nodes = kParityNodes;
-      cfg.shards = 1;
-      cfg.natted_fraction = 0.7;
-      cfg.latency = "cluster";
-      cfg.seed = 7;
-      ScaleTestbed tb(cfg);
-      tb.run_for(kParityRun);
-      sharded_wall_s = seconds_since(sharded_start);
-      sharded_events = tb.executed_events();
-    }
-
-    bench::Json j;
-    j.put("nodes", static_cast<std::uint64_t>(kParityNodes));
-    j.put("virtual_minutes", static_cast<std::uint64_t>(kParityRun / net::kMinute));
-    j.put("classic_wall_seconds", classic_wall_s);
-    j.put("classic_events", classic_events);
-    j.put("s1_wall_seconds", sharded_wall_s);
-    j.put("s1_events", sharded_events);
-    // > 1 means S=1 is slower than the classic engine by that factor; the
-    // acceptance bar is <= 1.05.
-    j.put("s1_overhead_factor", sharded_wall_s / classic_wall_s);
-    out.put("engine_parity_1k", j);
-    std::printf("parity %zu nodes: classic %.1fs, S=1 %.1fs (overhead %.3fx)\n",
-                kParityNodes, classic_wall_s, sharded_wall_s,
-                sharded_wall_s / classic_wall_s);
-  }
-
-  {
-    // --- 2. The 100k-node sweep. PlanetLab latency: its 5 ms lower bound
+    // --- The 100k-node sweep. PlanetLab latency: its 5 ms lower bound
     // gives the conservative sync a 50x wider lockstep window than the
     // cluster model's 100 us, which is also the realistic model for a
     // planet-scale deployment. Per-node telemetry off (aggregate metrics

@@ -25,14 +25,14 @@ struct Table1Row {
 };
 
 Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct_per_min) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = 0.7;
   cfg.latency = "cluster";
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = 700 + static_cast<std::uint64_t>(churn_pct_per_min * 10);
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   Rng rng(cfg.seed ^ 0xc0ffee);
 
   // Warm the substrate, then set up groups: leaders are P-nodes (protected
@@ -41,7 +41,7 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
   tb.run_for(5 * net::kMinute);
   std::vector<ppss::Ppss*> leaders;
   std::vector<GroupId> groups;
-  auto publics = tb.alive_public_nodes();
+  auto publics = bench::alive_public_nodes(tb);
   for (std::size_t g = 0; g < n_groups; ++g) {
     const GroupId gid{9000 + g};
     WhisperNode* leader = publics[g % publics.size()];
@@ -72,7 +72,7 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
   auto install_probe = [&](WhisperNode* node) {
     node->wcl().outcome_probe = [&, node](NodeId dest, wcl::SendOutcome outcome) {
       if (!measuring || !node->running()) return;
-      WhisperNode* dest_node = tb.node(dest);
+      WhisperNode* dest_node = tb.node_at(tb.index_of(dest));
       const bool dest_alive = dest_node != nullptr && dest_node->running();
       switch (outcome) {
         case wcl::SendOutcome::kSuccessFirstTry:
@@ -96,7 +96,7 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
 
   // Churn window (the paper's 300 s -> 1200 s script, shifted after setup).
   churn::ChurnEngine engine(
-      tb.clock(),
+      tb.simulator(0),
       [&](std::size_t n) {
         std::size_t killed = 0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -105,7 +105,7 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
             auto alive = tb.alive_nodes();
             WhisperNode* victim = alive[rng.pick_index(alive)];
             if (protected_ids.contains(victim->id())) continue;
-            tb.kill_node(victim->id());
+            tb.kill_node(tb.index_of(victim->id()));
             ++killed;
             break;
           }
@@ -122,7 +122,7 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
       [&] { return tb.alive_count(); });
 
   churn::ChurnPhase phase;
-  phase.start = tb.clock().now();
+  phase.start = tb.now();
   phase.end = phase.start + 15 * net::kMinute;
   phase.interval = net::kMinute;
   phase.leave_fraction = churn_pct_per_min / 100.0;

@@ -21,21 +21,21 @@ int main(int argc, char** argv) {
                 "RSA >> AES; P-nodes ~2x total CPU of N-nodes and ~4x the RSA "
                 "decrypt time (mix role)");
 
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = nodes;
   cfg.natted_fraction = 0.7;
   cfg.latency = "cluster";
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = 800;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   Rng rng(801);
 
   tb.run_for(5 * net::kMinute);
   // Group setup: leaders on P-nodes, every node subscribes to one group.
   std::vector<ppss::Ppss*> leaders;
   std::vector<GroupId> gids;
-  auto publics = tb.alive_public_nodes();
+  auto publics = bench::alive_public_nodes(tb);
   for (std::size_t g = 0; g < groups; ++g) {
     const GroupId gid{8000 + g};
     crypto::Drbg d(900 + g);

@@ -467,7 +467,7 @@ int main(int argc, char** argv) {
     // The ROADMAP scenario: 1k nodes, 8 groups, 30 virtual minutes. All
     // group traffic rides the WCL, so the run is dominated by RSA private
     // ops on the P-node mixes.
-    TestbedConfig cfg;
+    ScaleConfig cfg;
     cfg.initial_nodes = nodes;
     cfg.natted_fraction = 0.7;
     cfg.latency = "cluster";
@@ -475,12 +475,12 @@ int main(int argc, char** argv) {
     cfg.node.wcl.pi = 3;
     cfg.seed = 7;
     const auto start = Clock::now();
-    WhisperTestbed tb(cfg);
+    ScaleTestbed tb(cfg);
     Rng rng(cfg.seed ^ 0x51b);
     tb.run_for(5 * net::kMinute);
     std::vector<ppss::Ppss*> leaders;
     std::vector<GroupId> gids;
-    auto publics = tb.alive_public_nodes();
+    auto publics = bench::alive_public_nodes(tb);
     for (std::size_t g = 0; g < groups; ++g) {
       crypto::Drbg d(cfg.seed + g);
       leaders.push_back(&publics[g % publics.size()]->create_group(
@@ -515,7 +515,8 @@ int main(int argc, char** argv) {
       // total wall, not against each other.
       double spent_s[static_cast<std::size_t>(net::CpuCategory::kCount)] = {};
       std::uint64_t ops[static_cast<std::size_t>(net::CpuCategory::kCount)] = {};
-      for (WhisperNode* node : tb.all_nodes()) {
+      for (std::size_t i = 0; i < tb.node_count(); ++i) {
+        WhisperNode* node = tb.node_at(i);
         for (std::size_t c = 0; c < static_cast<std::size_t>(net::CpuCategory::kCount); ++c) {
           const auto cat = static_cast<net::CpuCategory>(c);
           spent_s[c] += static_cast<double>(node->cpu().spent(cat)) / 1e6;

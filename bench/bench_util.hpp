@@ -10,9 +10,18 @@
 #include <utility>
 #include <vector>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper::bench {
+
+/// Live public (P-) nodes, in global index order.
+inline std::vector<WhisperNode*> alive_public_nodes(ScaleTestbed& tb) {
+  std::vector<WhisperNode*> out;
+  for (WhisperNode* n : tb.alive_nodes()) {
+    if (n->is_public()) out.push_back(n);
+  }
+  return out;
+}
 
 inline void banner(const std::string& title, const std::string& paper_shape) {
   std::printf("==========================================================\n");

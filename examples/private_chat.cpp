@@ -13,7 +13,7 @@
 
 #include <unordered_set>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 using namespace whisper;
 
@@ -23,7 +23,7 @@ namespace {
 // unique id and are re-broadcast once to the local private view (flooding).
 class ChatMember {
  public:
-  ChatMember(WhisperTestbed& tb, WhisperNode* node, GroupId group, std::string name)
+  ChatMember(ScaleTestbed& tb, WhisperNode* node, GroupId group, std::string name)
       : tb_(tb), node_(node), group_(group), name_(std::move(name)) {}
 
   void attach() {
@@ -40,7 +40,7 @@ class ChatMember {
     w.str(text);
     seen_.insert(last_id_);
     std::printf("[%6.1fs] %s says: \"%s\"\n",
-                static_cast<double>(tb_.clock().now()) / net::kSecond, name_.c_str(),
+                static_cast<double>(tb_.simulator(0).now()) / net::kSecond, name_.c_str(),
                 text.c_str());
     broadcast(w.data());
   }
@@ -70,12 +70,12 @@ class ChatMember {
     seen_.insert(id);
     ++heard_;
     std::printf("[%6.1fs]   %s hears %s: \"%s\"\n",
-                static_cast<double>(tb_.clock().now()) / net::kSecond, name_.c_str(),
+                static_cast<double>(tb_.simulator(0).now()) / net::kSecond, name_.c_str(),
                 who.c_str(), text.c_str());
     broadcast(payload);  // flood once
   }
 
-  WhisperTestbed& tb_;
+  ScaleTestbed& tb_;
   WhisperNode* node_;
   GroupId group_;
   std::string name_;
@@ -88,7 +88,7 @@ class ChatMember {
 }  // namespace
 
 int main() {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 50;
   cfg.natted_fraction = 0.7;
   cfg.node.pss.pi_min_public = 3;
@@ -96,7 +96,7 @@ int main() {
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.node.ppss.leader_timeout = 3 * net::kMinute;
   cfg.seed = 99;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   std::printf("booting 50-node network (70%% natted)...\n");
   tb.run_for(6 * net::kMinute);
 
@@ -125,13 +125,13 @@ int main() {
   tb.run_for(net::kMinute);
 
   std::printf("\n--- dave's machine crashes ---\n");
-  tb.kill_node(nodes[4]->id());
+  tb.kill_node(tb.index_of(nodes[4]->id()));
   tb.run_for(2 * net::kMinute);
   members[3].say("dave dropped, carry on");
   tb.run_for(net::kMinute);
 
   std::printf("\n--- the moderator crashes; leader election kicks in ---\n");
-  tb.kill_node(nodes[0]->id());
+  tb.kill_node(tb.index_of(nodes[0]->id()));
   tb.run_for(12 * net::kMinute);
   std::size_t leaders = 0;
   for (int i = 1; i < 6; ++i) {

@@ -12,7 +12,7 @@
 
 #include "chord/tchord.hpp"
 #include "crypto/sha256.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 using namespace whisper;
 
@@ -25,14 +25,14 @@ chord::ChordKey key_for(const std::string& name) {
 }  // namespace
 
 int main() {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 80;
   cfg.natted_fraction = 0.7;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.seed = 123;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   std::printf("booting 80-node network; 16 nodes will run a private index...\n");
   tb.run_for(6 * net::kMinute);
 
@@ -53,9 +53,10 @@ int main() {
   chord::TChordConfig tc;
   tc.cycle = 20 * net::kSecond;
   std::vector<std::unique_ptr<chord::TChord>> rings;
+  Rng ring_rng(cfg.seed ^ 0xc40d);
   for (WhisperNode* m : members) {
-    rings.push_back(std::make_unique<chord::TChord>(tb.clock(), *m->group(group), tc,
-                                                    tb.rng().fork()));
+    rings.push_back(std::make_unique<chord::TChord>(tb.simulator(0), *m->group(group), tc,
+                                                    ring_rng.fork()));
     rings.back()->start();
   }
   std::printf("converging the private Chord ring...\n");

@@ -8,20 +8,20 @@
 //   $ ./examples/quickstart
 #include <cstdio>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 using namespace whisper;
 
 int main() {
   // 1. A simulated deployment: 40 nodes, 70% behind NATs, LAN latency.
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 40;
   cfg.natted_fraction = 0.7;
   cfg.latency = "cluster";
   cfg.node.pss.pi_min_public = 3;  // keep Π=3 P-nodes in every view
   cfg.node.wcl.pi = 3;
   cfg.seed = 7;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
 
   // 2. Let the substrate converge: peer sampling fills views, keys spread,
   //    connection backlogs fill with NAT-valid routes.

@@ -14,7 +14,7 @@
 #include <map>
 #include <unordered_set>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 using namespace whisper;
 
@@ -66,14 +66,14 @@ class VpnSite {
 }  // namespace
 
 int main() {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 60;
   cfg.natted_fraction = 0.7;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.seed = 2026;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   std::printf("booting a 60-node internet (70%% of hosts behind NATs)...\n");
   tb.run_for(6 * net::kMinute);
 
@@ -106,7 +106,7 @@ int main() {
   std::unordered_set<std::uint64_t> wcl_senders_seen;
   const Bytes payroll = to_bytes("payroll-2026.xlsx");
   bool payroll_leaked = false;
-  tb.set_tap([&](const net::Datagram& d) {
+  tb.network(0).set_tap([&](const net::Datagram& d) {
     ++tapped_packets;
     tapped_bytes += d.payload.size();
     if (std::search(d.payload.begin(), d.payload.end(), payroll.begin(), payroll.end()) !=
@@ -126,7 +126,7 @@ int main() {
   tb.run_for(net::kMinute);
   sites[3].send_frame(routing_table, 1, "recife quarterly numbers to hq");
   tb.run_for(net::kMinute);
-  tb.set_tap(nullptr);
+  tb.network(0).set_tap(nullptr);
 
   std::printf("\n--- what the eavesdropper got ---\n");
   std::printf("packets observed: %zu (%.1f KB)\n", tapped_packets,

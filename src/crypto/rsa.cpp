@@ -156,7 +156,10 @@ std::optional<RsaPublicKey> RsaPublicKey::deserialize(BytesView data) {
     if (b != 0) return std::nullopt;
   }
   RsaPublicKey key{BigInt::from_bytes(nb), BigInt::from_bytes(eb)};
-  if (key.n.is_zero() || key.e.is_zero()) return std::nullopt;
+  // An RSA modulus is odd, and MontgomeryCtx relies on it (an even n only
+  // trips an assert in Debug; Release would compute wrong ciphertexts for a
+  // hostile peer's key). Zero is even too.
+  if (!key.n.is_odd() || key.e.is_zero()) return std::nullopt;
   return key;
 }
 

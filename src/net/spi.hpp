@@ -1,14 +1,13 @@
 // Transport SPI: the seam between WHISPER's protocol stack and whatever
 // carries its datagrams and drives its timers.
 //
-// Protocol code (nylon transport, PSS, key service, WCL, PPSS, overlays)
+// Protocol code (nylon transport, PSS, key service, WCL, PPSS, T-Chord)
 // is written exclusively against `Clock` and `Stack`. Two backends exist:
 //
-//   net::SimBackend  — the deterministic discrete-event simulator
+//   the simulator    — the deterministic discrete-event simulator
 //                      (sim::Simulator is-a Clock, sim::Network is-a
-//                      Stack). Same-seed runs stay byte-identical to the
-//                      pre-SPI stack: the sim code path is unchanged,
-//                      only reached through a vtable now.
+//                      Stack), assembled into deployments by
+//                      whisper::ScaleTestbed.
 //   net::UdpBackend  — a real UDP/epoll event loop (level-triggered,
 //                      non-blocking sockets) with a monotonic-clock timer
 //                      wheel. One backend instance can host one node

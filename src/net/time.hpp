@@ -5,9 +5,6 @@
 // backend's monotonic wall clock (CLOCK_MONOTONIC, rebased to 0 at backend
 // construction so timestamps stay small and comparable across backends).
 // Protocol code never learns which one it is running on.
-//
-// `sim::Time`/`sim::TimerId` are aliases of these types, so all existing
-// sim-era spellings remain valid.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "crypto/sha256.hpp"
 
 namespace whisper::ppss {

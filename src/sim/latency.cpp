@@ -53,11 +53,11 @@ double inv_norm_cdf(double p) {
 
 }  // namespace
 
-std::optional<Time> ClusterLatency::sample(Endpoint, Endpoint, Rng& rng) {
+std::optional<net::Time> ClusterLatency::sample(Endpoint, Endpoint, Rng& rng) {
   return 100 + rng.next_below(400);  // 100..500 us
 }
 
-std::optional<Time> PlanetLabLatency::sample(Endpoint from, Endpoint to, Rng& rng) {
+std::optional<net::Time> PlanetLabLatency::sample(Endpoint from, Endpoint to, Rng& rng) {
   if (rng.next_bool(loss_probability_)) return std::nullopt;
   // Per-pair base: lognormal(ln 40ms, 0.8), clamped into [5ms, 400ms].
   double u = pair_uniform(from, to);
@@ -68,11 +68,11 @@ std::optional<Time> PlanetLabLatency::sample(Endpoint from, Endpoint to, Rng& rn
   // PlanetLab machines).
   const double jitter = rng.next_exponential(1.0 / 0.15);
   const double total_ms = base_ms * (1.0 + jitter);
-  return static_cast<Time>(total_ms * static_cast<double>(kMillisecond));
+  return static_cast<net::Time>(total_ms * static_cast<double>(net::kMillisecond));
 }
 
 std::unique_ptr<LatencyModel> make_latency_model(const std::string& name) {
-  if (name == "fixed") return std::make_unique<FixedLatency>(kMillisecond);
+  if (name == "fixed") return std::make_unique<FixedLatency>(net::kMillisecond);
   if (name == "cluster") return std::make_unique<ClusterLatency>();
   if (name == "planetlab") return std::make_unique<PlanetLabLatency>();
   throw std::invalid_argument("unknown latency model: " + name);

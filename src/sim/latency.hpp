@@ -20,31 +20,31 @@ namespace whisper::sim {
 class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
-  virtual std::optional<Time> sample(Endpoint from, Endpoint to, Rng& rng) = 0;
+  virtual std::optional<net::Time> sample(Endpoint from, Endpoint to, Rng& rng) = 0;
 
   /// Hard floor on every delay this model can return. The sharded engine's
   /// conservative-synchronization window must not exceed this bound: any
   /// message sent inside a lockstep window is then guaranteed to arrive no
   /// earlier than the next window, so shards never see the past change.
-  virtual Time lower_bound() const = 0;
+  virtual net::Time lower_bound() const = 0;
 };
 
 /// Constant delay, no loss. For unit tests.
 class FixedLatency : public LatencyModel {
  public:
-  explicit FixedLatency(Time delay) : delay_(delay) {}
-  std::optional<Time> sample(Endpoint, Endpoint, Rng&) override { return delay_; }
-  Time lower_bound() const override { return delay_; }
+  explicit FixedLatency(net::Time delay) : delay_(delay) {}
+  std::optional<net::Time> sample(Endpoint, Endpoint, Rng&) override { return delay_; }
+  net::Time lower_bound() const override { return delay_; }
 
  private:
-  Time delay_;
+  net::Time delay_;
 };
 
 /// Switched-LAN cluster: uniform 100..500 us one-way, no loss.
 class ClusterLatency : public LatencyModel {
  public:
-  std::optional<Time> sample(Endpoint from, Endpoint to, Rng& rng) override;
-  Time lower_bound() const override { return 100; }
+  std::optional<net::Time> sample(Endpoint from, Endpoint to, Rng& rng) override;
+  net::Time lower_bound() const override { return 100; }
 };
 
 /// PlanetLab-like WAN: per-pair lognormal base (median ~40 ms one-way),
@@ -53,9 +53,9 @@ class PlanetLabLatency : public LatencyModel {
  public:
   explicit PlanetLabLatency(double loss_probability = 0.02)
       : loss_probability_(loss_probability) {}
-  std::optional<Time> sample(Endpoint from, Endpoint to, Rng& rng) override;
+  std::optional<net::Time> sample(Endpoint from, Endpoint to, Rng& rng) override;
   /// Base clamps at 5 ms and jitter is non-negative.
-  Time lower_bound() const override { return 5 * kMillisecond; }
+  net::Time lower_bound() const override { return 5 * net::kMillisecond; }
 
  private:
   double loss_probability_;

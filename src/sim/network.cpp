@@ -2,8 +2,6 @@
 
 namespace whisper::sim {
 
-// proto_name/drop_reason_name moved to net/datagram.cpp with the SPI split.
-
 namespace {
 
 /// Flow id for the Chrome-trace arrow of one wire traversal: unique per
@@ -33,34 +31,34 @@ std::uint64_t TrafficCounters::total_down() const {
   return total;
 }
 
-telemetry::Labels Network::traffic_labels(Endpoint internal_ep, Proto proto,
+telemetry::Labels Network::traffic_labels(Endpoint internal_ep, net::Proto proto,
                                           const char* dir) {
-  return {{"node", internal_ep.str()}, {"proto", proto_name(proto)}, {"dir", dir}};
+  return {{"node", internal_ep.str()}, {"proto", net::proto_name(proto)}, {"dir", dir}};
 }
 
 Network::Network(Simulator& sim, std::unique_ptr<LatencyModel> latency,
-                 telemetry::Registry* registry)
+                 std::uint64_t salt, telemetry::Registry* registry)
     : sim_(sim), latency_(std::move(latency)),
       owned_registry_(registry == nullptr ? std::make_unique<telemetry::Registry>()
                                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
-      rng_(sim.rng().fork()) {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(Proto::kCount); ++i) {
-    const char* proto = proto_name(static_cast<Proto>(i));
+      latency_salt_(salt) {
+  for (std::size_t i = 0; i < static_cast<std::size_t>(net::Proto::kCount); ++i) {
+    const char* proto = net::proto_name(static_cast<net::Proto>(i));
     agg_up_[i] = &registry_->counter("net.bytes", {{"proto", proto}, {"dir", "up"}});
     agg_down_[i] = &registry_->counter("net.bytes", {{"proto", proto}, {"dir", "down"}});
   }
   packets_sent_c_ = &registry_->counter("net.packets.sent");
   packets_delivered_c_ = &registry_->counter("net.packets.delivered");
   packets_duplicated_c_ = &registry_->counter("net.packets.duplicated");
-  for (std::size_t i = 0; i < static_cast<std::size_t>(DropReason::kCount); ++i) {
+  for (std::size_t i = 0; i < static_cast<std::size_t>(net::DropReason::kCount); ++i) {
     packets_dropped_c_[i] = &registry_->counter(
         "net.packets.dropped",
-        {{"reason", drop_reason_name(static_cast<DropReason>(i))}});
+        {{"reason", net::drop_reason_name(static_cast<net::DropReason>(i))}});
   }
 }
 
-void Network::count_drop(DropReason reason) {
+void Network::count_drop(net::DropReason reason) {
   packets_dropped_c_[static_cast<std::size_t>(reason)]->add(1);
 }
 
@@ -70,7 +68,7 @@ std::uint64_t Network::packets_dropped() const {
   return total;
 }
 
-std::uint64_t Network::packets_dropped(DropReason reason) const {
+std::uint64_t Network::packets_dropped(net::DropReason reason) const {
   return packets_dropped_c_[static_cast<std::size_t>(reason)]->value();
 }
 
@@ -90,8 +88,8 @@ TrafficCounters& Network::counters_for(Endpoint internal_ep) {
   auto it = counters_.find(internal_ep);
   if (it != counters_.end()) return it->second;
   TrafficCounters tc;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(Proto::kCount); ++i) {
-    const Proto p = static_cast<Proto>(i);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(net::Proto::kCount); ++i) {
+    const net::Proto p = static_cast<net::Proto>(i);
     tc.up[i] = &registry_->counter("net.node.bytes", traffic_labels(internal_ep, p, "up"));
     tc.down[i] =
         &registry_->counter("net.node.bytes", traffic_labels(internal_ep, p, "down"));
@@ -99,7 +97,7 @@ TrafficCounters& Network::counters_for(Endpoint internal_ep) {
   return counters_.emplace(internal_ep, tc).first->second;
 }
 
-bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, Proto proto) {
+bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, net::Proto proto) {
   Endpoint wire_src = internal_src;
   if (translator_ != nullptr) {
     auto mapped = translator_->outbound(internal_src, public_dst);
@@ -114,18 +112,18 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, Pr
   agg_up_[pi]->add(payload.size());
   packets_sent_c_->add(1);
 
-  Datagram dgram{wire_src, public_dst, std::move(payload), proto, {}};
+  net::Datagram dgram{wire_src, public_dst, std::move(payload), proto, {}};
   const bool tracing_flight = flight_ != nullptr && flight_->enabled();
   if (tracing_flight) dgram.trace = flight_->context();
   std::size_t copies = 1;
-  Time extra_delay = 0;
+  net::Time extra_delay = 0;
   if (faults_ != nullptr) {
     const auto verdict = faults_->on_wire(internal_src, dgram);
     copies = verdict.copies;
     extra_delay = verdict.extra_delay;
   }
   if (copies == 0) {
-    count_drop(DropReason::kFault);
+    count_drop(net::DropReason::kFault);
     if (tracing_flight && dgram.trace.valid()) {
       flight_->drop(dgram.trace, flight_->node_of(internal_src), sim_.now(), "fault");
     }
@@ -139,7 +137,7 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, Pr
   for (std::size_t i = 0; i < copies; ++i) {
     if (i > 0) packets_duplicated_c_->add(1);
     // Copy only for fault-injected duplicates; the final copy moves.
-    Datagram scheduled = (i + 1 == copies) ? std::move(dgram) : dgram;
+    net::Datagram scheduled = (i + 1 == copies) ? std::move(dgram) : dgram;
     if (tracing_flight && scheduled.trace.valid()) {
       // One seq per wire copy, so duplicated packets pair their own
       // wire_out/wire_in events in the assembled record.
@@ -154,41 +152,29 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, Pr
     // Canonical ordering key for this wire copy: (sender, per-sender seq).
     // Allocated per copy even when the copy is then lost, so the key stream
     // at the sender is identical whatever happens downstream.
-    std::uint64_t ka = 0, kb = 0;
-    if (deterministic_) {
-      ka = pack_endpoint(internal_src);
-      kb = wire_seqs_[internal_src]++;
-    }
+    const std::uint64_t ka = pack_endpoint(internal_src);
+    const std::uint64_t kb = wire_seqs_[internal_src]++;
     auto delay = draw_latency(wire_src, public_dst, kb);
     if (!delay) {
-      count_drop(DropReason::kLoss);  // lost in transit
+      count_drop(net::DropReason::kLoss);  // lost in transit
       if (tracing_flight && scheduled.trace.valid()) {
         flight_->drop(scheduled.trace, flight_->node_of(internal_src), sim_.now(), "loss");
       }
       continue;
     }
-    const Time deliver_at = sim_.now() + *delay + extra_delay;
+    Delivery d{sim_.now() + *delay + extra_delay, ka, kb, internal_src,
+                     std::move(scheduled)};
     if (is_remote_ && is_remote_(public_dst)) {
-      forward_remote_(RemoteDelivery{deliver_at, ka, kb, internal_src,
-                                     std::move(scheduled)});
-    } else if (deterministic_) {
-      sim_.schedule_keyed(deliver_at, ka, kb,
-                          [this, internal_src, dgram = std::move(scheduled)]() mutable {
-                            deliver(internal_src, std::move(dgram));
-                          });
+      forward_remote_(std::move(d));
     } else {
-      sim_.schedule_at(deliver_at,
-                       [this, internal_src, dgram = std::move(scheduled)]() mutable {
-                         deliver(internal_src, std::move(dgram));
-                       });
+      schedule_delivery(std::move(d));
     }
   }
   return true;
 }
 
-std::optional<Time> Network::draw_latency(Endpoint wire_src, Endpoint public_dst,
-                                          std::uint64_t kb) {
-  if (!deterministic_) return latency_->sample(wire_src, public_dst, rng_);
+std::optional<net::Time> Network::draw_latency(Endpoint wire_src, Endpoint public_dst,
+                                               std::uint64_t kb) {
   // Stateless per-copy stream: the draw depends only on (salt, sender seq),
   // never on how many other sends interleaved — shard-count invariant.
   Rng copy_rng(mix64(latency_salt_ ^ mix64(pack_endpoint(wire_src)) ^
@@ -196,7 +182,7 @@ std::optional<Time> Network::draw_latency(Endpoint wire_src, Endpoint public_dst
   return latency_->sample(wire_src, public_dst, copy_rng);
 }
 
-void Network::deliver_remote(RemoteDelivery d) {
+void Network::schedule_delivery(Delivery d) {
   sim_.schedule_keyed(d.deliver_at, d.ka, d.kb,
                       [this, internal_src = d.internal_src,
                        dgram = std::move(d.dgram)]() mutable {
@@ -204,14 +190,14 @@ void Network::deliver_remote(RemoteDelivery d) {
                       });
 }
 
-void Network::deliver(Endpoint internal_src, Datagram dgram) {
+void Network::deliver(Endpoint internal_src, net::Datagram dgram) {
   const bool traced =
       flight_ != nullptr && flight_->enabled() && dgram.trace.valid();
   Endpoint internal_dst = dgram.dst;
   if (translator_ != nullptr) {
     auto mapped = translator_->inbound(dgram.dst, dgram.src);
     if (!mapped) {
-      count_drop(DropReason::kFilter);  // filtered by the destination's NAT
+      count_drop(net::DropReason::kFilter);  // filtered by the destination's NAT
       if (traced) {
         flight_->drop(dgram.trace, flight_->node_of(dgram.dst), sim_.now(), "filter");
       }
@@ -221,13 +207,13 @@ void Network::deliver(Endpoint internal_src, Datagram dgram) {
   }
   if (faults_ != nullptr) {
     switch (faults_->on_deliver(internal_src, internal_dst, dgram)) {
-      case FaultInterposer::Gate::kDrop:
-        count_drop(DropReason::kFault);
+      case net::FaultInterposer::Gate::kDrop:
+        count_drop(net::DropReason::kFault);
         if (traced) {
           flight_->drop(dgram.trace, flight_->node_of(internal_dst), sim_.now(), "fault");
         }
         return;
-      case FaultInterposer::Gate::kQueue:
+      case net::FaultInterposer::Gate::kQueue:
         // Interposer owns it; counts on redeliver(). The queued event marks
         // the hold start so assembly can split queueing from propagation.
         if (traced) {
@@ -235,23 +221,23 @@ void Network::deliver(Endpoint internal_src, Datagram dgram) {
                           "pause");
         }
         return;
-      case FaultInterposer::Gate::kDeliver:
+      case net::FaultInterposer::Gate::kDeliver:
         break;
     }
   }
   finish_delivery(internal_dst, std::move(dgram));
 }
 
-void Network::redeliver(Endpoint internal_dst, Datagram dgram) {
+void Network::redeliver(Endpoint internal_dst, net::Datagram dgram) {
   finish_delivery(internal_dst, std::move(dgram));
 }
 
-void Network::finish_delivery(Endpoint internal_dst, Datagram dgram) {
+void Network::finish_delivery(Endpoint internal_dst, net::Datagram dgram) {
   const bool traced =
       flight_ != nullptr && flight_->enabled() && dgram.trace.valid();
   auto it = handlers_.find(internal_dst);
   if (it == handlers_.end()) {
-    count_drop(DropReason::kDetach);  // node departed
+    count_drop(net::DropReason::kDetach);  // node departed
     if (traced) {
       flight_->drop(dgram.trace, flight_->node_of(internal_dst), sim_.now(), "detach");
     }

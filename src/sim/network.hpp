@@ -29,12 +29,6 @@
 
 namespace whisper::sim {
 
-/// The wire-level types moved to net/ with the transport SPI split; sim::
-/// keeps the historical spellings.
-using Proto = net::Proto;
-using Datagram = net::Datagram;
-using net::proto_name;
-
 /// NAT interposition hook; implemented by nat::NatFabric.
 class AddressTranslator {
  public:
@@ -50,29 +44,20 @@ class AddressTranslator {
   virtual std::optional<Endpoint> inbound(Endpoint public_dst, Endpoint public_src) = 0;
 };
 
-/// Fault interposition hook: now part of the transport SPI (net/spi.hpp),
-/// implemented by faults::FaultFabric and consulted by any backend.
-using FaultInterposer = net::FaultInterposer;
-
-/// Why a packet never reached its destination handler. Labels the
-/// "net.packets.dropped" counter instances.
-using DropReason = net::DropReason;
-using net::drop_reason_name;
-
 /// Per-node traffic accounting in bytes: a view over the registry-backed
 /// "net.node.bytes" counters (labels: node, proto, dir). Null slots (node
 /// never seen) read as zero.
 struct TrafficCounters {
-  telemetry::Counter* up[static_cast<std::size_t>(Proto::kCount)] = {};
-  telemetry::Counter* down[static_cast<std::size_t>(Proto::kCount)] = {};
+  telemetry::Counter* up[static_cast<std::size_t>(net::Proto::kCount)] = {};
+  telemetry::Counter* down[static_cast<std::size_t>(net::Proto::kCount)] = {};
 
   std::uint64_t total_up() const;
   std::uint64_t total_down() const;
-  std::uint64_t up_for(Proto p) const {
+  std::uint64_t up_for(net::Proto p) const {
     const auto* c = up[static_cast<std::size_t>(p)];
     return c != nullptr ? c->value() : 0;
   }
-  std::uint64_t down_for(Proto p) const {
+  std::uint64_t down_for(net::Proto p) const {
     const auto* c = down[static_cast<std::size_t>(p)];
     return c != nullptr ? c->value() : 0;
   }
@@ -80,11 +65,19 @@ struct TrafficCounters {
 
 /// The simulated network: the whole virtual internet behind one net::Stack.
 /// Nodes are identified by their internal endpoint.
+///
+/// Delivery is keyed: the latency (and loss) of each wire copy is drawn
+/// from a private Rng seeded by (salt, sender, the sender's wire sequence
+/// number), and the delivery is heap-keyed by (sender, wire sequence). No
+/// draw depends on how other senders' traffic interleaves, and no key on
+/// how nodes are partitioned into shards, which is what makes same-seed
+/// runs byte-identical for every shard count (DESIGN.md §13).
 class Network final : public net::Stack {
  public:
-  /// `registry` hosts the traffic metrics; when null the network owns a
-  /// private one, so counters are always registry-backed.
-  Network(Simulator& sim, std::unique_ptr<LatencyModel> latency,
+  /// `salt` seeds every per-copy latency stream. `registry` hosts the
+  /// traffic metrics; when null the network owns a private one, so
+  /// counters are always registry-backed.
+  Network(Simulator& sim, std::unique_ptr<LatencyModel> latency, std::uint64_t salt,
           telemetry::Registry* registry = nullptr);
 
   using Handler = net::Stack::Handler;
@@ -100,7 +93,7 @@ class Network final : public net::Stack {
   void set_translator(AddressTranslator* translator) { translator_ = translator; }
 
   /// Install the fault fabric. May be null (no faults; zero overhead).
-  void set_fault_interposer(FaultInterposer* faults) override { faults_ = faults; }
+  void set_fault_interposer(net::FaultInterposer* faults) override { faults_ = faults; }
 
   /// Install the flight recorder for causal tracing. While installed and
   /// enabled, outbound datagrams are stamped with the sender's ambient
@@ -117,13 +110,13 @@ class Network final : public net::Stack {
   /// paused-node queue flush on resume). NAT was already resolved when the
   /// packet was queued; it goes straight to the handler — or to the detach
   /// drop counter if the node departed while paused.
-  void redeliver(Endpoint internal_dst, Datagram dgram) override;
+  void redeliver(Endpoint internal_dst, net::Datagram dgram) override;
 
   /// Wiretap: observes every datagram as it appears on the wire (after NAT
   /// source rewriting, before destination filtering) — the vantage point of
   /// the paper's link-observing attacker. Used by security tests and the
   /// eavesdropper example; null disables.
-  using Tap = std::function<void(const Datagram&)>;
+  using Tap = std::function<void(const net::Datagram&)>;
   void set_tap(Tap tap) { tap_ = std::move(tap); }
 
   /// Send a datagram from a node's internal endpoint to a *public*
@@ -131,45 +124,35 @@ class Network final : public net::Stack {
   /// the packet (no NAT mapping possible). Delivery itself is asynchronous
   /// and silently subject to loss and filtering.
   bool send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
-            Proto proto) override;
+            net::Proto proto) override;
 
-  // --- Sharded-engine integration (see sim/sharded.hpp). ---
-
-  /// A wire traversal crossing a shard boundary: everything the owning
-  /// shard's network needs to finish the delivery with the same canonical
-  /// ordering it would have used locally.
-  struct RemoteDelivery {
-    Time deliver_at;
+  /// One wire copy on its way to delivery: everything the destination's
+  /// network needs to deliver it under its canonical ordering key, whether
+  /// it stays on this shard or crosses to another (see sim/sharded.hpp).
+  struct Delivery {
+    net::Time deliver_at;
     std::uint64_t ka;  // canonical key: packed sender endpoint
     std::uint64_t kb;  // canonical key: per-sender wire sequence
     Endpoint internal_src;
-    Datagram dgram;
+    net::Datagram dgram;
   };
 
-  /// Deterministic delivery mode: latency (and loss) for each wire copy is
-  /// drawn from a private Rng seeded by (salt, sender, per-sender wire
-  /// sequence) instead of the network's shared stream, and deliveries are
-  /// heap-keyed by (sender, wire sequence). Both are invariant under how
-  /// nodes are partitioned into shards, which is what makes same-seed runs
-  /// byte-identical for every shard count. Must be set before traffic.
-  void set_deterministic_delivery(std::uint64_t salt) {
-    deterministic_ = true;
-    latency_salt_ = salt;
-  }
+  // --- Sharded-engine integration (see sim/sharded.hpp). ---
 
   /// Route datagrams whose destination lives on another shard. `is_remote`
   /// decides (from the public destination address); `forward` hands the
   /// packet to the engine, which enqueues it on the owning shard's channel.
   void set_shard_router(std::function<bool(Endpoint)> is_remote,
-                        std::function<void(RemoteDelivery)> forward) {
+                        std::function<void(Delivery)> forward) {
     is_remote_ = std::move(is_remote);
     forward_remote_ = std::move(forward);
   }
 
-  /// Schedule a delivery that arrived over a shard channel. Runs on the
-  /// destination shard; `d.deliver_at` is guaranteed (by the conservative
-  /// window) to still be in this shard's future.
-  void deliver_remote(RemoteDelivery d);
+  /// Schedule one wire copy's delivery under its canonical key. send() calls
+  /// it for local destinations, the sharded engine for copies that arrived
+  /// over a shard channel (whose `deliver_at` the conservative window
+  /// guarantees is still in this shard's future).
+  void schedule_delivery(Delivery d);
 
   /// Per-node byte counters cost ~12 registry entries per node — fine at
   /// 1k nodes, gigabytes of label strings at 100k. Lean mode keeps only the
@@ -192,7 +175,7 @@ class Network final : public net::Stack {
   /// Packets positively known to be gone, by reason — NOT sent−delivered,
   /// which would misread packets still in flight as dropped.
   std::uint64_t packets_dropped() const;
-  std::uint64_t packets_dropped(DropReason reason) const;
+  std::uint64_t packets_dropped(net::DropReason reason) const;
   /// Packets on the wire (scheduled or queued by a paused-node fault) that
   /// have neither delivered nor dropped yet.
   std::uint64_t packets_in_flight() const;
@@ -205,21 +188,21 @@ class Network final : public net::Stack {
   /// Label set of the per-node byte counter ("net.node.bytes") for one
   /// node/proto/direction — the key benches use to read bandwidth straight
   /// off the registry. `dir` is "up" or "down".
-  static telemetry::Labels traffic_labels(Endpoint internal_ep, Proto proto,
+  static telemetry::Labels traffic_labels(Endpoint internal_ep, net::Proto proto,
                                           const char* dir);
 
  private:
-  void deliver(Endpoint internal_src, Datagram dgram);
-  void finish_delivery(Endpoint internal_dst, Datagram dgram);
-  void count_drop(DropReason reason);
+  void deliver(Endpoint internal_src, net::Datagram dgram);
+  void finish_delivery(Endpoint internal_dst, net::Datagram dgram);
+  void count_drop(net::DropReason reason);
   TrafficCounters& counters_for(Endpoint internal_ep);
-  std::optional<Time> draw_latency(Endpoint wire_src, Endpoint public_dst,
-                                   std::uint64_t kb);
+  std::optional<net::Time> draw_latency(Endpoint wire_src, Endpoint public_dst,
+                                        std::uint64_t kb);
 
   Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
   AddressTranslator* translator_ = nullptr;
-  FaultInterposer* faults_ = nullptr;
+  net::FaultInterposer* faults_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
   Tap tap_;
@@ -228,20 +211,17 @@ class Network final : public net::Stack {
   telemetry::Registry* registry_;                        // never null
   DenseMap<Endpoint, TrafficCounters> counters_;
   bool per_node_accounting_ = true;
-  bool deterministic_ = false;
-  std::uint64_t latency_salt_ = 0;
-  /// Per-sender wire-copy sequence for canonical delivery keys
-  /// (deterministic mode only).
+  std::uint64_t latency_salt_;
+  /// Per-sender wire-copy sequence for canonical delivery keys.
   DenseMap<Endpoint, std::uint64_t> wire_seqs_;
   std::function<bool(Endpoint)> is_remote_;
-  std::function<void(RemoteDelivery)> forward_remote_;
-  telemetry::Counter* agg_up_[static_cast<std::size_t>(Proto::kCount)] = {};
-  telemetry::Counter* agg_down_[static_cast<std::size_t>(Proto::kCount)] = {};
+  std::function<void(Delivery)> forward_remote_;
+  telemetry::Counter* agg_up_[static_cast<std::size_t>(net::Proto::kCount)] = {};
+  telemetry::Counter* agg_down_[static_cast<std::size_t>(net::Proto::kCount)] = {};
   telemetry::Counter* packets_sent_c_;
   telemetry::Counter* packets_delivered_c_;
   telemetry::Counter* packets_duplicated_c_;
-  telemetry::Counter* packets_dropped_c_[static_cast<std::size_t>(DropReason::kCount)] = {};
-  Rng rng_;
+  telemetry::Counter* packets_dropped_c_[static_cast<std::size_t>(net::DropReason::kCount)] = {};
 };
 
 }  // namespace whisper::sim

@@ -5,9 +5,9 @@
 
 namespace whisper::sim {
 
-ShardedEngine::ShardedEngine(std::vector<Shard> shards, Time window)
+ShardedEngine::ShardedEngine(std::vector<Shard> shards, net::Time window)
     : shards_(std::move(shards)),
-      window_(std::max<Time>(window, 1)),
+      window_(std::max<net::Time>(window, 1)),
       box_(shards_.size() * shards_.size()),
       next_at_(shards_.size(), 0),
       sync_(static_cast<std::ptrdiff_t>(shards_.size()) + 1) {
@@ -32,7 +32,7 @@ ShardedEngine::~ShardedEngine() {
 }
 
 void ShardedEngine::enqueue(std::size_t src_shard, std::size_t dst_shard,
-                            Network::RemoteDelivery d) {
+                            Network::Delivery d) {
   assert(src_shard < shards_.size() && dst_shard < shards_.size());
   box_[src_shard * shards_.size() + dst_shard].push_back(std::move(d));
   cross_shard_total_.fetch_add(1, std::memory_order_relaxed);
@@ -40,9 +40,9 @@ void ShardedEngine::enqueue(std::size_t src_shard, std::size_t dst_shard,
 
 void ShardedEngine::drain_inboxes(std::size_t s) {
   for (std::size_t src = 0; src < shards_.size(); ++src) {
-    std::vector<Network::RemoteDelivery>& box = box_[src * shards_.size() + s];
-    for (Network::RemoteDelivery& d : box) {
-      shards_[s].net->deliver_remote(std::move(d));
+    std::vector<Network::Delivery>& box = box_[src * shards_.size() + s];
+    for (Network::Delivery& d : box) {
+      shards_[s].net->schedule_delivery(std::move(d));
     }
     box.clear();
   }
@@ -69,17 +69,17 @@ void ShardedEngine::drain_inboxes(std::size_t s) {
 // leaves them pending for the next epoch — exactly where a single
 // simulator's run_until(target) would leave them.
 template <typename RunWindow, typename RunClose, typename Drain, typename Publish>
-void ShardedEngine::epoch(Time start, Time target, RunWindow&& run_window,
+void ShardedEngine::epoch(net::Time start, net::Time target, RunWindow&& run_window,
                           RunClose&& run_close, Drain&& drain, Publish&& publish) {
-  Time ws = start;
+  net::Time ws = start;
   while (ws < target) {
-    const Time we = std::min(ws + window_, target);
+    const net::Time we = std::min(ws + window_, target);
     run_window(we);
     sync_.arrive_and_wait();  // sends for [ws, we) are in the boxes
     drain();
     publish();
     sync_.arrive_and_wait();  // every shard drained and published
-    Time next = *std::min_element(next_at_.begin(), next_at_.end());
+    net::Time next = *std::min_element(next_at_.begin(), next_at_.end());
     ws = std::max(we, std::min(next, target));
   }
   run_close();
@@ -95,14 +95,14 @@ void ShardedEngine::worker_loop(std::size_t s) {
     if (cmd_ == Cmd::kStop) return;
     epoch(
         epoch_start_, epoch_target_,
-        [&](Time we) { sim.run_until_before(we); },
+        [&](net::Time we) { sim.run_until_before(we); },
         [&] { sim.run_until(epoch_target_); },
         [&] { drain_inboxes(s); },
         [&] { next_at_[s] = sim.next_event_at(); });
   }
 }
 
-void ShardedEngine::run_until(Time t) {
+void ShardedEngine::run_until(net::Time t) {
   if (t <= now_) return;
   if (shards_.size() == 1) {
     // No cross-shard traffic possible; the plain engine is the fast path
@@ -115,7 +115,7 @@ void ShardedEngine::run_until(Time t) {
   epoch_target_ = t;
   cmd_ = Cmd::kRun;
   sync_.arrive_and_wait();  // workers pick up the command
-  epoch(epoch_start_, epoch_target_, [](Time) {}, [] {}, [] {}, [] {});
+  epoch(epoch_start_, epoch_target_, [](net::Time) {}, [] {}, [] {}, [] {});
   now_ = t;
 }
 

@@ -40,27 +40,27 @@ class ShardedEngine {
   /// `window` must be positive and no larger than the latency model's
   /// lower_bound(); the constructor clamps 0 up to 1µs and asserts the
   /// caller gave a sane value. Workers start immediately (none for S=1).
-  ShardedEngine(std::vector<Shard> shards, Time window);
+  ShardedEngine(std::vector<Shard> shards, net::Time window);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   std::size_t shard_count() const { return shards_.size(); }
-  Time window() const { return window_; }
-  Time now() const { return now_; }
+  net::Time window() const { return window_; }
+  net::Time now() const { return now_; }
 
   /// Conservative lockstep run of every shard to absolute time `t`
   /// (inclusive, like Simulator::run_until). Blocks the calling thread;
   /// shard workers do the event execution. S=1 bypasses the window
   /// machinery entirely and runs inline.
-  void run_until(Time t);
+  void run_until(net::Time t);
 
   /// Called from a shard's Network::forward hook (worker thread context):
   /// enqueue a wire traversal on the channel src -> dst. Never blocks; the
   /// channel is drained at the next window barrier.
   void enqueue(std::size_t src_shard, std::size_t dst_shard,
-               Network::RemoteDelivery d);
+               Network::Delivery d);
 
   /// Sum of executed events across shards (safe between run_until calls).
   std::uint64_t executed_events() const;
@@ -80,28 +80,28 @@ class ShardedEngine {
   /// hand-off slot); main passes no-ops for all hooks and just keeps the
   /// barrier counts matched.
   template <typename RunWindow, typename RunClose, typename Drain, typename Publish>
-  void epoch(Time start, Time target, RunWindow&& run_window, RunClose&& run_close,
+  void epoch(net::Time start, net::Time target, RunWindow&& run_window, RunClose&& run_close,
              Drain&& drain, Publish&& publish);
 
   std::vector<Shard> shards_;
-  Time window_;
-  Time now_ = 0;
+  net::Time window_;
+  net::Time now_ = 0;
 
   // box_[src * S + dst]: written only by src's worker between barriers,
   // drained only by dst's worker in the barrier's drain phase — SPSC at
   // window granularity, synchronized by the barrier itself.
-  std::vector<std::vector<Network::RemoteDelivery>> box_;
+  std::vector<std::vector<Network::Delivery>> box_;
   std::atomic<std::uint64_t> cross_shard_total_{0};
 
   // next_at_[s]: shard s's earliest pending event, published between the
   // window barriers (same hand-off discipline as box_). All participants
   // min-reduce it after the barrier to jump over idle windows.
-  std::vector<Time> next_at_;
+  std::vector<net::Time> next_at_;
 
   // Epoch command block, published by main before the start barrier.
   Cmd cmd_ = Cmd::kRun;
-  Time epoch_start_ = 0;
-  Time epoch_target_ = 0;
+  net::Time epoch_start_ = 0;
+  net::Time epoch_target_ = 0;
 
   std::barrier<> sync_;
   std::vector<std::thread> workers_;

@@ -11,7 +11,7 @@ namespace {
 constexpr std::size_t kInitialCapacity = 4096;
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
+Simulator::Simulator() {
   events_.reserve(kInitialCapacity);
   slots_.reserve(kInitialCapacity);
   free_slots_.reserve(kInitialCapacity);
@@ -41,7 +41,7 @@ void Simulator::retire_slot(std::uint32_t slot) {
   --live_count_;
 }
 
-bool Simulator::stale(TimerId id) const {
+bool Simulator::stale(net::TimerId id) const {
   const std::uint32_t slot = static_cast<std::uint32_t>(id);
   const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   if (slot >= slots_.size()) return true;
@@ -56,28 +56,28 @@ void Simulator::drop_stale_front() {
   }
 }
 
-TimerId Simulator::schedule_at(Time at, std::function<void()> fn) {
+net::TimerId Simulator::schedule_at(net::Time at, std::function<void()> fn) {
   return schedule_keyed(at, UINT64_MAX, next_seq_, std::move(fn));
 }
 
-TimerId Simulator::schedule_keyed(Time at, std::uint64_t ka, std::uint64_t kb,
-                                  std::function<void()> fn) {
+net::TimerId Simulator::schedule_keyed(net::Time at, std::uint64_t ka,
+                                       std::uint64_t kb, std::function<void()> fn) {
   assert(at >= now_);
   const std::uint32_t slot = claim_slot();
   Slot& s = slots_[slot];
   s.live = true;
   ++live_count_;
-  const TimerId id = make_id(slot, s.gen);
+  const net::TimerId id = make_id(slot, s.gen);
   events_.push_back(Event{at, ka, kb, next_seq_++, id, std::move(fn)});
   std::push_heap(events_.begin(), events_.end(), Later{});
   return id;
 }
 
-TimerId Simulator::schedule_after(Time delay, std::function<void()> fn) {
+net::TimerId Simulator::schedule_after(net::Time delay, std::function<void()> fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-void Simulator::cancel(TimerId id) {
+void Simulator::cancel(net::TimerId id) {
   // Only ids naming a pending event can be cancelled; anything else
   // (already fired, already cancelled, never scheduled) is a stale
   // generation and a no-op — pending_events() cannot drift. The heap entry
@@ -105,7 +105,7 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::run_until(Time t) {
+void Simulator::run_until(net::Time t) {
   for (;;) {
     drop_stale_front();
     if (events_.empty() || events_.front().at > t) break;
@@ -114,12 +114,12 @@ void Simulator::run_until(Time t) {
   now_ = t;
 }
 
-Time Simulator::next_event_at() {
+net::Time Simulator::next_event_at() {
   drop_stale_front();
   return events_.empty() ? UINT64_MAX : events_.front().at;
 }
 
-void Simulator::run_until_before(Time t) {
+void Simulator::run_until_before(net::Time t) {
   for (;;) {
     drop_stale_front();
     if (events_.empty() || events_.front().at >= t) break;

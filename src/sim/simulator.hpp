@@ -9,26 +9,10 @@
 #include <functional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/spi.hpp"
 #include "telemetry/registry.hpp"
 
 namespace whisper::sim {
-
-/// Virtual time in microseconds. The canonical types live in net/time.hpp
-/// (shared with the real-network backend); sim:: keeps the historical
-/// spellings.
-using Time = net::Time;
-
-inline constexpr Time kMicrosecond = net::kMicrosecond;
-inline constexpr Time kMillisecond = net::kMillisecond;
-inline constexpr Time kSecond = net::kSecond;
-inline constexpr Time kMinute = net::kMinute;
-
-/// Handle for cancelling a scheduled event. Encodes (generation << 32 |
-/// slot); generations start at 1, so a valid id is never 0 — protocol code
-/// uses 0 as a "no timer armed" sentinel.
-using TimerId = net::TimerId;
 
 /// Event-loop with a virtual clock, and the simulator-side implementation
 /// of the transport SPI's timer service (net::Clock). Events scheduled for
@@ -42,15 +26,14 @@ using TimerId = net::TimerId;
 /// is pure O(log n) heap work — no hashing on either path.
 class Simulator : public net::Clock {
  public:
-  explicit Simulator(std::uint64_t seed = 1);
+  Simulator();
 
-  Time now() const override { return now_; }
-  Rng& rng() { return rng_; }
+  net::Time now() const override { return now_; }
 
   /// Schedule `fn` to run at absolute virtual time `at` (>= now).
-  TimerId schedule_at(Time at, std::function<void()> fn) override;
+  net::TimerId schedule_at(net::Time at, std::function<void()> fn) override;
   /// Schedule `fn` to run `delay` from now.
-  TimerId schedule_after(Time delay, std::function<void()> fn) override;
+  net::TimerId schedule_after(net::Time delay, std::function<void()> fn) override;
 
   /// Schedule with an explicit canonical ordering key. Events at the same
   /// timestamp fire in (ka, kb) order, before any plain-scheduled event at
@@ -59,21 +42,21 @@ class Simulator : public net::Clock {
   /// sender's identity and per-sender wire sequence, which is invariant
   /// under shard count, so a delivery sorts identically whether it arrived
   /// through a cross-shard channel or was scheduled locally.
-  TimerId schedule_keyed(Time at, std::uint64_t ka, std::uint64_t kb,
-                         std::function<void()> fn);
+  net::TimerId schedule_keyed(net::Time at, std::uint64_t ka, std::uint64_t kb,
+                              std::function<void()> fn);
   /// Cancel a pending event; no-op if already fired or cancelled.
-  void cancel(TimerId id) override;
+  void cancel(net::TimerId id) override;
 
   /// Run the next event; false if the queue is empty.
   bool step();
   /// Run all events with timestamp <= t, then advance the clock to t.
-  void run_until(Time t);
+  void run_until(net::Time t);
   /// Run all events with timestamp strictly < t, then advance the clock to
   /// t. The sharded engine's window primitive: a lockstep window [ws, we)
   /// must NOT execute events at exactly `we`, because a cross-shard message
   /// drained at the window barrier may be due at precisely that instant and
   /// has to sort against the local queue before anything at `we` runs.
-  void run_until_before(Time t);
+  void run_until_before(net::Time t);
   /// Run until the event queue drains.
   void run();
 
@@ -81,7 +64,7 @@ class Simulator : public net::Clock {
   /// cancelled entries sitting at the heap front as a side effect. The
   /// sharded engine uses this to skip lockstep windows in which no shard
   /// has work (conservative "lookahead jump").
-  Time next_event_at();
+  net::Time next_event_at();
 
   std::size_t pending_events() const { return live_count_; }
   std::uint64_t executed_events() const { return executed_; }
@@ -95,11 +78,11 @@ class Simulator : public net::Clock {
 
  private:
   struct Event {
-    Time at;
+    net::Time at;
     std::uint64_t ka;   // canonical key, major (UINT64_MAX for plain timers)
     std::uint64_t kb;   // canonical key, minor (== seq for plain timers)
     std::uint64_t seq;  // tie-breaker: FIFO among same-time, same-key events
-    TimerId id;
+    net::TimerId id;
     std::function<void()> fn;
   };
   /// Min-heap order on (at, ka, kb, seq) for std::push_heap/pop_heap (which
@@ -122,20 +105,20 @@ class Simulator : public net::Clock {
     bool live = false;
   };
 
-  static TimerId make_id(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<TimerId>(gen) << 32) | slot;
+  static net::TimerId make_id(std::uint32_t slot, std::uint32_t gen) {
+    return (static_cast<net::TimerId>(gen) << 32) | slot;
   }
 
   std::uint32_t claim_slot();
   /// Free a slot and invalidate outstanding ids for it.
   void retire_slot(std::uint32_t slot);
   /// True if `id` no longer names a pending event (fired/cancelled/unknown).
-  bool stale(TimerId id) const;
+  bool stale(net::TimerId id) const;
   /// Drop cancelled entries sitting at the heap front so callers can trust
   /// events_.front() to be a pending event.
   void drop_stale_front();
 
-  Time now_ = 0;
+  net::Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_total_ = 0;
@@ -143,7 +126,6 @@ class Simulator : public net::Clock {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;
-  Rng rng_;
   telemetry::Counter* executed_counter_ = nullptr;
   telemetry::Counter* cancelled_counter_ = nullptr;
   telemetry::Gauge* depth_gauge_ = nullptr;

@@ -1,7 +1,7 @@
 // Causal message tracing: per-message flight records with per-hop latency
 // decomposition (Fig. 7's RTT breakdown, reproduced from a live run).
 //
-// A TraceContext travels as *simulator-side metadata* on sim::Datagram —
+// A TraceContext travels as *simulator-side metadata* on net::Datagram —
 // never inside protocol wire bytes, so ciphertexts are byte-identical with
 // tracing on or off (asserted by test). Propagation is ambient: the network
 // arms the recorder's current context around each delivery handler, layers

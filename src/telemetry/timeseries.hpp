@@ -3,8 +3,8 @@
 // turns cumulative counters into the paper's per-cycle series (bandwidth
 // per cycle, exchanges per minute) without per-bench bookkeeping.
 //
-// The recorder is clock-agnostic: callers invoke sample(now). The testbed
-// schedules it on the simulator (TestbedConfig::telemetry_sample_every).
+// The recorder is clock-agnostic: callers invoke sample(now) — whisper_sim
+// does so between run_for slices.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 // clock — injected as a callback so telemetry stays independent of the sim
 // layer — which makes traces deterministic and directly comparable to the
 // paper's virtual-time figures. Timestamps are microseconds, matching both
-// sim::Time and the trace-event "ts" unit.
+// net::Time and the trace-event "ts" unit.
 #pragma once
 
 #include <cstdint>

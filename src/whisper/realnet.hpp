@@ -9,8 +9,8 @@
 //     only the absolute scale changes.
 //   - UdpMesh: an in-process mesh — N full WhisperNodes, each on its own
 //     OS-assigned loopback port, all hosted by one UdpBackend event loop.
-//     The real-network analogue of WhisperTestbed, minus NAT (loopback has
-//     none) and churn scripting. Used by the cross-backend equivalence
+//     The real-network analogue of ScaleTestbed, minus NAT (loopback has
+//     none), sharding and churn scripting. Used by the cross-backend equivalence
 //     test and by `bench_throughput --backend=udp`; whisper_noded uses the
 //     same config with one node per process.
 #pragma once
@@ -34,7 +34,7 @@ NodeConfig realtime_node_config();
 /// An in-process mesh of real nodes: one UdpBackend, one UDP socket per
 /// node on a distinct OS-assigned loopback port. All nodes are public
 /// (loopback has no NAT) and bootstrap from up to `bootstrap_contacts`
-/// previously spawned nodes, mirroring WhisperTestbed::spawn_node.
+/// previously spawned nodes, as ScaleTestbed::spawn_node does.
 class UdpMesh {
  public:
   struct Config {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "sim/latency.hpp"
 #include "telemetry/export.hpp"
@@ -29,7 +30,9 @@ ScaleTestbed::ScaleTestbed(ScaleConfig config)
   std::vector<sim::ShardedEngine::Shard> engine_shards;
   for (std::size_t s = 0; s < S; ++s) {
     auto st = std::make_unique<ShardState>();
-    st->sim = std::make_unique<sim::Simulator>(config_.seed ^ (0x5eed + s));
+    st->sim = std::make_unique<sim::Simulator>();
+    st->tracer.set_clock(net::clock_fn(*st->sim));
+    st->tracer.set_enabled(config_.trace);
     st->flight.set_clock(net::clock_fn(*st->sim));
     st->flight.set_enabled(config_.flight);
     st->flight.set_id_base(static_cast<std::uint64_t>(s) << 48);
@@ -39,10 +42,10 @@ ScaleTestbed::ScaleTestbed(ScaleConfig config)
     });
     st->fabric = std::make_unique<nat::NatFabric>(*st->sim);
     st->net = std::make_unique<sim::Network>(
-        *st->sim, sim::make_latency_model(config_.latency), &st->registry);
+        *st->sim, sim::make_latency_model(config_.latency), config_.seed, &st->registry);
     st->net->set_translator(st->fabric.get());
     st->net->set_flight(&st->flight);
-    st->net->set_deterministic_delivery(config_.seed);
+    st->net->set_tracer(&st->tracer);
     st->net->set_per_node_accounting(config_.node_telemetry);
     shards_.push_back(std::move(st));
     engine_shards.push_back(
@@ -52,7 +55,7 @@ ScaleTestbed::ScaleTestbed(ScaleConfig config)
     for (std::size_t s = 0; s < S; ++s) {
       shards_[s]->net->set_shard_router(
           [this, s](Endpoint dst) { return shard_of_ip(dst.ip) != s; },
-          [this, s](sim::Network::RemoteDelivery d) {
+          [this, s](sim::Network::Delivery d) {
             engine_->enqueue(s, shard_of_ip(d.dgram.dst.ip), std::move(d));
           });
     }
@@ -97,45 +100,65 @@ WhisperNode& ScaleTestbed::spawn_node() {
       config_.node, std::move(node_rng),
       sinks(s));
 
-  // Bootstrap contacts: a planner-sampled set of live nodes, always
-  // including at least one public node (required as a relay for N-nodes).
-  // Bounded rejection sampling instead of a full shuffle: booting node k
-  // must not cost O(k) planner work or a 100k boot becomes quadratic. All
-  // draws stay on the main thread in global boot order (S-invariance).
+  node->start(sample_bootstrap());
+  nodes_.push_back(std::move(node));
+  return *nodes_.back();
+}
+
+std::vector<pss::ContactCard> ScaleTestbed::sample_bootstrap() {
+  // A planner-sampled set of live nodes, always including at least one
+  // public node (required as a relay for N-nodes). Bounded rejection
+  // sampling instead of a full shuffle: booting node k must not cost O(k)
+  // planner work or a 100k boot becomes quadratic. All draws stay on the
+  // main thread in global boot order (S-invariance). The booting node is
+  // never a candidate: a spawned node is not in nodes_ yet, a restarted
+  // one's predecessor is already stopped.
   std::vector<pss::ContactCard> bootstrap;
-  if (!nodes_.empty()) {
-    const std::size_t want = std::min(config_.bootstrap_contacts, nodes_.size());
-    std::vector<std::size_t> picked;
-    for (std::size_t attempts = 0; attempts < 20 * want && picked.size() < want;
-         ++attempts) {
-      const std::size_t j =
-          static_cast<std::size_t>(plan_rng_.next_below(nodes_.size()));
-      if (!nodes_[j]->running()) continue;
-      if (std::find(picked.begin(), picked.end(), j) != picked.end()) continue;
-      picked.push_back(j);
-      bootstrap.push_back(nodes_[j]->transport().self_card());
-    }
-    const bool has_public =
-        std::any_of(bootstrap.begin(), bootstrap.end(),
-                    [](const pss::ContactCard& c) { return c.is_public; });
-    if (!has_public) {
-      // Walk forward from a random start until a live public node turns up
-      // (expected a few steps at any realistic public fraction).
-      const std::size_t start =
-          static_cast<std::size_t>(plan_rng_.next_below(nodes_.size()));
-      for (std::size_t step = 0; step < nodes_.size(); ++step) {
-        const std::size_t j = (start + step) % nodes_.size();
-        if (nodes_[j]->running() && nodes_[j]->is_public()) {
-          bootstrap.push_back(nodes_[j]->transport().self_card());
-          break;
-        }
+  if (nodes_.empty()) return bootstrap;
+  const std::size_t want = std::min(config_.bootstrap_contacts, nodes_.size());
+  std::vector<std::size_t> picked;
+  for (std::size_t attempts = 0; attempts < 20 * want && picked.size() < want;
+       ++attempts) {
+    const std::size_t j = static_cast<std::size_t>(plan_rng_.next_below(nodes_.size()));
+    if (!nodes_[j]->running()) continue;
+    if (std::find(picked.begin(), picked.end(), j) != picked.end()) continue;
+    picked.push_back(j);
+    bootstrap.push_back(nodes_[j]->transport().self_card());
+  }
+  const bool has_public =
+      std::any_of(bootstrap.begin(), bootstrap.end(),
+                  [](const pss::ContactCard& c) { return c.is_public; });
+  if (!has_public) {
+    // Walk forward from a random start until a live public node turns up
+    // (expected a few steps at any realistic public fraction).
+    const std::size_t start = static_cast<std::size_t>(plan_rng_.next_below(nodes_.size()));
+    for (std::size_t step = 0; step < nodes_.size(); ++step) {
+      const std::size_t j = (start + step) % nodes_.size();
+      if (nodes_[j]->running() && nodes_[j]->is_public()) {
+        bootstrap.push_back(nodes_[j]->transport().self_card());
+        break;
       }
     }
   }
+  return bootstrap;
+}
 
-  node->start(bootstrap);
-  nodes_.push_back(std::move(node));
-  return *nodes_.back();
+WhisperNode* ScaleTestbed::restart_node(std::size_t global_index) {
+  if (global_index >= nodes_.size() || !nodes_[global_index]->running()) return nullptr;
+  std::unique_ptr<WhisperNode>& slot = nodes_[global_index];
+  ShardState& st = *shards_[global_index % shards_.size()];
+  NodeConfig cfg = config_.node;
+  cfg.incarnation = slot->transport().incarnation() + 1;
+  // Abrupt stop: timers die, no departure message goes out (there is
+  // none), the endpoint frees up — but the NAT binding and the entry in
+  // endpoint_ids_ stay, exactly like a process dying under kill -9.
+  slot->stop();
+  auto fresh = std::make_unique<WhisperNode>(
+      *st.sim, *st.net, slot->id(), slot->internal_endpoint(), slot->is_public(),
+      slot->keypair(), cfg, plan_rng_.fork(), sinks(global_index % shards_.size()));
+  fresh->start(sample_bootstrap());
+  restarted_.push_back(std::exchange(slot, std::move(fresh)));
+  return slot.get();
 }
 
 void ScaleTestbed::kill_node(std::size_t global_index) {
@@ -173,6 +196,16 @@ std::vector<WhisperNode*> ScaleTestbed::alive_nodes() {
     if (n->running()) out.push_back(n.get());
   }
   return out;
+}
+
+pss::OverlayGraph ScaleTestbed::overlay_snapshot() {
+  pss::OverlayGraph graph;
+  for (WhisperNode* n : alive_nodes()) {
+    std::vector<NodeId> nbrs;
+    for (const auto& e : n->pss().view().entries()) nbrs.push_back(e.id());
+    graph[n->id()] = std::move(nbrs);
+  }
+  return graph;
 }
 
 void ScaleTestbed::run_for(net::Time duration) {

@@ -1,11 +1,11 @@
-// ScaleTestbed: the sharded deployment builder for very large populations.
+// ScaleTestbed: builds a whole simulated deployment — the equivalent of the
+// paper's SPLAY deployment scripts. Every simulated run (tests, paper
+// benches, examples, whisper_sim and the benchmark) goes through it.
 //
-// WhisperTestbed owns one simulator and boots nodes against it; at 100k
-// nodes a single event heap serializes everything on one core and per-node
-// telemetry labels dominate memory. ScaleTestbed partitions the population
-// across S shards (node i lives on shard i % S), each with its own
-// Simulator/Network/NatFabric/Registry/FlightRecorder, and drives them in
-// lockstep through sim::ShardedEngine.
+// The population is partitioned across S shards (node i lives on shard
+// i % S), each with its own Simulator/Network/NatFabric/Registry/Tracer/
+// FlightRecorder, driven in lockstep through sim::ShardedEngine. S=1 runs
+// the one shard inline on the calling thread.
 //
 // Shard-count invariance is a hard guarantee (CI-gated): everything that
 // shapes traffic is derived from the *global* node index, never from
@@ -13,12 +13,20 @@
 //   - addresses are pure functions of the index (add_*_node_at),
 //   - NAT types, per-node rngs, and bootstrap contact picks come from one
 //     planner rng consumed in global boot order on the main thread,
-//   - networks run in deterministic-delivery mode (per-copy latency/loss
-//     streams keyed by sender + wire seq, canonical heap keys),
+//   - every network delivers through per-copy latency/loss streams keyed
+//     by sender + wire seq, under canonical heap keys (sim/network.hpp),
 //   - exports go through merge_registry_into / canonical_flight_records.
-// Fault injection (install_fault_fabric) is the exception: each shard's
+// Fault injection (install_fault_fabrics) is the exception: each shard's
 // fabric draws victims from its own rng, so chaos runs gate on recovery,
 // not byte-identity. See DESIGN.md §13.
+//
+// Population changes (spawn_node, kill_node, kill_random_node,
+// restart_node, install_fault_fabrics) are legal between run_for calls at
+// any S. At S=1 they are also legal inside simulator events — the shard
+// runs on the calling thread — which is how churn::ChurnEngine drives
+// churn from its own timers. At S>1 an event runs on a shard worker and
+// must touch only its own shard's state (the fault fabrics' crash hook
+// does exactly that).
 #pragma once
 
 #include <memory>
@@ -28,6 +36,7 @@
 
 #include "faults/faults.hpp"
 #include "nat/nat.hpp"
+#include "pss/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -41,11 +50,15 @@ namespace whisper {
 struct ScaleConfig {
   std::size_t initial_nodes = 0;
   std::size_t shards = 1;
-  double natted_fraction = 0.7;
+  double natted_fraction = 0.7;  // the paper's deployment mix
   std::string latency = "cluster";
   NodeConfig node;
   std::uint64_t seed = 42;
+  /// How many existing node cards a booting node receives.
   std::size_t bootstrap_contacts = 5;
+  /// Record trace events (spans/instants/flows) on every shard's tracer.
+  /// Opt-in because event buffers grow with run length.
+  bool trace = false;
   /// Record causal flight events on every shard's recorder.
   bool flight = false;
   /// Per-node byte counters and per-node protocol metrics. Off for 100k
@@ -71,8 +84,7 @@ class ScaleTestbed {
   const ScaleConfig& config() const { return config_; }
   sim::ShardedEngine& engine() { return *engine_; }
 
-  /// Advance all shards in lockstep. Main-thread only; node/population
-  /// mutations (spawn/kill/fault install) are only legal between calls.
+  /// Advance all shards in lockstep. Main-thread only.
   void run_for(net::Time duration);
   net::Time now() const { return engine_->now(); }
 
@@ -86,24 +98,45 @@ class ScaleTestbed {
   /// Kill a planner-rng-chosen live node; returns its global index or
   /// SIZE_MAX when none is alive.
   std::size_t kill_random_node();
+  /// Crash-restart the node at global index i in place: stop it abruptly
+  /// (the sim's kill -9) and boot a replacement with the same id, endpoint
+  /// and identity keys at incarnation old+1, bootstrapping from live cards
+  /// like any booting node (DESIGN.md §14). The NAT binding survives, as
+  /// it does for a process dying under kill -9. Peers only notice the
+  /// restart when the previous life advertised a nonzero incarnation, so
+  /// crash-recovery scenarios set config.node.incarnation. The stopped
+  /// predecessor stays allocated but node_at(i) now names the replacement.
+  /// Returns nullptr for unknown or already-stopped nodes.
+  WhisperNode* restart_node(std::size_t global_index);
 
+  /// Nodes ever spawned, stopped ones included (their statistics remain
+  /// readable); node i has NodeId i + 1.
   std::size_t node_count() const { return nodes_.size(); }
   WhisperNode* node_at(std::size_t global_index);
   std::size_t alive_count() const;
   std::vector<WhisperNode*> alive_nodes();
 
+  /// Snapshot of the system-wide PSS out-views of live nodes.
+  pss::OverlayGraph overlay_snapshot();
+
   static std::size_t shard_of_index(std::size_t index, std::size_t shards) {
     return index % shards;
   }
+  /// Global index of the node with this id (ids are index + 1).
+  static std::size_t index_of(NodeId id) { return id.value - 1; }
 
   /// Install (once per shard) fault-injection fabrics wired to each shard's
   /// slice of the population. Returns one fabric per shard.
   std::vector<faults::FaultFabric*> install_fault_fabrics();
 
-  // --- Per-shard access (tests, benches). ---
+  // --- Per-shard access (tests, benches, tools). ---
   sim::Simulator& simulator(std::size_t shard) { return *shards_[shard]->sim; }
+  /// The shard's wire: traffic counters, wiretap, raw injection.
   sim::Network& network(std::size_t shard) { return *shards_[shard]->net; }
+  nat::NatFabric& fabric(std::size_t shard) { return *shards_[shard]->fabric; }
   telemetry::Registry& registry(std::size_t shard) { return shards_[shard]->registry; }
+  telemetry::Tracer& tracer(std::size_t shard) { return shards_[shard]->tracer; }
+  telemetry::FlightRecorder& flight(std::size_t shard) { return shards_[shard]->flight; }
 
   // --- Shard-count-invariant exports (the determinism gate's inputs). ---
   std::string merged_metrics_jsonl() const;
@@ -113,7 +146,7 @@ class ScaleTestbed {
   struct ShardState {
     std::unique_ptr<sim::Simulator> sim;
     telemetry::Registry registry;
-    telemetry::Tracer tracer;  // constructed disabled; present so Sinks is complete
+    telemetry::Tracer tracer;
     telemetry::FlightRecorder flight;
     std::unique_ptr<nat::NatFabric> fabric;
     std::unique_ptr<sim::Network> net;
@@ -139,6 +172,8 @@ class ScaleTestbed {
   }
 
   telemetry::Sinks sinks(std::size_t shard);
+  /// Planner-sampled live cards for a booting node.
+  std::vector<pss::ContactCard> sample_bootstrap();
 
   ScaleConfig config_;
   Rng plan_rng_;
@@ -148,6 +183,8 @@ class ScaleTestbed {
   /// Written only between runs (boot/churn); read-only while shards run.
   std::unordered_map<Endpoint, std::uint64_t> endpoint_ids_;
   std::vector<std::unique_ptr<WhisperNode>> nodes_;  // global index order
+  /// Predecessors replaced by restart_node, kept alive like killed nodes.
+  std::vector<std::unique_ptr<WhisperNode>> restarted_;
 };
 
 }  // namespace whisper

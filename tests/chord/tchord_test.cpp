@@ -4,15 +4,15 @@
 
 #include <map>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper::chord {
 namespace {
 
 constexpr GroupId kGroup{5000};
 
-TestbedConfig config(std::size_t n, std::uint64_t seed) {
-  TestbedConfig cfg;
+ScaleConfig config(std::size_t n, std::uint64_t seed) {
+  ScaleConfig cfg;
   cfg.initial_nodes = n;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
@@ -22,7 +22,7 @@ TestbedConfig config(std::size_t n, std::uint64_t seed) {
 }
 
 struct RingFixture {
-  WhisperTestbed tb;
+  ScaleTestbed tb;
   std::vector<WhisperNode*> members;
   std::vector<std::unique_ptr<TChord>> rings;
 
@@ -45,9 +45,10 @@ struct RingFixture {
 
     TChordConfig tc;
     tc.cycle = 20 * net::kSecond;
+    Rng ring_rng(seed ^ 0xc40d);
     for (WhisperNode* m : members) {
       rings.push_back(
-          std::make_unique<TChord>(tb.clock(), *m->group(kGroup), tc, tb.rng().fork()));
+          std::make_unique<TChord>(tb.simulator(0), *m->group(kGroup), tc, ring_rng.fork()));
       rings.back()->start();
     }
   }

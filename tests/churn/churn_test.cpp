@@ -8,7 +8,7 @@ namespace whisper::churn {
 namespace {
 
 struct ChurnFixture : ::testing::Test {
-  sim::Simulator sim{3};
+  sim::Simulator sim;
   std::size_t population = 1000;
   std::size_t killed = 0;
   std::size_t spawned = 0;

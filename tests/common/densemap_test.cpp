@@ -1,116 +1,15 @@
-// FlatPool / Arena / DenseMap: the flat-state primitives behind the
-// sharded 100k-node testbed. The pool tests mirror the simulator's
-// slot/generation contract: exhaustion is a null handle, released slots are
-// reused, and handles minted for earlier occupants go stale.
+// DenseMap/DenseSet: the open-addressing tables behind the per-node state
+// of population-sized deployments (sim, net, nat, nylon, pss).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/densemap.hpp"
 #include "common/ids.hpp"
-#include "common/pool.hpp"
 
 namespace whisper {
 namespace {
-
-struct Tracked {
-  static int live;
-  int value;
-  explicit Tracked(int v) : value(v) { ++live; }
-  ~Tracked() { --live; }
-};
-int Tracked::live = 0;
-
-TEST(FlatPool, AcquireGetRelease) {
-  FlatPool<int> pool(4);
-  const PoolHandle h = pool.acquire(42);
-  ASSERT_NE(h, kNullPoolHandle);
-  ASSERT_NE(pool.get(h), nullptr);
-  EXPECT_EQ(*pool.get(h), 42);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_TRUE(pool.release(h));
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_EQ(pool.get(h), nullptr);
-}
-
-TEST(FlatPool, ExhaustionReturnsNullHandle) {
-  FlatPool<int> pool(2);
-  const PoolHandle a = pool.acquire(1);
-  const PoolHandle b = pool.acquire(2);
-  ASSERT_NE(a, kNullPoolHandle);
-  ASSERT_NE(b, kNullPoolHandle);
-  EXPECT_TRUE(pool.full());
-  EXPECT_EQ(pool.acquire(3), kNullPoolHandle);
-  // Releasing makes room again.
-  EXPECT_TRUE(pool.release(a));
-  EXPECT_NE(pool.acquire(4), kNullPoolHandle);
-}
-
-TEST(FlatPool, HandleReuseBumpsGeneration) {
-  FlatPool<int> pool(1);
-  const PoolHandle first = pool.acquire(7);
-  ASSERT_TRUE(pool.release(first));
-  const PoolHandle second = pool.acquire(8);
-  // Same slot, different generation: old handle must not resolve.
-  EXPECT_EQ(static_cast<std::uint32_t>(first), static_cast<std::uint32_t>(second));
-  EXPECT_NE(first, second);
-  EXPECT_EQ(pool.get(first), nullptr);
-  ASSERT_NE(pool.get(second), nullptr);
-  EXPECT_EQ(*pool.get(second), 8);
-}
-
-TEST(FlatPool, StaleReleaseIsRejected) {
-  FlatPool<int> pool(1);
-  const PoolHandle h = pool.acquire(1);
-  EXPECT_TRUE(pool.release(h));
-  EXPECT_FALSE(pool.release(h));  // double release: stale generation
-  EXPECT_FALSE(pool.release(kNullPoolHandle));
-  EXPECT_FALSE(pool.release((1ull << 32) | 999));  // out-of-range slot
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(FlatPool, DestructorsRunOnReleaseAndClear) {
-  Tracked::live = 0;
-  {
-    FlatPool<Tracked> pool(8);
-    const PoolHandle a = pool.acquire(1);
-    pool.acquire(2);
-    pool.acquire(3);
-    EXPECT_EQ(Tracked::live, 3);
-    pool.release(a);
-    EXPECT_EQ(Tracked::live, 2);
-    pool.clear();
-    EXPECT_EQ(Tracked::live, 0);
-    pool.acquire(4);  // destroyed by pool destructor
-    EXPECT_EQ(Tracked::live, 1);
-  }
-  EXPECT_EQ(Tracked::live, 0);
-}
-
-TEST(Arena, BumpAllocatesAndResets) {
-  Arena arena(256);
-  int* a = arena.allocate_array<int>(10);
-  for (int i = 0; i < 10; ++i) a[i] = i;
-  auto* s = arena.create<std::uint64_t>(0xdeadbeefull);
-  EXPECT_EQ(*s, 0xdeadbeefull);
-  EXPECT_EQ(a[9], 9);
-  EXPECT_GE(arena.used(), 10 * sizeof(int) + sizeof(std::uint64_t));
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  // Oversized request gets its own chunk rather than failing.
-  std::byte* big = static_cast<std::byte*>(arena.allocate(4096));
-  big[4095] = std::byte{1};
-  EXPECT_GE(arena.chunk_count(), 1u);
-}
-
-TEST(Arena, AlignmentHonored) {
-  Arena arena(64);
-  arena.allocate(1, 1);
-  void* p = arena.allocate(8, 32);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 32, 0u);
-}
 
 TEST(DenseMap, InsertFindErase) {
   DenseMap<std::uint64_t, std::string> m;

@@ -7,7 +7,6 @@
 #include "chord/tchord.hpp"
 #include "common/rng.hpp"
 #include "nylon/pss.hpp"
-#include "overlay/tman.hpp"
 #include "ppss/group.hpp"
 #include "ppss/ppss.hpp"
 #include "wcl/wcl.hpp"
@@ -108,22 +107,6 @@ TEST(WireFuzz, ChordDescriptorRoundTrip) {
   }
 }
 
-TEST(WireFuzz, OverlayDescriptorRoundTrip) {
-  Rng rng(5);
-  for (int i = 0; i < 50; ++i) {
-    overlay::OverlayDescriptor d;
-    d.key = rng.next_u64();
-    d.peer = random_peer(rng, 1);
-    Writer w;
-    d.serialize(w);
-    Reader r(w.data());
-    auto back = overlay::OverlayDescriptor::deserialize(r);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->key, d.key);
-    EXPECT_EQ(back->peer.card, d.peer.card);
-  }
-}
-
 TEST(WireFuzz, PassportAndAccreditationRoundTrip) {
   Rng rng(6);
   for (int i = 0; i < 100; ++i) {
@@ -169,10 +152,6 @@ TEST(WireFuzz, GarbageNeverCrashesDeserializers) {
     {
       Reader r(garbage);
       (void)chord::ChordDescriptor::deserialize(r);
-    }
-    {
-      Reader r(garbage);
-      (void)overlay::OverlayDescriptor::deserialize(r);
     }
     {
       Reader r(garbage);
@@ -251,18 +230,6 @@ std::vector<CodecCase> codec_table() {
     d.serialize(w);
     table.push_back({"ChordDescriptor", w.data(), framed([](Reader& r) {
                        if (!chord::ChordDescriptor::deserialize(r)) {
-                         r.fail(DecodeError::kBadValue);
-                       }
-                     })});
-  }
-  {
-    overlay::OverlayDescriptor d;
-    d.key = rng.next_u64();
-    d.peer = random_peer(rng, 1);
-    Writer w;
-    d.serialize(w);
-    table.push_back({"OverlayDescriptor", w.data(), framed([](Reader& r) {
-                       if (!overlay::OverlayDescriptor::deserialize(r)) {
                          r.fail(DecodeError::kBadValue);
                        }
                      })});

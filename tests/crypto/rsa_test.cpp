@@ -192,6 +192,19 @@ TEST(RsaPublicKey, DeserializeGarbageFails) {
   EXPECT_FALSE(RsaPublicKey::deserialize(Bytes{}).has_value());
 }
 
+TEST(RsaPublicKey, EvenModulusFromTheWireRejected) {
+  // A hostile peer's key with an even n would make Montgomery arithmetic
+  // compute wrong results; it must not parse. n - 1 of a real key is even
+  // and otherwise well formed.
+  RsaPublicKey even = key512().pub;
+  even.n = even.n - BigInt(1);
+  ASSERT_FALSE(even.n.is_odd());
+  EXPECT_FALSE(RsaPublicKey::deserialize(even.serialize()).has_value());
+  EXPECT_FALSE(RsaPublicKey::deserialize(even.serialize_padded(1024)).has_value());
+  // The odd original still parses.
+  EXPECT_TRUE(RsaPublicKey::deserialize(key512().pub.serialize()).has_value());
+}
+
 TEST(RsaPublicKey, FingerprintStableAndDistinct) {
   EXPECT_EQ(key512().pub.fingerprint(), key512().pub.fingerprint());
   EXPECT_NE(key512().pub.fingerprint(), key1024().pub.fingerprint());

@@ -13,13 +13,13 @@
 #include "faults/script.hpp"
 #include "pss/metrics.hpp"
 #include "telemetry/export.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
 
-TestbedConfig small_config(std::uint64_t seed, std::size_t nodes = 40) {
-  TestbedConfig cfg;
+ScaleConfig small_config(std::uint64_t seed, std::size_t nodes = 40) {
+  ScaleConfig cfg;
   cfg.initial_nodes = nodes;
   cfg.natted_fraction = 0.7;
   cfg.node.pss.pi_min_public = 3;
@@ -29,12 +29,12 @@ TestbedConfig small_config(std::uint64_t seed, std::size_t nodes = 40) {
 }
 
 /// Open-ended window making `actors` misbehave as `kind` from now on.
-faults::FaultSpec byz_spec(WhisperTestbed& tb, faults::FaultKind kind,
+faults::FaultSpec byz_spec(ScaleTestbed& tb, faults::FaultKind kind,
                            std::vector<Endpoint> actors, double probability = 1.0,
                            double rate = 10.0) {
   faults::FaultSpec spec;
   spec.kind = kind;
-  spec.start = tb.clock().now();
+  spec.start = tb.now();
   spec.end = 0;  // open window
   spec.probability = probability;
   spec.rate = rate;
@@ -42,7 +42,7 @@ faults::FaultSpec byz_spec(WhisperTestbed& tb, faults::FaultKind kind,
   return spec;
 }
 
-std::uint64_t total_decode_rejects(WhisperTestbed& tb) {
+std::uint64_t total_decode_rejects(ScaleTestbed& tb) {
   std::uint64_t total = 0;
   for (WhisperNode* n : tb.alive_nodes()) {
     total += n->transport().decode_rejects();
@@ -53,9 +53,9 @@ std::uint64_t total_decode_rejects(WhisperTestbed& tb) {
 }
 
 TEST(Byzantine, TruncatedFramesAreRejectedNotFatal) {
-  WhisperTestbed tb(small_config(101));
+  ScaleTestbed tb(small_config(101));
   tb.run_for(5 * net::kMinute);
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   fabric.schedule(byz_spec(tb, faults::FaultKind::kByzTruncate,
                            {tb.alive_nodes()[1]->internal_endpoint()}));
   const std::uint64_t rejects_before = total_decode_rejects(tb);
@@ -68,9 +68,9 @@ TEST(Byzantine, TruncatedFramesAreRejectedNotFatal) {
 }
 
 TEST(Byzantine, OversizedFramesAreRejectedNotFatal) {
-  WhisperTestbed tb(small_config(102));
+  ScaleTestbed tb(small_config(102));
   tb.run_for(5 * net::kMinute);
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   fabric.schedule(byz_spec(tb, faults::FaultKind::kByzOversize,
                            {tb.alive_nodes()[1]->internal_endpoint()}));
   const std::uint64_t rejects_before = total_decode_rejects(tb);
@@ -82,9 +82,9 @@ TEST(Byzantine, OversizedFramesAreRejectedNotFatal) {
 }
 
 TEST(Byzantine, BitflippedFramesAreRejectedNotFatal) {
-  WhisperTestbed tb(small_config(103));
+  ScaleTestbed tb(small_config(103));
   tb.run_for(5 * net::kMinute);
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   fabric.schedule(byz_spec(tb, faults::FaultKind::kByzBitflip,
                            {tb.alive_nodes()[1]->internal_endpoint()}));
   tb.run_for(3 * net::kMinute);
@@ -98,9 +98,9 @@ TEST(Byzantine, BitflippedFramesAreRejectedNotFatal) {
 }
 
 TEST(Byzantine, ReplayActorCapturesAndReinjects) {
-  WhisperTestbed tb(small_config(104));
+  ScaleTestbed tb(small_config(104));
   tb.run_for(5 * net::kMinute);
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   fabric.schedule(byz_spec(tb, faults::FaultKind::kByzReplay,
                            {tb.alive_nodes()[1]->internal_endpoint()},
                            /*probability=*/1.0, /*rate=*/20.0));
@@ -112,9 +112,9 @@ TEST(Byzantine, ReplayActorCapturesAndReinjects) {
 }
 
 TEST(Byzantine, FloodIsAbsorbedByDecodeAndRateDefenses) {
-  WhisperTestbed tb(small_config(105));
+  ScaleTestbed tb(small_config(105));
   tb.run_for(5 * net::kMinute);
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   fabric.schedule(byz_spec(tb, faults::FaultKind::kByzFlood,
                            {tb.alive_nodes()[1]->internal_endpoint()},
                            /*probability=*/1.0, /*rate=*/50.0));
@@ -128,9 +128,9 @@ TEST(Byzantine, FloodIsAbsorbedByDecodeAndRateDefenses) {
 }
 
 TEST(Byzantine, FabricatedGossipDoesNotPoisonTheOverlay) {
-  WhisperTestbed tb(small_config(106));
+  ScaleTestbed tb(small_config(106));
   tb.run_for(5 * net::kMinute);
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   fabric.schedule(byz_spec(tb, faults::FaultKind::kByzFabricate,
                            {tb.alive_nodes()[1]->internal_endpoint()}));
   tb.run_for(6 * net::kMinute);
@@ -177,7 +177,7 @@ TEST(Byzantine, ScriptParsesByzKindsAndRate) {
 
 // Fire confidential sends between deterministically-picked honest pairs and
 // report the acknowledged fraction.
-double honest_delivery(WhisperTestbed& tb, const std::vector<WhisperNode*>& honest,
+double honest_delivery(ScaleTestbed& tb, const std::vector<WhisperNode*>& honest,
                        std::size_t pairs, std::size_t salt, net::Time window) {
   auto ok = std::make_shared<int>(0);
   int sent = 0;
@@ -206,13 +206,13 @@ struct ByzOutcome {
 };
 
 ByzOutcome run_byzantine(std::uint64_t seed) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 500;
   cfg.natted_fraction = 0.7;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = seed;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(8 * net::kMinute);
 
   // 10% of the deployment misbehaves; the test picks the actors so the
@@ -234,7 +234,7 @@ ByzOutcome run_byzantine(std::uint64_t seed) {
       pss::reachable_fraction(tb.overlay_snapshot(), honest[0]->id());
 
   // Split the actors across all six misbehaviours and open the windows.
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   const std::vector<faults::FaultKind> kinds = {
       faults::FaultKind::kByzTruncate, faults::FaultKind::kByzOversize,
       faults::FaultKind::kByzBitflip,  faults::FaultKind::kByzReplay,
@@ -243,7 +243,7 @@ ByzOutcome run_byzantine(std::uint64_t seed) {
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     faults::FaultSpec spec;
     spec.kind = kinds[i];
-    spec.start = tb.clock().now();
+    spec.start = tb.now();
     spec.end = 0;  // hostile for the rest of the run
     spec.probability = 0.5;
     spec.rate = 5.0;
@@ -261,12 +261,13 @@ ByzOutcome run_byzantine(std::uint64_t seed) {
       pss::reachable_fraction(tb.overlay_snapshot(), honest[0]->id());
 
   out.fault_stats = fabric.stats();
-  for (WhisperNode* n : tb.all_nodes()) {
+  for (std::size_t i = 0; i < tb.node_count(); ++i) {
+    WhisperNode* n = tb.node_at(i);
     out.decode_rejects += n->transport().decode_rejects();
     out.decode_rejects += n->pss().decode_rejects();
     out.decode_rejects += n->wcl().stats().decode_rejects;
   }
-  out.metrics_jsonl = telemetry::to_jsonl(tb.registry());
+  out.metrics_jsonl = telemetry::to_jsonl(tb.registry(0));
   return out;
 }
 

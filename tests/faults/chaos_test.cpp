@@ -8,14 +8,14 @@
 #include "faults/faults.hpp"
 #include "pss/metrics.hpp"
 #include "telemetry/export.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
 
 // Fire `pairs` confidential sends between deterministically-picked node
 // pairs and report the fraction acknowledged by the end of `window`.
-double route_success(WhisperTestbed& tb, std::size_t pairs, std::size_t salt,
+double route_success(ScaleTestbed& tb, std::size_t pairs, std::size_t salt,
                      net::Time window) {
   auto nodes = tb.alive_nodes();
   auto ok = std::make_shared<int>(0);
@@ -45,13 +45,13 @@ struct ChaosOutcome {
 };
 
 ChaosOutcome run_chaos(std::uint64_t seed) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 500;
   cfg.natted_fraction = 0.7;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = seed;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(8 * net::kMinute);
 
   ChaosOutcome out;
@@ -60,8 +60,8 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   // Script the incident: a 30%-bisection partition lasting four minutes,
   // with two relay crashes one minute in (the partition hides the loss
   // from half the clients until it heals — the nasty ordering).
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
-  const net::Time t0 = tb.clock().now() + 30 * net::kSecond;
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
+  const net::Time t0 = tb.now() + 30 * net::kSecond;
   faults::FaultSpec partition;
   partition.kind = faults::FaultKind::kPartition;
   partition.start = t0;
@@ -85,10 +85,11 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   out.recovered = route_success(tb, 30, /*salt=*/211, net::kMinute);
 
   out.fault_stats = fabric.stats();
-  for (WhisperNode* n : tb.all_nodes()) {
+  for (std::size_t i = 0; i < tb.node_count(); ++i) {
+    WhisperNode* n = tb.node_at(i);
     out.relays_lost += n->transport().relays_lost();
   }
-  out.metrics_jsonl = telemetry::to_jsonl(tb.registry());
+  out.metrics_jsonl = telemetry::to_jsonl(tb.registry(0));
   return out;
 }
 
@@ -119,18 +120,18 @@ TEST(PartitionRejoin, OverlayRemergesAfterFullViewTurnover) {
   // all. Without the PSS healing reserve the overlay stays bisected
   // forever after the heal; with it, re-probes of evicted peers re-seed
   // the first cross edge and gossip re-blends the sides.
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 60;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = 913;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(6 * net::kMinute);
 
-  faults::FaultFabric& fabric = tb.install_fault_fabric();
+  faults::FaultFabric& fabric = *tb.install_fault_fabrics()[0];
   faults::FaultSpec cut;
   cut.kind = faults::FaultKind::kPartition;
-  cut.start = tb.clock().now();
+  cut.start = tb.now();
   cut.end = cut.start + 150 * net::kSecond;
   cut.fraction = 0.5;
   fabric.schedule(cut);

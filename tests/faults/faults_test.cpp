@@ -17,8 +17,8 @@ namespace {
 Endpoint ep(std::uint32_t ip) { return Endpoint{ip, 4000}; }
 
 struct FaultsFixture : ::testing::Test {
-  sim::Simulator sim{7};
-  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond)};
+  sim::Simulator sim;
+  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond), 7};
   std::vector<Endpoint> live;
   std::vector<Endpoint> relays;
   std::vector<Endpoint> crashed;
@@ -273,8 +273,8 @@ TEST_F(FaultsFixture, NatResetFiresCallbackPerVictim) {
 // `n` live endpoints, as a sorted set — the determinism probe.
 std::set<std::pair<std::uint32_t, std::uint32_t>> bisection_survivors(
     std::uint64_t seed, std::uint32_t n) {
-  sim::Simulator sim{7};
-  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond)};
+  sim::Simulator sim;
+  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond), 7};
   std::vector<Endpoint> live;
   for (std::uint32_t i = 1; i <= n; ++i) live.push_back(ep(i));
   FaultFabric::Environment env;

@@ -19,7 +19,6 @@
 #include "crypto/onion.hpp"
 #include "crypto/rsa.hpp"
 #include "nylon/pss.hpp"
-#include "overlay/tman.hpp"
 #include "ppss/group.hpp"
 #include "ppss/ppss.hpp"
 #include "wcl/wcl.hpp"
@@ -45,7 +44,7 @@ void framed(BytesView body, Decode decode) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   if (size == 0) return 0;
   const BytesView body(data + 1, size - 1);
-  switch (data[0] % 10) {
+  switch (data[0] % 9) {
     case 0:
       framed(body, [](Reader& r) { (void)whisper::pss::ContactCard::deserialize(r); });
       break;
@@ -69,25 +68,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       break;
     case 5:
       framed(body, [](Reader& r) {
-        if (!whisper::overlay::OverlayDescriptor::deserialize(r)) {
-          r.fail(DecodeError::kBadValue);
-        }
+        if (!whisper::ppss::Passport::deserialize(r)) r.fail(DecodeError::kBadValue);
       });
       break;
     case 6:
       framed(body, [](Reader& r) {
-        if (!whisper::ppss::Passport::deserialize(r)) r.fail(DecodeError::kBadValue);
-      });
-      break;
-    case 7:
-      framed(body, [](Reader& r) {
         if (!whisper::ppss::Accreditation::deserialize(r)) r.fail(DecodeError::kBadValue);
       });
       break;
-    case 8:
+    case 7:
       (void)whisper::crypto::RsaPublicKey::deserialize(body);
       break;
-    case 9:
+    case 8:
       (void)whisper::crypto::OnionPacket::deserialize(body);
       break;
   }

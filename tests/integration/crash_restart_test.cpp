@@ -7,7 +7,7 @@
 // produce the same recovery, byte for byte.
 #include <gtest/gtest.h>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
@@ -46,7 +46,7 @@ struct RunResult {
 RunResult run_once(std::uint64_t seed) {
   RunResult out;
 
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 25;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
@@ -56,7 +56,7 @@ RunResult run_once(std::uint64_t seed) {
   // advertised a nonzero incarnation.
   cfg.node.incarnation = 1;
   cfg.seed = seed;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(5 * net::kMinute);
 
   // Found a group, enroll five members, and keep what the durable store
@@ -106,7 +106,7 @@ RunResult run_once(std::uint64_t seed) {
   const ppss::Passport passport = victim_group->passport();
   const ppss::Accreditation accreditation = accreditations[2];
 
-  WhisperNode* fresh = tb.restart_node(victim_id);
+  WhisperNode* fresh = tb.restart_node(tb.index_of(victim_id));
   if (fresh == nullptr) return out;
   out.member_restarted = true;
   out.member_incarnation = fresh->transport().incarnation();
@@ -130,7 +130,7 @@ RunResult run_once(std::uint64_t seed) {
   // --- Crash the leader. Resume with the persisted group key. ---
   const auto leader_epochs = collect_epochs(founded.keyring());
   const ppss::Passport leader_passport = founded.passport();
-  WhisperNode* new_leader = tb.restart_node(leader->id());
+  WhisperNode* new_leader = tb.restart_node(tb.index_of(leader->id()));
   if (new_leader == nullptr) return out;
   auto& resumed_leadership = new_leader->resume_group(
       kGroup, leader_epochs, leader_passport, group_key_copy);
@@ -142,7 +142,7 @@ RunResult run_once(std::uint64_t seed) {
       [&pings_reborn](const wcl::RemotePeer&, BytesView) { ++pings_reborn; };
   tb.run_for(3 * net::kMinute);
   for (WhisperNode* m : members) {
-    auto* g = tb.node(m->id())->group(kGroup);  // resolves the live instance
+    auto* g = tb.node_at(tb.index_of(m->id()))->group(kGroup);  // resolves the live instance
     if (g != nullptr) g->send_app_to(leader_desc, to_bytes("ping"));
   }
   tb.run_for(3 * net::kMinute);

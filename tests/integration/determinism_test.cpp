@@ -3,7 +3,7 @@
 // reproduction runs exactly repeatable.
 #include <gtest/gtest.h>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
@@ -20,13 +20,13 @@ struct RunDigest {
 };
 
 RunDigest run_once(std::uint64_t seed) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 40;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.seed = seed;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(5 * net::kMinute);
 
   // Group activity on top.
@@ -47,7 +47,7 @@ RunDigest run_once(std::uint64_t seed) {
     }
     digest.wcl = digest.wcl * 31 + n->wcl().stats().first_try_success;
     digest.wcl = digest.wcl * 31 + n->wcl().backlog().size();
-    digest.traffic += tb.traffic(n->internal_endpoint()).total_up();
+    digest.traffic += tb.network(0).counters(n->internal_endpoint()).total_up();
     if (auto* g = n->group(kGroup)) {
       digest.groups = digest.groups * 31 + (g->joined() ? 1u : 0u);
       digest.groups = digest.groups * 31 + g->private_view().size();

@@ -8,15 +8,15 @@
 #include "faults/faults.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/flight.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
 
 constexpr GroupId kGroup{61717};
 
-TestbedConfig base_config(std::uint64_t seed) {
-  TestbedConfig cfg;
+ScaleConfig base_config(std::uint64_t seed) {
+  ScaleConfig cfg;
   cfg.initial_nodes = 30;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
@@ -26,7 +26,7 @@ TestbedConfig base_config(std::uint64_t seed) {
   return cfg;
 }
 
-void form_group(WhisperTestbed& tb, std::uint64_t seed, int members) {
+void form_group(ScaleTestbed& tb, std::uint64_t seed, int members) {
   auto nodes = tb.alive_nodes();
   crypto::Drbg d(seed);
   auto& fg = nodes[0]->create_group(kGroup, crypto::RsaKeyPair::generate(512, d));
@@ -37,13 +37,13 @@ void form_group(WhisperTestbed& tb, std::uint64_t seed, int members) {
 }
 
 TEST(FlightTrace, PerHopLatenciesSumToMeasuredRtt) {
-  TestbedConfig cfg = base_config(9001);
-  WhisperTestbed tb(cfg);
+  ScaleConfig cfg = base_config(9001);
+  ScaleTestbed tb(cfg);
   tb.run_for(4 * net::kMinute);
   form_group(tb, cfg.seed, 5);
   tb.run_for(6 * net::kMinute);
 
-  const auto records = tb.flight().assemble();
+  const auto records = tb.flight(0).assemble();
   std::size_t delivered = 0;
   for (const auto& rec : records) {
     if (rec.layer != telemetry::TraceLayer::kWcl || rec.outcome != "delivered") continue;
@@ -56,7 +56,7 @@ TEST(FlightTrace, PerHopLatenciesSumToMeasuredRtt) {
     EXPECT_GT(rec.end_ts, rec.begin_ts);
   }
   EXPECT_GT(delivered, 50u);  // the run really exercised confidential sends
-  EXPECT_EQ(tb.flight().dropped(), 0u);
+  EXPECT_EQ(tb.flight(0).dropped(), 0u);
 
   // Roots (PPSS exchanges/joins) parent the WCL messages they caused.
   std::size_t parented = 0;
@@ -68,12 +68,12 @@ TEST(FlightTrace, PerHopLatenciesSumToMeasuredRtt) {
 
 TEST(FlightTrace, SameSeedRunsExportByteIdenticalRecords) {
   auto run = [] {
-    TestbedConfig cfg = base_config(9002);
-    WhisperTestbed tb(cfg);
+    ScaleConfig cfg = base_config(9002);
+    ScaleTestbed tb(cfg);
     tb.run_for(4 * net::kMinute);
     form_group(tb, cfg.seed, 5);
     tb.run_for(5 * net::kMinute);
-    return telemetry::to_jsonl(tb.flight().assemble());
+    return telemetry::to_jsonl(tb.flight(0).assemble());
   };
   const std::string a = run();
   const std::string b = run();
@@ -87,12 +87,12 @@ TEST(FlightTrace, SameSeedRunsExportByteIdenticalRecords) {
 // traffic on the wire. TraceContext rides simulator-side metadata only.
 TEST(FlightTrace, TracingAddsZeroBytesToWirePayloads) {
   auto run = [](bool flight) {
-    TestbedConfig cfg = base_config(9003);
+    ScaleConfig cfg = base_config(9003);
     cfg.flight = flight;
-    WhisperTestbed tb(cfg);
+    ScaleTestbed tb(cfg);
     std::uint64_t digest = 1469598103934665603ull;
     std::uint64_t packets = 0;
-    tb.set_tap([&](const net::Datagram& dgram) {
+    tb.network(0).set_tap([&](const net::Datagram& dgram) {
       ++packets;
       for (std::uint8_t byte : dgram.payload) {
         digest ^= byte;
@@ -112,15 +112,15 @@ TEST(FlightTrace, TracingAddsZeroBytesToWirePayloads) {
 }
 
 TEST(FlightTrace, FaultInjectionIsAttributedInRecords) {
-  TestbedConfig cfg = base_config(9004);
-  WhisperTestbed tb(cfg);
+  ScaleConfig cfg = base_config(9004);
+  ScaleTestbed tb(cfg);
   tb.run_for(4 * net::kMinute);
   form_group(tb, cfg.seed, 5);
   tb.run_for(2 * net::kMinute);
 
   // A rough window: drop a third of packets, duplicate and jitter the rest.
-  faults::FaultFabric& ff = tb.install_fault_fabric();
-  const net::Time t0 = tb.clock().now();
+  faults::FaultFabric& ff = *tb.install_fault_fabrics()[0];
+  const net::Time t0 = tb.now();
   faults::FaultSpec loss;
   loss.kind = faults::FaultKind::kLoss;
   loss.start = t0;
@@ -140,7 +140,7 @@ TEST(FlightTrace, FaultInjectionIsAttributedInRecords) {
   ff.schedule_all({loss, dup, reorder});
   tb.run_for(5 * net::kMinute);
 
-  const auto records = tb.flight().assemble();
+  const auto records = tb.flight(0).assemble();
   std::size_t fault_touched = 0, retransmitted = 0, dropped_hops = 0;
   for (const auto& rec : records) {
     if (rec.layer != telemetry::TraceLayer::kWcl) continue;
@@ -165,24 +165,24 @@ TEST(FlightTrace, FaultInjectionIsAttributedInRecords) {
 }
 
 TEST(FlightTrace, RelayCrashDropsAreAttributed) {
-  TestbedConfig cfg = base_config(9005);
+  ScaleConfig cfg = base_config(9005);
   cfg.initial_nodes = 40;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(4 * net::kMinute);
   form_group(tb, cfg.seed, 6);
   tb.run_for(2 * net::kMinute);
 
-  faults::FaultFabric& ff = tb.install_fault_fabric();
+  faults::FaultFabric& ff = *tb.install_fault_fabrics()[0];
   faults::FaultSpec crash;
   crash.kind = faults::FaultKind::kCrash;
-  crash.start = tb.clock().now() + net::kSecond;
+  crash.start = tb.now() + net::kSecond;
   crash.count = 2;  // two relay crashes
   ff.schedule_all({crash});
   tb.run_for(5 * net::kMinute);
 
   // Packets to the crashed relays die with a detach/filter drop; the traces
   // that hit them must record it rather than silently losing the hop.
-  const auto records = tb.flight().assemble();
+  const auto records = tb.flight(0).assemble();
   std::size_t crash_drops = 0;
   for (const auto& rec : records) {
     for (const auto& hop : rec.hops) {
@@ -196,19 +196,21 @@ TEST(FlightTrace, RelayCrashDropsAreAttributed) {
 // honest-but-curious relay observing its own traffic can link zero
 // sender/receiver pairs it does not itself own.
 TEST(FlightTrace, SingleHonestButCuriousRelayLinksNothing) {
-  TestbedConfig cfg = base_config(9006);
+  ScaleConfig cfg = base_config(9006);
   cfg.initial_nodes = 50;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(4 * net::kMinute);
   form_group(tb, cfg.seed, 8);
   tb.run_for(6 * net::kMinute);
 
-  const auto records = tb.flight().assemble();
+  const auto records = tb.flight(0).assemble();
   telemetry::Vantage vantage;
-  for (WhisperNode* n : tb.alive_public_nodes()) vantage.relays.insert(n->id().value);
+  for (WhisperNode* n : tb.alive_nodes()) {
+    if (n->is_public()) vantage.relays.insert(n->id().value);
+  }
   ASSERT_FALSE(vantage.relays.empty());
   const telemetry::AuditReport report =
-      telemetry::audit(records, vantage, tb.all_nodes().size());
+      telemetry::audit(records, vantage, tb.node_count());
   ASSERT_FALSE(report.relays.empty());
   std::size_t seen = 0;
   for (const auto& relay : report.relays) {

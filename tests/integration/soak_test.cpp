@@ -6,7 +6,7 @@
 
 #include "churn/churn.hpp"
 #include "pss/metrics.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
@@ -14,18 +14,18 @@ namespace {
 constexpr GroupId kGroup{60606};
 
 TEST(Soak, FullStackSurvivesSustainedChurn) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 80;
   cfg.natted_fraction = 0.7;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.seed = 4242;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(5 * net::kMinute);
 
   // One private group led by a protected P-node; a third of nodes join.
-  WhisperNode* leader_node = tb.alive_public_nodes()[0];
+  WhisperNode* leader_node = tb.alive_nodes()[0];  // node 1 is always public
   crypto::Drbg d(1);
   ppss::Ppss& leader = leader_node->create_group(kGroup, crypto::RsaKeyPair::generate(512, d));
   Rng rng(7);
@@ -45,7 +45,7 @@ TEST(Soak, FullStackSurvivesSustainedChurn) {
     if (n->group(kGroup) != nullptr) protected_ids.insert(n->id());
   }
   churn::ChurnEngine engine(
-      tb.clock(),
+      tb.simulator(0),
       [&](std::size_t n) {
         std::size_t killed = 0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -53,7 +53,7 @@ TEST(Soak, FullStackSurvivesSustainedChurn) {
             auto alive = tb.alive_nodes();
             WhisperNode* victim = alive[rng.pick_index(alive)];
             if (protected_ids.contains(victim->id())) continue;
-            tb.kill_node(victim->id());
+            tb.kill_node(tb.index_of(victim->id()));
             ++killed;
             break;
           }
@@ -65,7 +65,7 @@ TEST(Soak, FullStackSurvivesSustainedChurn) {
       },
       [&] { return tb.alive_count(); });
   churn::ChurnPhase phase;
-  phase.start = tb.clock().now();
+  phase.start = tb.now();
   phase.end = phase.start + 30 * net::kMinute;
   phase.leave_fraction = 0.02;
   engine.schedule(phase);
@@ -85,7 +85,7 @@ TEST(Soak, FullStackSurvivesSustainedChurn) {
   for (WhisperNode* n : tb.alive_nodes()) {
     for (const auto& e : n->pss().view().entries()) {
       ++total_refs;
-      WhisperNode* target = tb.node(e.id());
+      WhisperNode* target = tb.node_at(tb.index_of(e.id()));
       if (target == nullptr || !target->running()) ++dead_refs;
     }
   }
@@ -116,16 +116,16 @@ TEST(Soak, FullStackSurvivesSustainedChurn) {
 TEST(Soak, NetworkDrainsCleanly) {
   // After stopping every node, pending events drain without touching any
   // dead object (teardown safety under the simulator).
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 30;
   cfg.seed = 555;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(3 * net::kMinute);
-  for (WhisperNode* n : tb.alive_nodes()) tb.kill_node(n->id());
+  for (WhisperNode* n : tb.alive_nodes()) tb.kill_node(tb.index_of(n->id()));
   EXPECT_EQ(tb.alive_count(), 0u);
   // Drain everything still queued (timers were cancelled; deliveries drop).
   tb.run_for(10 * net::kMinute);
-  EXPECT_EQ(tb.packets_delivered(), tb.packets_delivered());
+  EXPECT_EQ(tb.network(0).packets_delivered(), tb.network(0).packets_delivered());
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "telemetry/export.hpp"
-#include "whisper/testbed.hpp"
+#include "telemetry/timeseries.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
@@ -22,16 +23,24 @@ struct RunOutput {
 };
 
 RunOutput run_once(std::uint64_t seed, bool trace) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 30;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.seed = seed;
   cfg.trace = trace;
-  cfg.telemetry_sample_every = trace ? net::kMinute : 0;
-  WhisperTestbed tb(cfg);
-  tb.run_for(4 * net::kMinute);
+  ScaleTestbed tb(cfg);
+  // With tracing on, snapshot every metric into the time series once per
+  // virtual minute, between run_for slices.
+  telemetry::TimeSeriesRecorder recorder(tb.registry(0));
+  auto run_minutes = [&](int minutes) {
+    for (int m = 0; m < minutes; ++m) {
+      tb.run_for(net::kMinute);
+      if (trace) recorder.sample(tb.now());
+    }
+  };
+  run_minutes(4);
 
   auto nodes = tb.alive_nodes();
   crypto::Drbg d(seed);
@@ -40,12 +49,12 @@ RunOutput run_once(std::uint64_t seed, bool trace) {
     nodes[static_cast<std::size_t>(i)]->join_group(
         kGroup, *fg.invite(nodes[static_cast<std::size_t>(i)]->id()), fg.self_descriptor());
   }
-  tb.run_for(6 * net::kMinute);
+  run_minutes(6);
 
   RunOutput out;
-  out.metrics_jsonl = telemetry::to_jsonl(tb.registry());
-  out.series_jsonl = telemetry::to_jsonl(tb.recorder());
-  out.chrome_trace = telemetry::to_chrome_trace(tb.tracer());
+  out.metrics_jsonl = telemetry::to_jsonl(tb.registry(0));
+  out.series_jsonl = telemetry::to_jsonl(recorder);
+  out.chrome_trace = telemetry::to_chrome_trace(tb.tracer(0));
   for (WhisperNode* n : tb.alive_nodes()) {
     for (const auto& e : n->pss().view().entries()) {
       out.overlay_digest = out.overlay_digest * 1099511628211ull + e.id().value;
@@ -70,8 +79,8 @@ TEST(TelemetryDeterminism, SameSeedExportsAreByteIdentical) {
   EXPECT_FALSE(a.series_jsonl.empty());
 }
 
-// Drop "sim.*" metric lines: the sampling timer legitimately adds simulator
-// events (executed count, queue depth), but must not touch protocol state.
+// Drop "sim.*" metric lines: event-loop bookkeeping (when attached) is not
+// protocol state.
 std::string without_sim_lines(const std::string& jsonl) {
   std::string out;
   std::size_t pos = 0;

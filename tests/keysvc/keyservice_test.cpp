@@ -2,20 +2,20 @@
 
 #include <gtest/gtest.h>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper::keysvc {
 namespace {
 
-TestbedConfig config(std::size_t n) {
-  TestbedConfig cfg;
+ScaleConfig config(std::size_t n) {
+  ScaleConfig cfg;
   cfg.initial_nodes = n;
   cfg.seed = 21;
   return cfg;
 }
 
 TEST(KeyService, PiggybackRoundTrips) {
-  WhisperTestbed tb(config(2));
+  ScaleTestbed tb(config(2));
   WhisperNode* a = tb.alive_nodes()[0];
   const Bytes piggy = a->keys().piggyback();
   EXPECT_EQ(piggy.size(), KeyServiceConfig{}.key_wire_size);
@@ -25,7 +25,7 @@ TEST(KeyService, PiggybackRoundTrips) {
 }
 
 TEST(KeyService, GossipSpreadsKeys) {
-  WhisperTestbed tb(config(20));
+  ScaleTestbed tb(config(20));
   tb.run_for(3 * net::kMinute);
   // After a few cycles every node holds keys for (at least) its CB.
   for (WhisperNode* n : tb.alive_nodes()) {
@@ -37,7 +37,7 @@ TEST(KeyService, GossipSpreadsKeys) {
 }
 
 TEST(KeyService, CachedKeysMatchRealKeys) {
-  WhisperTestbed tb(config(15));
+  ScaleTestbed tb(config(15));
   tb.run_for(3 * net::kMinute);
   for (WhisperNode* n : tb.alive_nodes()) {
     for (WhisperNode* other : tb.alive_nodes()) {
@@ -49,7 +49,7 @@ TEST(KeyService, CachedKeysMatchRealKeys) {
 }
 
 TEST(KeyService, ExplicitRequestDeliversKey) {
-  WhisperTestbed tb(config(5));
+  ScaleTestbed tb(config(5));
   tb.run_for(30 * net::kSecond);
   WhisperNode* a = tb.alive_nodes()[0];
   WhisperNode* b = tb.alive_nodes()[1];
@@ -62,7 +62,7 @@ TEST(KeyService, ExplicitRequestDeliversKey) {
 }
 
 TEST(KeyService, RequestToDeadNodeTimesOut) {
-  WhisperTestbed tb(config(5));
+  ScaleTestbed tb(config(5));
   tb.run_for(30 * net::kSecond);
   WhisperNode* a = tb.alive_nodes()[0];
   // A node that does not exist (never cached, never answers).
@@ -82,7 +82,7 @@ TEST(KeyService, RequestToDeadNodeTimesOut) {
 }
 
 TEST(KeyService, CacheHitAnswersSynchronously) {
-  WhisperTestbed tb(config(5));
+  ScaleTestbed tb(config(5));
   tb.run_for(2 * net::kMinute);
   WhisperNode* a = tb.alive_nodes()[0];
   // Prime the cache.

@@ -8,7 +8,7 @@ namespace {
 Endpoint ep(std::uint32_t ip, std::uint16_t port = 5000) { return Endpoint{ip, port}; }
 
 struct NatFixture : ::testing::Test {
-  sim::Simulator sim{1};
+  sim::Simulator sim;
   NatConfig config{};
 
   NatDevice make(NatType type) {
@@ -130,7 +130,7 @@ TEST_F(NatFixture, MultipleInternalHostsShareDevice) {
 // --- Fabric-level behaviour. ---
 
 struct FabricFixture : ::testing::Test {
-  sim::Simulator sim{1};
+  sim::Simulator sim;
   NatFabric fabric{sim};
 };
 

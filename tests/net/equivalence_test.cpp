@@ -8,9 +8,8 @@
 
 #include <vector>
 
-#include "net/sim_backend.hpp"
 #include "whisper/realnet.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
@@ -58,13 +57,13 @@ ScenarioOutcome run_scenario(WhisperNode& alice, WhisperNode& bob, RunFn run) {
 }
 
 ScenarioOutcome run_on_simulator() {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = kNodes;
   cfg.natted_fraction = 0;  // loopback has no NAT; keep the meshes alike
   cfg.latency = "cluster";
   cfg.node = realtime_node_config();
   cfg.seed = 7;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(5 * net::kSecond);
   auto nodes = tb.alive_nodes();
   return run_scenario(*nodes[0], *nodes[1],

@@ -14,9 +14,9 @@ using nat::NatType;
 
 class NatMatrix : public ::testing::TestWithParam<std::tuple<NatType, NatType>> {
  protected:
-  sim::Simulator sim{13};
+  sim::Simulator sim;
   nat::NatFabric fabric{sim};
-  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond)};
+  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond), 13};
   std::vector<std::unique_ptr<Transport>> transports;
 
   NatMatrix() { net.set_translator(&fabric); }

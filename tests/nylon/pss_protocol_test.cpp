@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "pss/metrics.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper::nylon {
 namespace {
 
-TestbedConfig small_config(std::size_t n, std::size_t pi = 0) {
-  TestbedConfig cfg;
+ScaleConfig small_config(std::size_t n, std::size_t pi = 0) {
+  ScaleConfig cfg;
   cfg.initial_nodes = n;
   cfg.node.pss.pi_min_public = pi;
   cfg.node.rsa_bits = 512;
@@ -18,7 +18,7 @@ TestbedConfig small_config(std::size_t n, std::size_t pi = 0) {
 }
 
 TEST(NylonPss, ViewsFillUp) {
-  WhisperTestbed tb(small_config(30));
+  ScaleTestbed tb(small_config(30));
   tb.run_for(2 * net::kMinute);
   for (WhisperNode* n : tb.alive_nodes()) {
     EXPECT_GE(n->pss().view().size(), 5u) << n->id().str();
@@ -26,7 +26,7 @@ TEST(NylonPss, ViewsFillUp) {
 }
 
 TEST(NylonPss, ExchangesComplete) {
-  WhisperTestbed tb(small_config(30));
+  ScaleTestbed tb(small_config(30));
   tb.run_for(3 * net::kMinute);
   std::uint64_t initiated = 0, completed = 0;
   for (WhisperNode* n : tb.alive_nodes()) {
@@ -39,7 +39,7 @@ TEST(NylonPss, ExchangesComplete) {
 }
 
 TEST(NylonPss, OverlayConnected) {
-  WhisperTestbed tb(small_config(40));
+  ScaleTestbed tb(small_config(40));
   tb.run_for(5 * net::kMinute);
   auto graph = tb.overlay_snapshot();
   const double reachable = pss::reachable_fraction(graph, tb.alive_nodes()[0]->id());
@@ -47,7 +47,7 @@ TEST(NylonPss, OverlayConnected) {
 }
 
 TEST(NylonPss, ViewsContainNoSelfEntries) {
-  WhisperTestbed tb(small_config(20));
+  ScaleTestbed tb(small_config(20));
   tb.run_for(3 * net::kMinute);
   for (WhisperNode* n : tb.alive_nodes()) {
     EXPECT_FALSE(n->pss().view().contains(n->id()));
@@ -55,7 +55,7 @@ TEST(NylonPss, ViewsContainNoSelfEntries) {
 }
 
 TEST(NylonPss, PiBiasKeepsPublicNodesInViews) {
-  WhisperTestbed tb(small_config(50, /*pi=*/3));
+  ScaleTestbed tb(small_config(50, /*pi=*/3));
   tb.run_for(5 * net::kMinute);
   std::size_t satisfied = 0, total = 0;
   for (WhisperNode* n : tb.alive_nodes()) {
@@ -67,11 +67,11 @@ TEST(NylonPss, PiBiasKeepsPublicNodesInViews) {
 }
 
 TEST(NylonPss, FailedNodesHealedFromViews) {
-  WhisperTestbed tb(small_config(30));
+  ScaleTestbed tb(small_config(30));
   tb.run_for(3 * net::kMinute);
   // Kill a node and let the protocol heal.
   const NodeId victim = tb.alive_nodes()[5]->id();
-  tb.kill_node(victim);
+  tb.kill_node(tb.index_of(victim));
   tb.run_for(5 * net::kMinute);
   std::size_t refs = 0;
   for (WhisperNode* n : tb.alive_nodes()) {
@@ -82,7 +82,7 @@ TEST(NylonPss, FailedNodesHealedFromViews) {
 }
 
 TEST(NylonPss, NattedNodeRepairsLostRelay) {
-  WhisperTestbed tb(small_config(30));
+  ScaleTestbed tb(small_config(30));
   tb.run_for(3 * net::kMinute);
   // Find a natted node and kill its relay.
   WhisperNode* natted = nullptr;
@@ -95,14 +95,14 @@ TEST(NylonPss, NattedNodeRepairsLostRelay) {
   ASSERT_NE(natted, nullptr);
   const NodeId old_relay = natted->transport().relay_id();
   ASSERT_FALSE(old_relay.is_nil());
-  tb.kill_node(old_relay);
+  tb.kill_node(tb.index_of(old_relay));
   tb.run_for(10 * net::kMinute);
   EXPECT_FALSE(natted->transport().relay_lost());
   EXPECT_NE(natted->transport().relay_id(), old_relay);
 }
 
 TEST(NylonPss, InDegreeBalancedWithoutBias) {
-  WhisperTestbed tb(small_config(60));
+  ScaleTestbed tb(small_config(60));
   tb.run_for(6 * net::kMinute);
   auto graph = tb.overlay_snapshot();
   auto degrees = pss::in_degrees(graph);

@@ -9,9 +9,9 @@ namespace {
 
 // Harness: a network with a NAT fabric and manually wired transports.
 struct TransportFixture : ::testing::Test {
-  sim::Simulator sim{7};
+  sim::Simulator sim;
   nat::NatFabric fabric{sim};
-  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond)};
+  sim::Network net{sim, std::make_unique<sim::FixedLatency>(net::kMillisecond), 7};
 
   std::vector<std::unique_ptr<Transport>> transports;
 

@@ -2,7 +2,7 @@
 // bookkeeping corners.
 #include <gtest/gtest.h>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper::ppss {
 namespace {
@@ -15,8 +15,8 @@ crypto::RsaKeyPair fresh_key(std::uint64_t seed) {
 }
 
 struct EdgeFixture : ::testing::Test {
-  TestbedConfig cfg = [] {
-    TestbedConfig c;
+  ScaleConfig cfg = [] {
+    ScaleConfig c;
     c.initial_nodes = 25;
     c.node.pss.pi_min_public = 3;
     c.node.wcl.pi = 3;
@@ -24,7 +24,7 @@ struct EdgeFixture : ::testing::Test {
     c.seed = 808;
     return c;
   }();
-  WhisperTestbed tb{cfg};
+  ScaleTestbed tb{cfg};
 
   void SetUp() override { tb.run_for(6 * net::kMinute); }
 };

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper::ppss {
 namespace {
@@ -14,8 +14,8 @@ crypto::RsaKeyPair fresh_group_key(std::uint64_t seed) {
   return crypto::RsaKeyPair::generate(512, d);
 }
 
-TestbedConfig config(std::size_t n, std::uint64_t seed = 41) {
-  TestbedConfig cfg;
+ScaleConfig config(std::size_t n, std::uint64_t seed = 41) {
+  ScaleConfig cfg;
   cfg.initial_nodes = n;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
@@ -27,7 +27,7 @@ TestbedConfig config(std::size_t n, std::uint64_t seed = 41) {
 
 // Build a testbed with one group of `members` nodes (first member founds).
 struct GroupFixture {
-  WhisperTestbed tb;
+  ScaleTestbed tb;
   std::vector<WhisperNode*> members;
 
   GroupFixture(std::size_t n_nodes, std::size_t n_members, std::uint64_t seed = 41)
@@ -173,7 +173,7 @@ TEST(Ppss, PersistentPeerDroppedWhenDead) {
   auto* ga = f.members[1]->group(kGroup);
   auto* gb = f.members[2]->group(kGroup);
   ga->make_persistent(gb->self_descriptor());
-  f.tb.kill_node(f.members[2]->id());
+  f.tb.kill_node(f.tb.index_of(f.members[2]->id()));
   f.tb.run_for(15 * net::kMinute);
   EXPECT_EQ(ga->pcp_size(), 0u);
 }
@@ -197,7 +197,7 @@ TEST(Ppss, LeaderElectionAfterLeaderDeath) {
   f.tb.run_for(10 * net::kMinute);
   const std::uint64_t epoch_before = f.members[1]->group(kGroup)->leader_epoch();
   // Kill the founding leader.
-  f.tb.kill_node(f.members[0]->id());
+  f.tb.kill_node(f.tb.index_of(f.members[0]->id()));
   // Leader timeout (5 min) + election convergence (3 cycles of 30 s) + slack.
   f.tb.run_for(25 * net::kMinute);
   // Some surviving member becomes leader and rotates the key.
@@ -219,7 +219,7 @@ TEST(Ppss, LeaderElectionAfterLeaderDeath) {
 }
 
 TEST(Ppss, MultiGroupIsolation) {
-  WhisperTestbed tb(config(30, 47));
+  ScaleTestbed tb(config(30, 47));
   tb.run_for(6 * net::kMinute);
   auto nodes = tb.alive_nodes();
   const GroupId g1{2001}, g2{2002};

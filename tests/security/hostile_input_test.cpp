@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/guard.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
@@ -76,8 +76,8 @@ constexpr GroupId kGroup{5150};
 constexpr std::uint8_t kKindApp = 7;  // mirrors ppss.cpp's frame kinds
 
 struct HostileInputFixture : ::testing::Test {
-  static TestbedConfig config() {
-    TestbedConfig cfg;
+  static ScaleConfig config() {
+    ScaleConfig cfg;
     cfg.initial_nodes = 30;
     cfg.node.pss.pi_min_public = 3;
     cfg.node.wcl.pi = 3;
@@ -86,7 +86,7 @@ struct HostileInputFixture : ::testing::Test {
     return cfg;
   }
 
-  WhisperTestbed tb{config()};
+  ScaleTestbed tb{config()};
   WhisperNode* alice = nullptr;
   WhisperNode* bob = nullptr;
   ppss::Ppss* alice_group = nullptr;

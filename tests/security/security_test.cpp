@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper {
 namespace {
@@ -17,8 +17,8 @@ bool contains_bytes(BytesView haystack, BytesView needle) {
          haystack.end();
 }
 
-TestbedConfig config(std::uint64_t seed) {
-  TestbedConfig cfg;
+ScaleConfig config(std::uint64_t seed) {
+  ScaleConfig cfg;
   cfg.initial_nodes = 30;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
@@ -28,7 +28,7 @@ TestbedConfig config(std::uint64_t seed) {
 }
 
 struct SecurityFixture : ::testing::Test {
-  WhisperTestbed tb{config(777)};
+  ScaleTestbed tb{config(777)};
   WhisperNode* alice = nullptr;
   WhisperNode* bob = nullptr;
   ppss::Ppss* alice_group = nullptr;
@@ -52,7 +52,7 @@ TEST_F(SecurityFixture, ContentNeverAppearsOnAnyLink) {
   const Bytes secret = to_bytes("XK-ULTRA-SECRET-PAYLOAD!");
   bool leaked = false;
   std::size_t observed = 0;
-  tb.set_tap([&](const net::Datagram& d) {
+  tb.network(0).set_tap([&](const net::Datagram& d) {
     ++observed;
     if (contains_bytes(d.payload, secret)) leaked = true;
   });
@@ -63,7 +63,7 @@ TEST_F(SecurityFixture, ContentNeverAppearsOnAnyLink) {
   };
   ASSERT_TRUE(alice_group->send_app_to(bob_group->self_descriptor(), secret));
   tb.run_for(net::kMinute);
-  tb.set_tap(nullptr);
+  tb.network(0).set_tap(nullptr);
 
   EXPECT_EQ(received, secret);  // delivered end-to-end...
   EXPECT_GT(observed, 0u);
@@ -76,12 +76,12 @@ TEST_F(SecurityFixture, PassportNeverAppearsOnAnyLink) {
   const Bytes signature = bob_group->passport().signature;
   ASSERT_GE(signature.size(), 32u);
   bool leaked = false;
-  tb.set_tap([&](const net::Datagram& d) {
+  tb.network(0).set_tap([&](const net::Datagram& d) {
     if (contains_bytes(d.payload, signature)) leaked = true;
   });
   // Drive several PPSS cycles (gossip ships passports with every message).
   tb.run_for(5 * net::kMinute);
-  tb.set_tap(nullptr);
+  tb.network(0).set_tap(nullptr);
   EXPECT_FALSE(leaked);
 }
 
@@ -90,7 +90,7 @@ TEST_F(SecurityFixture, GroupKeyNeverAppearsOnAnyLink) {
   // confidential channels (join responses, gossip metadata).
   const Bytes group_key = alice_group->keyring().key_for(1)->serialize();
   bool leaked = false;
-  tb.set_tap([&](const net::Datagram& d) {
+  tb.network(0).set_tap([&](const net::Datagram& d) {
     if (contains_bytes(d.payload, group_key)) leaked = true;
   });
   // Fresh join while tapped: carol joins through alice.
@@ -98,7 +98,7 @@ TEST_F(SecurityFixture, GroupKeyNeverAppearsOnAnyLink) {
   auto& carol_group = carol->join_group(kGroup, *alice_group->invite(carol->id()),
                                         alice_group->self_descriptor());
   tb.run_for(3 * net::kMinute);
-  tb.set_tap(nullptr);
+  tb.network(0).set_tap(nullptr);
   EXPECT_TRUE(carol_group.joined());
   EXPECT_FALSE(leaked);
 }
@@ -109,11 +109,11 @@ TEST_F(SecurityFixture, NodeKeysDoAppearOnTheWire) {
   // must be able to find them. Guards against a vacuous leak test.
   const Bytes node_key = alice->keypair().pub.serialize();
   bool seen = false;
-  tb.set_tap([&](const net::Datagram& d) {
+  tb.network(0).set_tap([&](const net::Datagram& d) {
     if (contains_bytes(d.payload, node_key)) seen = true;
   });
   tb.run_for(2 * net::kMinute);
-  tb.set_tap(nullptr);
+  tb.network(0).set_tap(nullptr);
   EXPECT_TRUE(seen);
 }
 
@@ -124,13 +124,13 @@ TEST(RelationshipAnonymity, SourceNeverTalksToDestinationDirectly) {
   // wrapper) paired with the link-level receiver (resolved through the NAT
   // fabric) never equals (alice, bob). An observer of any one link learns
   // at most one of the two endpoints.
-  WhisperTestbed tb(config(888));
+  ScaleTestbed tb(config(888));
   tb.run_for(6 * net::kMinute);
   WhisperNode* alice = tb.alive_nodes()[0];
   WhisperNode* bob = tb.alive_nodes()[1];
 
   auto resolve_receiver = [&](const net::Datagram& d) -> NodeId {
-    auto internal = tb.fabric().inbound(d.dst, d.src);
+    auto internal = tb.fabric(0).inbound(d.dst, d.src);
     if (!internal) return kNilNode;
     for (WhisperNode* n : tb.alive_nodes()) {
       if (n->internal_endpoint() == *internal) return n->id();
@@ -146,7 +146,7 @@ TEST(RelationshipAnonymity, SourceNeverTalksToDestinationDirectly) {
 
   bool linked = false;
   std::size_t wcl_datagrams = 0;
-  tb.set_tap([&](const net::Datagram& d) {
+  tb.network(0).set_tap([&](const net::Datagram& d) {
     if (d.proto != net::Proto::kWcl) return;
     ++wcl_datagrams;
     if (parse_sender(d) == alice->id() && resolve_receiver(d) == bob->id()) linked = true;
@@ -156,7 +156,7 @@ TEST(RelationshipAnonymity, SourceNeverTalksToDestinationDirectly) {
   bob->wcl().on_deliver = [&](Bytes) { delivered = true; };
   ASSERT_TRUE(alice->wcl().send_confidential(bob->wcl().self_peer(), to_bytes("unlinkable")));
   tb.run_for(net::kMinute);
-  tb.set_tap(nullptr);
+  tb.network(0).set_tap(nullptr);
   bob->wcl().on_deliver = nullptr;
 
   EXPECT_TRUE(delivered);
@@ -214,10 +214,10 @@ TEST_F(SecurityFixture, GarbageDatagramsDoNotCrashTheStack) {
     Bytes garbage(1 + rng.next_below(200));
     rng.fill_bytes(garbage.data(), garbage.size());
     // Inject raw datagrams at the victim's public-facing endpoint.
-    tb.inject(alice->internal_endpoint(),
-                      victim->is_public() ? victim->internal_endpoint()
-                                          : victim->transport().self_card().addr,
-                      garbage, net::Proto::kApp);
+    tb.network(0).send(alice->internal_endpoint(),
+                       victim->is_public() ? victim->internal_endpoint()
+                                           : victim->transport().self_card().addr,
+                       garbage, net::Proto::kApp);
   }
   tb.run_for(net::kMinute);
   // Also garbage wrapped as valid transport data messages with random tags

@@ -1,10 +1,10 @@
-#include "sim/cpumeter.hpp"
+#include "net/cpumeter.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-namespace whisper::sim {
+namespace whisper::net {
 namespace {
 
 TEST(CpuMeter, ChargeAccumulatesPerCategory) {
@@ -76,4 +76,4 @@ TEST(CpuMeter, ProbeObservesEveryCharge) {
 }
 
 }  // namespace
-}  // namespace whisper::sim
+}  // namespace whisper::net

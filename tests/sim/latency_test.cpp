@@ -24,12 +24,12 @@ TEST(PlanetLabLatency, WanScaleDelays) {
   for (std::uint32_t pair = 0; pair < 200; ++pair) {
     auto d = model.sample(Endpoint{pair, 1}, Endpoint{pair + 1000, 1}, rng);
     ASSERT_TRUE(d.has_value());
-    EXPECT_GE(*d, 5 * kMillisecond);
+    EXPECT_GE(*d, 5 * net::kMillisecond);
     total += static_cast<double>(*d);
     ++n;
   }
   // Mean one-way delay in the tens-of-ms regime.
-  const double mean_ms = total / n / kMillisecond;
+  const double mean_ms = total / n / net::kMillisecond;
   EXPECT_GT(mean_ms, 20.0);
   EXPECT_LT(mean_ms, 200.0);
 }
@@ -51,13 +51,13 @@ TEST(PlanetLabLatency, PerPairBaseConsistent) {
   // The same pair should see correlated delays (same base); different pairs
   // should differ. Compare medians over many samples.
   auto median_delay = [&](std::uint32_t a, std::uint32_t b) {
-    std::vector<Time> v;
+    std::vector<net::Time> v;
     for (int i = 0; i < 101; ++i) v.push_back(*model.sample(Endpoint{a, 1}, Endpoint{b, 1}, rng));
     std::sort(v.begin(), v.end());
     return v[50];
   };
-  const Time same1 = median_delay(10, 20);
-  const Time same2 = median_delay(10, 20);
+  const net::Time same1 = median_delay(10, 20);
+  const net::Time same2 = median_delay(10, 20);
   // Medians of the same pair are close (within 50%).
   EXPECT_LT(std::max(same1, same2), 2 * std::min(same1, same2));
 }

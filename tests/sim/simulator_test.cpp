@@ -35,7 +35,7 @@ TEST(Simulator, SameTimeEventsFifo) {
 
 TEST(Simulator, ScheduleAfterUsesCurrentTime) {
   Simulator s;
-  Time seen = 0;
+  net::Time seen = 0;
   s.schedule_at(100, [&] {
     s.schedule_after(50, [&] { seen = s.now(); });
   });
@@ -46,7 +46,7 @@ TEST(Simulator, ScheduleAfterUsesCurrentTime) {
 TEST(Simulator, CancelPreventsExecution) {
   Simulator s;
   bool ran = false;
-  TimerId id = s.schedule_at(10, [&] { ran = true; });
+  net::TimerId id = s.schedule_at(10, [&] { ran = true; });
   s.cancel(id);
   s.run();
   EXPECT_FALSE(ran);
@@ -55,7 +55,7 @@ TEST(Simulator, CancelPreventsExecution) {
 TEST(Simulator, CancelAfterFireIsNoop) {
   Simulator s;
   bool ran = false;
-  TimerId id = s.schedule_at(10, [&] { ran = true; });
+  net::TimerId id = s.schedule_at(10, [&] { ran = true; });
   s.run();
   EXPECT_TRUE(ran);
   s.cancel(id);  // must not blow up or affect future events
@@ -102,7 +102,7 @@ TEST(Simulator, StepReturnsFalseWhenEmpty) {
 TEST(Simulator, PendingEventsExcludesCancelled) {
   Simulator s;
   s.schedule_at(1, [] {});
-  TimerId id = s.schedule_at(2, [] {});
+  net::TimerId id = s.schedule_at(2, [] {});
   EXPECT_EQ(s.pending_events(), 2u);
   s.cancel(id);
   EXPECT_EQ(s.pending_events(), 1u);
@@ -113,7 +113,7 @@ TEST(Simulator, PendingEventsExcludesCancelled) {
 // event scheduled afterwards (queue size minus a stale cancelled count).
 TEST(Simulator, CancelOfFiredIdDoesNotSkewPendingCount) {
   Simulator s;
-  TimerId id = s.schedule_at(10, [] {});
+  net::TimerId id = s.schedule_at(10, [] {});
   s.run();
   s.cancel(id);  // already fired: must be a no-op
   EXPECT_EQ(s.cancelled_events(), 0u);
@@ -124,7 +124,7 @@ TEST(Simulator, CancelOfFiredIdDoesNotSkewPendingCount) {
 
 TEST(Simulator, DoubleCancelCountsOnce) {
   Simulator s;
-  TimerId id = s.schedule_at(10, [] {});
+  net::TimerId id = s.schedule_at(10, [] {});
   s.schedule_at(20, [] {});
   s.cancel(id);
   s.cancel(id);  // second cancel of a live-then-cancelled id: no-op
@@ -147,7 +147,7 @@ TEST(Simulator, TelemetryCountersTrackEventLoop) {
   telemetry::Registry reg;
   s.attach_telemetry(reg);
   s.schedule_at(10, [] {});
-  TimerId id = s.schedule_at(20, [] {});
+  net::TimerId id = s.schedule_at(20, [] {});
   s.cancel(id);
   s.run();
   EXPECT_EQ(reg.counter_value("sim.events.executed"), 1u);
@@ -168,10 +168,10 @@ TEST(Simulator, StaleCancelOfRecycledSlotIsNoop) {
   // Cancel an id whose slot has since been recycled for a newer event: the
   // generation check must protect the new occupant.
   Simulator s;
-  TimerId old_id = s.schedule_at(10, [] {});
+  net::TimerId old_id = s.schedule_at(10, [] {});
   s.cancel(old_id);
   bool ran = false;
-  TimerId new_id = s.schedule_at(20, [&] { ran = true; });  // may reuse the slot
+  net::TimerId new_id = s.schedule_at(20, [&] { ran = true; });  // may reuse the slot
   s.cancel(old_id);  // stale: must not cancel the new event
   EXPECT_EQ(s.cancelled_events(), 1u);
   EXPECT_EQ(s.pending_events(), 1u);
@@ -189,8 +189,8 @@ TEST(Simulator, SlotReuseKeepsCountsExact) {
   std::uint64_t fired = 0;
   std::uint64_t cancelled = 0;
   for (int round = 0; round < 50; ++round) {
-    TimerId keep = s.schedule_after(1, [&] { ++fired; });
-    TimerId drop = s.schedule_after(2, [&] { ++fired; });
+    net::TimerId keep = s.schedule_after(1, [&] { ++fired; });
+    net::TimerId drop = s.schedule_after(2, [&] { ++fired; });
     EXPECT_EQ(s.pending_events(), 2u);
     s.cancel(drop);
     ++cancelled;
@@ -210,7 +210,7 @@ TEST(Simulator, RunUntilIgnoresCancelledHeadAndHoldsBoundary) {
   // later-than-t event into run_until(t) (the pre-slot-rewrite loop peeked
   // at the raw heap top and could overshoot).
   Simulator s;
-  TimerId id = s.schedule_at(5, [] {});
+  net::TimerId id = s.schedule_at(5, [] {});
   bool late_ran = false;
   s.schedule_at(100, [&] { late_ran = true; });
   s.cancel(id);
@@ -223,10 +223,10 @@ TEST(Simulator, RunUntilIgnoresCancelledHeadAndHoldsBoundary) {
 
 TEST(Simulator, MassCancellation) {
   Simulator s;
-  std::vector<TimerId> ids;
+  std::vector<net::TimerId> ids;
   int ran = 0;
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(s.schedule_at(static_cast<Time>(i + 1), [&] { ++ran; }));
+    ids.push_back(s.schedule_at(static_cast<net::Time>(i + 1), [&] { ++ran; }));
   }
   for (std::size_t i = 0; i < ids.size(); i += 2) s.cancel(ids[i]);
   EXPECT_EQ(s.pending_events(), 500u);

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 namespace whisper::wcl {
 namespace {
 
-TestbedConfig config(std::size_t n, std::uint64_t seed = 31) {
-  TestbedConfig cfg;
+ScaleConfig config(std::size_t n, std::uint64_t seed = 31) {
+  ScaleConfig cfg;
   cfg.initial_nodes = n;
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
@@ -19,9 +19,9 @@ TestbedConfig config(std::size_t n, std::uint64_t seed = 31) {
 // Shared warmed-up testbed: WCL tests need a converged PSS + filled CBs,
 // which takes a few simulated minutes to establish.
 struct WclFixture : ::testing::Test {
-  static WhisperTestbed& testbed() {
+  static ScaleTestbed& testbed() {
     static auto* tb = [] {
-      auto* t = new WhisperTestbed(config(40));
+      auto* t = new ScaleTestbed(config(40));
       t->run_for(6 * net::kMinute);
       return t;
     }();
@@ -168,9 +168,9 @@ TEST_F(WclFixture, RetryFindsAlternativeWhenHelperDead) {
 }
 
 TEST(WclAuthenticated, EndToEndWithAuthenticatedBodies) {
-  TestbedConfig cfg = config(30, /*seed=*/350);
+  ScaleConfig cfg = config(30, /*seed=*/350);
   cfg.node.wcl.authenticated_bodies = true;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(6 * net::kMinute);
   auto nodes = tb.alive_nodes();
   WhisperNode* src = nodes[1];
@@ -191,9 +191,9 @@ TEST(WclAuthenticated, EndToEndWithAuthenticatedBodies) {
 TEST(WclAuthenticated, ModesInteroperateAcrossMixes) {
   // Only source and destination interpret the body: mixes forward both
   // modes identically, so mixed-mode deployments work.
-  TestbedConfig cfg = config(30, /*seed=*/351);
+  ScaleConfig cfg = config(30, /*seed=*/351);
   cfg.node.wcl.authenticated_bodies = false;  // mixes run plain mode
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(6 * net::kMinute);
   auto nodes = tb.alive_nodes();
   // A plain-mode sender to a plain-mode receiver through whatever mixes:
@@ -213,9 +213,9 @@ TEST(WclAuthenticated, ModesInteroperateAcrossMixes) {
 class WclPathLength : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(WclPathLength, DeliversWithConfiguredMixCount) {
-  TestbedConfig cfg = config(30, /*seed=*/300 + GetParam());
+  ScaleConfig cfg = config(30, /*seed=*/300 + GetParam());
   cfg.node.wcl.mixes = GetParam();
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(6 * net::kMinute);
 
   auto nodes = tb.alive_nodes();
@@ -272,8 +272,8 @@ TEST(RemotePeerWire, DeserializeGarbageFails) {
 }
 
 TEST(WclAdaptive, SuccessfulSendsSeedTheRttEstimator) {
-  TestbedConfig cfg = config(30, /*seed=*/360);
-  WhisperTestbed tb(cfg);
+  ScaleConfig cfg = config(30, /*seed=*/360);
+  ScaleTestbed tb(cfg);
   tb.run_for(6 * net::kMinute);
   auto nodes = tb.alive_nodes();
   WhisperNode* src = nodes[1];
@@ -298,8 +298,8 @@ TEST(WclAdaptive, SuccessfulSendsSeedTheRttEstimator) {
 }
 
 TEST(WclSweep, ExpiredPendingForwardsAreSwept) {
-  TestbedConfig cfg = config(30, /*seed=*/361);
-  WhisperTestbed tb(cfg);
+  ScaleConfig cfg = config(30, /*seed=*/361);
+  ScaleTestbed tb(cfg);
   tb.run_for(6 * net::kMinute);
   auto nodes = tb.alive_nodes();
   WhisperNode* src = nodes[1];
@@ -309,7 +309,7 @@ TEST(WclSweep, ExpiredPendingForwardsAreSwept) {
   // that forward the onion will never see an ack come back, leaving
   // pending-forward state behind on every hop.
   RemotePeer stale = dst->wcl().self_peer();
-  tb.kill_node(dst->id());
+  tb.kill_node(tb.index_of(dst->id()));
   src->wcl().send_confidential(stale, to_bytes("to the void"));
   tb.run_for(30 * net::kSecond);
 

@@ -1,6 +1,8 @@
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "whisper/keypool.hpp"
 
@@ -16,26 +18,29 @@ TEST(KeyPool, DeterministicAndDistinct) {
 }
 
 TEST(Testbed, SpawnsRequestedPopulation) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 20;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   EXPECT_EQ(tb.alive_count(), 20u);
 }
 
 TEST(Testbed, NattedFractionRoughlyRespected) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 200;
   cfg.natted_fraction = 0.7;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
+  const auto alive = tb.alive_nodes();
   const double public_fraction =
-      static_cast<double>(tb.alive_public_nodes().size()) / 200.0;
+      static_cast<double>(std::count_if(alive.begin(), alive.end(),
+                                        [](WhisperNode* n) { return n->is_public(); })) /
+      200.0;
   EXPECT_NEAR(public_fraction, 0.3, 0.08);
 }
 
 TEST(Testbed, AllNattedNodesGetRelays) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 30;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(net::kMinute);
   for (WhisperNode* n : tb.alive_nodes()) {
     if (!n->is_public()) {
@@ -45,31 +50,30 @@ TEST(Testbed, AllNattedNodesGetRelays) {
 }
 
 TEST(Testbed, KillNodeStopsIt) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 10;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   const NodeId victim = tb.alive_nodes()[3]->id();
-  tb.kill_node(victim);
+  tb.kill_node(tb.index_of(victim));
   EXPECT_EQ(tb.alive_count(), 9u);
-  EXPECT_FALSE(tb.node(victim)->running());
+  EXPECT_FALSE(tb.node_at(tb.index_of(victim))->running());
   // Double-kill is safe.
-  tb.kill_node(victim);
+  tb.kill_node(tb.index_of(victim));
   EXPECT_EQ(tb.alive_count(), 9u);
 }
 
 TEST(Testbed, KillRandomReturnsValidId) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 5;
-  WhisperTestbed tb(cfg);
-  const NodeId id = tb.kill_random_node();
-  EXPECT_FALSE(id.is_nil());
+  ScaleTestbed tb(cfg);
+  EXPECT_LT(tb.kill_random_node(), tb.node_count());  // a valid index, not SIZE_MAX
   EXPECT_EQ(tb.alive_count(), 4u);
 }
 
 TEST(Testbed, SpawnAfterStartJoinsOverlay) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 15;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(2 * net::kMinute);
   WhisperNode& fresh = tb.spawn_node();
   tb.run_for(3 * net::kMinute);
@@ -84,10 +88,10 @@ TEST(Testbed, SpawnAfterStartJoinsOverlay) {
 
 TEST(Testbed, DeterministicRuns) {
   auto run_digest = [] {
-    TestbedConfig cfg;
+    ScaleConfig cfg;
     cfg.initial_nodes = 15;
     cfg.seed = 1234;
-    WhisperTestbed tb(cfg);
+    ScaleTestbed tb(cfg);
     tb.run_for(3 * net::kMinute);
     // Digest: sum of (id, view size, exchange counts).
     std::uint64_t digest = 0;
@@ -102,9 +106,9 @@ TEST(Testbed, DeterministicRuns) {
 }
 
 TEST(Testbed, OverlaySnapshotMatchesViews) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 10;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(2 * net::kMinute);
   auto graph = tb.overlay_snapshot();
   EXPECT_EQ(graph.size(), tb.alive_count());
@@ -114,13 +118,13 @@ TEST(Testbed, OverlaySnapshotMatchesViews) {
 }
 
 TEST(Testbed, BandwidthCountersPopulated) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = 15;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
   tb.run_for(3 * net::kMinute);
   std::uint64_t total_up = 0;
   for (WhisperNode* n : tb.alive_nodes()) {
-    total_up += tb.traffic(n->internal_endpoint()).total_up();
+    total_up += tb.network(0).counters(n->internal_endpoint()).total_up();
   }
   EXPECT_GT(total_up, 0u);
 }

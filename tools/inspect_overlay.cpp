@@ -4,18 +4,18 @@
 #include <cstdio>
 
 #include "pss/metrics.hpp"
-#include "whisper/testbed.hpp"
+#include "whisper/scale.hpp"
 
 using namespace whisper;
 
 int main(int argc, char** argv) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = argc > 1 ? static_cast<std::size_t>(std::stoul(argv[1])) : 150;
   cfg.natted_fraction = 0.7;
   cfg.latency = "cluster";
   cfg.node.pss.pi_min_public = argc > 2 ? static_cast<std::size_t>(std::stoul(argv[2])) : 0;
   cfg.seed = 500;
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
 
   std::uint64_t prev_init = 0, prev_done = 0, prev_timeout = 0;
   for (int minute = 1; minute <= 12; ++minute) {

@@ -40,7 +40,8 @@
 #include "pss/metrics.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/export.hpp"
-#include "whisper/testbed.hpp"
+#include "telemetry/timeseries.hpp"
+#include "whisper/scale.hpp"
 
 using namespace whisper;
 
@@ -68,7 +69,7 @@ std::string arg_string(int argc, char** argv, const std::string& key,
 }  // namespace
 
 int main(int argc, char** argv) {
-  TestbedConfig cfg;
+  ScaleConfig cfg;
   cfg.initial_nodes = static_cast<std::size_t>(arg_double(argc, argv, "nodes", 200));
   cfg.natted_fraction = arg_double(argc, argv, "natted", 0.7);
   cfg.latency = arg_string(argc, argv, "latency", "cluster");
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
   const double sample_secs = arg_double(argc, argv, "sample-secs", 0);
   cfg.trace = !trace_path.empty();
   cfg.flight = !flight_path.empty() || !audit_spec.empty();
-  cfg.telemetry_sample_every = static_cast<net::Time>(sample_secs * net::kSecond);
+  const auto sample_every = static_cast<net::Time>(sample_secs * net::kSecond);
 
   telemetry::Vantage vantage;
   if (!audit_spec.empty()) {
@@ -103,15 +104,35 @@ int main(int argc, char** argv) {
               cfg.node.pss.pi_min_public, n_groups, churn_pct, minutes,
               static_cast<unsigned long long>(cfg.seed));
 
-  WhisperTestbed tb(cfg);
+  ScaleTestbed tb(cfg);
+  // Event-loop metrics of the one shard. ScaleTestbed leaves them out of
+  // its registries: the sim.queue.depth gauge is per shard, so a merged
+  // export would depend on the shard count.
+  tb.simulator(0).attach_telemetry(tb.registry(0));
+  // Snapshot every registry metric into the time-series recorder at each
+  // multiple of sample_every, between run_for slices.
+  telemetry::TimeSeriesRecorder recorder(tb.registry(0));
+  auto advance = [&](net::Time duration) {
+    const net::Time end = tb.now() + duration;
+    while (sample_every > 0) {
+      const net::Time tick = (tb.now() / sample_every + 1) * sample_every;
+      if (tick > end) break;
+      tb.run_for(tick - tb.now());
+      recorder.sample(tb.now());
+    }
+    tb.run_for(end - tb.now());
+  };
   Rng rng(cfg.seed ^ 0x51b);
-  tb.run_for(5 * net::kMinute);
+  advance(5 * net::kMinute);
 
   // Optional groups: leaders on P-nodes, every node one membership.
   std::vector<ppss::Ppss*> leaders;
   std::vector<GroupId> gids;
   if (n_groups > 0) {
-    auto publics = tb.alive_public_nodes();
+    std::vector<WhisperNode*> publics;
+    for (WhisperNode* n : tb.alive_nodes()) {
+      if (n->is_public()) publics.push_back(n);
+    }
     for (std::size_t g = 0; g < n_groups; ++g) {
       crypto::Drbg d(cfg.seed + g);
       leaders.push_back(&publics[g % publics.size()]->create_group(
@@ -125,16 +146,17 @@ int main(int argc, char** argv) {
         node->join_group(gids[g], *accr, leaders[g]->self_descriptor());
       }
     }
-    tb.run_for(3 * net::kMinute);
+    advance(3 * net::kMinute);
   }
 
-  // Optional churn for the whole observation window.
+  // Optional churn for the whole observation window, driven from the
+  // simulator's own events (legal at S=1, see whisper/scale.hpp).
   churn::ChurnEngine engine(
-      tb.clock(),
+      tb.simulator(0),
       [&](std::size_t n) {
         std::size_t k = 0;
         for (std::size_t i = 0; i < n; ++i) {
-          if (!tb.kill_random_node().is_nil()) ++k;
+          if (tb.kill_random_node() != static_cast<std::size_t>(-1)) ++k;
         }
         return k;
       },
@@ -144,12 +166,13 @@ int main(int argc, char** argv) {
       [&] { return tb.alive_count(); });
   if (churn_pct > 0) {
     churn::ChurnPhase phase;
-    phase.start = tb.clock().now();
+    phase.start = tb.now();
     phase.end = phase.start + static_cast<net::Time>(minutes) * net::kMinute;
     phase.leave_fraction = churn_pct / 100.0;
     engine.schedule(phase);
   }
 
+  faults::FaultFabric* fault_fabric = nullptr;
   if (!faults_path.empty()) {
     auto parsed = faults::parse_script_file(faults_path);
     if (!parsed.ok()) {
@@ -157,12 +180,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     // Script times are relative to the observation window, which starts now.
-    const net::Time t0 = tb.clock().now();
+    const net::Time t0 = tb.now();
     for (auto& spec : parsed.specs) {
       spec.start += t0;
       if (spec.end > 0) spec.end += t0;
     }
-    tb.install_fault_fabric().schedule_all(parsed.specs);
+    fault_fabric = tb.install_fault_fabrics()[0];
+    fault_fabric->schedule_all(parsed.specs);
     std::printf("faults: %zu scripted from %s\n\n", parsed.specs.size(),
                 faults_path.c_str());
   }
@@ -179,7 +203,7 @@ int main(int argc, char** argv) {
     for (faults::FaultKind kind : kinds) {
       faults::FaultSpec spec;
       spec.kind = kind;
-      spec.start = tb.clock().now();
+      spec.start = tb.now();
       spec.end = spec.start + static_cast<net::Time>(minutes) * net::kMinute;
       spec.fraction = byz_fraction / static_cast<double>(kinds.size());
       spec.count = 0;  // fraction-sized actor set
@@ -187,7 +211,8 @@ int main(int argc, char** argv) {
       spec.rate = 5.0;
       specs.push_back(spec);
     }
-    tb.install_fault_fabric().schedule_all(specs);
+    fault_fabric = tb.install_fault_fabrics()[0];
+    fault_fabric->schedule_all(specs);
     std::printf("byzantine: %.0f%% of the deployment misbehaving (%zu windows)\n\n",
                 byz_fraction * 100.0, specs.size());
   }
@@ -196,17 +221,18 @@ int main(int argc, char** argv) {
               "fill", "clust", "wcl-ok", "wcl-fail", "traffic");
   std::uint64_t prev_done = 0;
   for (int minute = 1; minute <= minutes; ++minute) {
-    tb.run_for(net::kMinute);
+    advance(net::kMinute);
     std::uint64_t done = 0, wcl_ok = 0, wcl_fail = 0, up_bytes = 0;
     double fill = 0;
-    for (WhisperNode* n : tb.all_nodes()) {
+    for (std::size_t i = 0; i < tb.node_count(); ++i) {
+      WhisperNode* n = tb.node_at(i);
       done += n->pss().exchanges_completed();
       wcl_ok += n->wcl().stats().first_try_success + n->wcl().stats().alternative_success;
       wcl_fail += n->wcl().stats().no_alternative;
     }
     for (WhisperNode* n : tb.alive_nodes()) {
       fill += static_cast<double>(n->pss().view().size());
-      up_bytes += tb.traffic(n->internal_endpoint()).total_up();
+      up_bytes += tb.network(0).counters(n->internal_endpoint()).total_up();
     }
     auto graph = tb.overlay_snapshot();
     Samples clust = pss::clustering_coefficients(graph);
@@ -221,9 +247,9 @@ int main(int argc, char** argv) {
 
   std::printf("\nsummary: killed=%zu spawned=%zu packets=%llu delivered=%llu\n",
               engine.total_killed(), engine.total_spawned(),
-              static_cast<unsigned long long>(tb.stack().packets_sent()),
-              static_cast<unsigned long long>(tb.stack().packets_delivered()));
-  if (const faults::FaultFabric* ff = tb.fault_fabric()) {
+              static_cast<unsigned long long>(tb.network(0).packets_sent()),
+              static_cast<unsigned long long>(tb.network(0).packets_delivered()));
+  if (const faults::FaultFabric* ff = fault_fabric) {
     const auto& fs = ff->stats();
     std::printf("faults: dropped=%llu delayed=%llu duplicated=%llu corrupted=%llu "
                 "queued=%llu flushed=%llu paused=%llu crashed=%llu natresets=%llu\n",
@@ -256,21 +282,22 @@ int main(int argc, char** argv) {
               tb.alive_nodes()[0]->id().str().c_str(), reach * 100.0);
 
   if (!trace_path.empty()) {
-    if (telemetry::write_text_file(trace_path, telemetry::to_chrome_trace(tb.tracer()))) {
-      std::printf("trace: %zu events -> %s (%llu dropped)\n", tb.tracer().events().size(),
-                  trace_path.c_str(), static_cast<unsigned long long>(tb.tracer().dropped()));
+    const telemetry::Tracer& tracer = tb.tracer(0);
+    if (telemetry::write_text_file(trace_path, telemetry::to_chrome_trace(tracer))) {
+      std::printf("trace: %zu events -> %s (%llu dropped)\n", tracer.events().size(),
+                  trace_path.c_str(), static_cast<unsigned long long>(tracer.dropped()));
     } else {
       std::fprintf(stderr, "trace: cannot write %s\n", trace_path.c_str());
       return 1;
     }
   }
   std::vector<telemetry::FlightRecord> flights;
-  if (cfg.flight) flights = tb.flight().assemble();
+  if (cfg.flight) flights = tb.flight(0).assemble();
   if (!flight_path.empty()) {
     if (telemetry::write_text_file(flight_path, telemetry::to_jsonl(flights))) {
       std::printf("flight: %zu records -> %s (%llu events dropped)\n", flights.size(),
                   flight_path.c_str(),
-                  static_cast<unsigned long long>(tb.flight().dropped()));
+                  static_cast<unsigned long long>(tb.flight(0).dropped()));
     } else {
       std::fprintf(stderr, "flight: cannot write %s\n", flight_path.c_str());
       return 1;
@@ -278,15 +305,15 @@ int main(int argc, char** argv) {
   }
   if (!audit_spec.empty()) {
     const telemetry::AuditReport report =
-        telemetry::audit(flights, vantage, tb.all_nodes().size());
+        telemetry::audit(flights, vantage, tb.node_count());
     std::printf("\naudit vantage %s:\n%s", vantage.str().c_str(),
                 telemetry::format_report(report).c_str());
   }
   if (!metrics_path.empty()) {
-    std::string out = telemetry::to_jsonl(tb.registry());
-    if (cfg.telemetry_sample_every > 0) out += telemetry::to_jsonl(tb.recorder());
+    std::string out = telemetry::to_jsonl(tb.registry(0));
+    if (sample_every > 0) out += telemetry::to_jsonl(recorder);
     if (telemetry::write_text_file(metrics_path, out)) {
-      std::printf("metrics: %zu series -> %s\n", tb.registry().entries().size(),
+      std::printf("metrics: %zu series -> %s\n", tb.registry(0).entries().size(),
                   metrics_path.c_str());
     } else {
       std::fprintf(stderr, "metrics: cannot write %s\n", metrics_path.c_str());
