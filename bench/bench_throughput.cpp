@@ -544,24 +544,8 @@ int main(int argc, char** argv) {
                   spent_s[static_cast<std::size_t>(net::CpuCategory::kPpssHandler)],
                   spent_s[0] + spent_s[1] + spent_s[2] + spent_s[3], wall_s);
     }
-    if (!quick && nodes == 1000 && groups == 8 && minutes == 30) {
-      // Reference point: the identical scenario measured at the pre-fast-path
-      // commit (plain RSA private ops, hash-set cancel bookkeeping) took
-      // 58.4 s wall-clock on the same machine that produced the committed
-      // baseline (see EXPERIMENTS.md).
-      const double seed_wall_s = 58.4;
-      bench::Json b;
-      b.put("wall_seconds", seed_wall_s);
-      b.put("speedup_vs_seed", seed_wall_s / wall_s);
-      b.put("note", "same scenario at the pre-fast-path commit, same machine");
-      sim_json.put("seed_baseline", b);
-      std::printf("scenario %zu nodes / %zu groups / %zu min: %.1f s wall (seed: %.1f s, "
-                  "%.2fx)\n",
-                  nodes, groups, minutes, wall_s, seed_wall_s, seed_wall_s / wall_s);
-    } else {
-      std::printf("scenario %zu nodes / %zu groups / %zu min: %.1f s wall\n", nodes, groups,
-                  minutes, wall_s);
-    }
+    std::printf("scenario %zu nodes / %zu groups / %zu min: %.1f s wall\n", nodes, groups,
+                minutes, wall_s);
   }
 
   const std::string crypto_path = json_dir + "/BENCH_crypto.json";

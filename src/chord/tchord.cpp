@@ -322,7 +322,6 @@ void TChord::arm_lookup_timer(std::uint64_t lookup_id) {
     pending_lookups_.erase(it);
     ++stats_.lookups_timed_out;
     m_timed_out_.add(1);
-    tel_.instant("chord.lookup.timeout", "chord", clock_.now());
     cb(std::nullopt);
   });
 }
@@ -425,9 +424,6 @@ void TChord::handle_lookup_response(Reader& r) {
   m_answered_.add(1);
   m_hops_.observe(static_cast<double>(hops));
   m_rtt_.observe(static_cast<double>(rtt));
-  // One trace row per resolved lookup, spanning dispatch->answer.
-  tel_.complete("chord.lookup", "chord", clock_.now() - rtt, rtt,
-                {{"hops", std::to_string(hops)}});
   cb(LookupResult{*owner, hops, rtt});
 }
 

@@ -206,8 +206,7 @@ void FaultFabric::activate(FaultSpec spec) {
   }
 
   m_activations_.add(1);
-  tel_.instant("fault.activate", "faults", clock_.now(),
-               {{"kind", fault_kind_name(spec.kind)}});
+  tel_.mark("fault.activate", clock_.now(), 0, "kind", fault_kind_name(spec.kind));
 
   const std::uint64_t id = f.id;
   active_.push_back(std::move(f));
@@ -233,8 +232,7 @@ void FaultFabric::deactivate(std::uint64_t id) {
     for (Endpoint ep : sorted({it->side_a.begin(), it->side_a.end()})) resume(ep);
   }
   if (it->tick_timer != 0) clock_.cancel(it->tick_timer);
-  tel_.instant("fault.deactivate", "faults", clock_.now(),
-               {{"kind", fault_kind_name(it->spec.kind)}});
+  tel_.mark("fault.deactivate", clock_.now(), 0, "kind", fault_kind_name(it->spec.kind));
   active_.erase(it);
 }
 
@@ -280,8 +278,7 @@ void FaultFabric::byz_tick(std::uint64_t id) {
 
 void FaultFabric::fire_oneshot(const FaultSpec& spec) {
   m_activations_.add(1);
-  tel_.instant("fault.activate", "faults", clock_.now(),
-               {{"kind", fault_kind_name(spec.kind)}});
+  tel_.mark("fault.activate", clock_.now(), 0, "kind", fault_kind_name(spec.kind));
   if (spec.kind == FaultKind::kCrash) {
     if (!env_.crash_node) return;
     // Crash relays in priority: the nodes whose loss actually exercises

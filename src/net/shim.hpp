@@ -149,9 +149,6 @@ class ShimStack final : public Stack {
   void set_flight(telemetry::FlightRecorder* flight) override {
     inner_.set_flight(flight);
   }
-  void set_tracer(telemetry::Tracer* tracer) override {
-    inner_.set_tracer(tracer);
-  }
 
   // --- NAT control / introspection. ---
   /// Wipe every device's mapping table and close the mapping sockets (the

@@ -17,9 +17,9 @@
 // The fault fabric and the observability layers plug into the same seam:
 // `FaultInterposer` is consulted by any backend that supports fault
 // injection, and `clock_fn` adapts a Clock into the timestamp callback the
-// Tracer/FlightRecorder expect, so traces carry virtual micros under the
-// sim and monotonic wall micros under UDP without the telemetry layer
-// knowing the difference.
+// FlightRecorder expects, so traces carry virtual micros under the sim and
+// monotonic wall micros under UDP without the telemetry layer knowing the
+// difference.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include "net/time.hpp"
 
 namespace whisper::telemetry {
-class Tracer;
 class FlightRecorder;
 }  // namespace whisper::telemetry
 
@@ -129,14 +128,10 @@ class Stack {
   /// Install the flight recorder for causal tracing (per-hop latency
   /// decomposition). Null or disabled costs one branch per packet.
   virtual void set_flight(telemetry::FlightRecorder* /*flight*/) {}
-
-  /// Install a tracer for cross-node flow events ('s' at emission, 'f' at
-  /// delivery, one pair per traced wire traversal).
-  virtual void set_tracer(telemetry::Tracer* /*tracer*/) {}
 };
 
 /// Adapt a Clock into the `std::function<uint64_t()>` timestamp source the
-/// telemetry layer takes (Tracer::set_clock, FlightRecorder::set_clock).
+/// telemetry layer takes (FlightRecorder::set_clock).
 /// This is the wall-clock adapter that makes traces and `whisper_trace`
 /// work unchanged on the UDP backend. `clock` must outlive the returned
 /// callable.

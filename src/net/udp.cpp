@@ -12,7 +12,6 @@
 #include <algorithm>
 
 #include "telemetry/flight.hpp"
-#include "telemetry/trace.hpp"
 
 namespace whisper::net {
 
@@ -256,12 +255,7 @@ bool UdpBackend::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
       // of each hop; with trace_wire the same context rides the frame and
       // the receiving process logs the paired wire_in.
       dgram.trace.seq = flight_->next_wire_seq();
-      const std::uint64_t src_node = flight_->node_of(internal_src);
-      flight_->wire_out(dgram.trace, src_node, now(), extra_delay);
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->flow_begin("net.hop", "net", src_node, now(),
-                            dgram.trace.trace_id ^ (static_cast<std::uint64_t>(dgram.trace.seq) << 32));
-      }
+      flight_->wire_out(dgram.trace, flight_->node_of(internal_src), now(), extra_delay);
     }
     const bool carry_ctx =
         config_.trace_wire && tracing_flight && dgram.trace.valid();

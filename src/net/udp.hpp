@@ -35,7 +35,6 @@
 #include "net/wheel.hpp"
 
 namespace whisper::telemetry {
-class Tracer;
 class FlightRecorder;
 }  // namespace whisper::telemetry
 
@@ -102,7 +101,6 @@ class UdpBackend final : public Clock, public Stack {
   std::uint64_t packets_delivered() const override { return packets_delivered_; }
   void set_fault_interposer(FaultInterposer* faults) override { faults_ = faults; }
   void set_flight(telemetry::FlightRecorder* flight) override { flight_ = flight; }
-  void set_tracer(telemetry::Tracer* tracer) override { tracer_ = tracer; }
 
   /// Bind a fresh socket on an OS-assigned loopback port and return its
   /// endpoint without installing a handler yet; a later attach() with the
@@ -179,7 +177,6 @@ class UdpBackend final : public Clock, public Stack {
   std::unordered_map<int, Endpoint> fd_to_ep_;
   FaultInterposer* faults_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
-  telemetry::Tracer* tracer_ = nullptr;
   std::atomic<bool> stop_requested_{false};
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_delivered_ = 0;

@@ -127,7 +127,7 @@ void NylonPss::note_failure(NodeId id) {
   quarantine_[id] = clock_.now() + config_.quarantine_ttl;
   ++peers_quarantined_;
   m_quarantined_.add(1);
-  tel_.instant("pss.peer.quarantine", "pss", clock_.now());
+  tel_.mark("pss.peer.quarantine", clock_.now());
 }
 
 void NylonPss::report_misbehavior(NodeId id) {
@@ -143,7 +143,7 @@ void NylonPss::note_peer_restart(NodeId id) {
   if (quarantine_.erase(id) > 0) {
     ++peers_rejoined_;
     m_rejoined_.add(1);
-    tel_.instant("pss.peer.restart_rejoin", "pss", clock_.now());
+    tel_.mark("pss.peer.restart_rejoin", clock_.now());
   }
 }
 
@@ -251,7 +251,7 @@ void NylonPss::start_exchange(const pss::ContactCard& partner_card, bool from_re
     pending_.erase(it);
     ++exchanges_timed_out_;
     m_timed_out_.add(1);
-    tel_.instant("pss.exchange.timeout", "pss", clock_.now());
+    tel_.mark("pss.exchange.timeout", clock_.now());
   });
   pending_[seq] = pending;
 }
@@ -306,15 +306,15 @@ void NylonPss::handle_message(NodeId from, BytesView payload) {
       // A healing probe came back: the evicted peer is reachable again.
       ++peers_rejoined_;
       m_rejoined_.add(1);
-      tel_.instant("pss.peer.rejoin", "pss", clock_.now());
+      tel_.mark("pss.peer.rejoin", clock_.now());
     }
     pending_.erase(it);
     view_.merge(received, transport_.self(), config_.pi_min_public, rng_);
     ++exchanges_completed_;
     m_completed_.add(1);
     m_rtt_.observe(static_cast<double>(rtt));
-    // One trace row per completed view exchange, spanning request->response.
-    tel_.complete("pss.exchange", "pss", clock_.now() - rtt, rtt);
+    // One timeline span per completed view exchange, request -> response.
+    tel_.mark("pss.exchange", clock_.now() - rtt, rtt);
     if (on_exchange) on_exchange(sender_card);
   }
 }

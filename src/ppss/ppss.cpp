@@ -382,7 +382,6 @@ void Ppss::on_cycle() {
     pending_.erase(it);
     ++stats_.exchanges_timed_out;
     m_timed_out_.add(1);
-    tel_.instant("ppss.exchange.timeout", "ppss", clock_.now());
   });
   pending_[seq] = pending;
 }
@@ -519,7 +518,6 @@ void Ppss::handle_gossip(std::uint8_t kind, Reader& r) {
     ++stats_.exchanges_completed;
     m_completed_.add(1);
     m_rtt_.observe(static_cast<double>(rtt));
-    tel_.complete("ppss.exchange", "ppss", clock_.now() - rtt, rtt);
     if (on_exchange_rtt) on_exchange_rtt(rtt);
   }
 }

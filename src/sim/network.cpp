@@ -4,13 +4,6 @@ namespace whisper::sim {
 
 namespace {
 
-/// Flow id for the Chrome-trace arrow of one wire traversal: unique per
-/// (trace, wire copy). Seqs are recorder-global, so 20 bits of seq under the
-/// trace id keeps ids collision-free for any plausible run length.
-std::uint64_t flow_id_of(const telemetry::TraceContext& ctx) {
-  return (ctx.trace_id << 20) ^ ctx.seq;
-}
-
 /// Canonical 64-bit form of an endpoint (matches std::hash<Endpoint>'s
 /// packing): the major component of a delivery's ordering key.
 std::uint64_t pack_endpoint(Endpoint ep) {
@@ -142,12 +135,8 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, ne
       // One seq per wire copy, so duplicated packets pair their own
       // wire_out/wire_in events in the assembled record.
       scheduled.trace.seq = flight_->next_wire_seq();
-      const std::uint64_t src_node = flight_->node_of(internal_src);
-      flight_->wire_out(scheduled.trace, src_node, sim_.now(), extra_delay);
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->flow_begin("net.hop", "net", src_node, sim_.now(),
-                            flow_id_of(scheduled.trace));
-      }
+      flight_->wire_out(scheduled.trace, flight_->node_of(internal_src), sim_.now(),
+                        extra_delay);
     }
     // Canonical ordering key for this wire copy: (sender, per-sender seq).
     // Allocated per copy even when the copy is then lost, so the key stream
@@ -252,11 +241,7 @@ void Network::finish_delivery(Endpoint internal_dst, net::Datagram dgram) {
     it->second(dgram);
     return;
   }
-  const std::uint64_t dst_node = flight_->node_of(internal_dst);
-  flight_->wire_in(dgram.trace, dst_node, sim_.now());
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->flow_end("net.hop", "net", dst_node, sim_.now(), flow_id_of(dgram.trace));
-  }
+  flight_->wire_in(dgram.trace, flight_->node_of(internal_dst), sim_.now());
   // Arm the context — advanced one hop — around the handler, so any send the
   // handler performs (an onion forward, an ACK) extends this causal chain.
   telemetry::ScopedTraceContext guard(flight_, dgram.trace.next_hop());

@@ -25,7 +25,6 @@
 #include "sim/simulator.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/trace.hpp"
 
 namespace whisper::sim {
 
@@ -101,10 +100,6 @@ class Network final : public net::Stack {
   /// and the context — advanced one hop — is armed around the destination
   /// handler. Null or disabled costs one branch per packet.
   void set_flight(telemetry::FlightRecorder* flight) override { flight_ = flight; }
-
-  /// Install a tracer for cross-node flow events ('s' at emission, 'f' at
-  /// delivery, one pair per traced wire traversal).
-  void set_tracer(telemetry::Tracer* tracer) override { tracer_ = tracer; }
 
   /// Re-inject a datagram previously consumed by the fault interposer (the
   /// paused-node queue flush on resume). NAT was already resolved when the
@@ -204,7 +199,6 @@ class Network final : public net::Stack {
   AddressTranslator* translator_ = nullptr;
   net::FaultInterposer* faults_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
-  telemetry::Tracer* tracer_ = nullptr;
   Tap tap_;
   DenseMap<Endpoint, Handler> handlers_;
   std::unique_ptr<telemetry::Registry> owned_registry_;  // when none injected

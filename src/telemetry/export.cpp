@@ -1,8 +1,11 @@
 #include "telemetry/export.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <tuple>
 
 namespace whisper::telemetry {
 
@@ -41,19 +44,82 @@ void append_labels(std::string& out, const Labels& labels) {
   out += "}";
 }
 
-void append_args(std::string& out,
-                 const std::vector<std::pair<std::string, std::string>>& args) {
-  out += "{";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i) out += ',';
-    out += '"';
-    out += json_escape(args[i].first);
-    out += "\":\"";
-    out += json_escape(args[i].second);
-    out += '"';
-  }
-  out += "}";
+/// One Chrome trace event; `args` holds the args object's members.
+struct ChromeEvent {
+  std::string_view name;
+  std::string_view cat;
+  char ph = 'X';  // 'X' complete, 'i' instant, 's'/'f' flow
+  std::uint64_t ts = 0;
+  std::uint64_t dur = 0;   // 'X' only
+  std::uint64_t tid = 0;   // node id: one timeline row per node
+  std::uint64_t flow = 0;  // 's'/'f' only
+  std::string args;
+};
+
+void append_arg(std::string& args, std::string_view key, std::string_view value) {
+  if (!args.empty()) args += ',';
+  args += '"';
+  args += json_escape(key);
+  args += "\":\"";
+  args += json_escape(value);
+  args += '"';
 }
+
+void append_event(std::string& out, const ChromeEvent& ev) {
+  out += "\n{\"name\":\"";
+  out += json_escape(ev.name);
+  out += "\",\"cat\":\"";
+  out += json_escape(ev.cat);
+  out += "\",\"ph\":\"";
+  out += ev.ph;
+  out += "\",\"ts\":";
+  out += fmt_u64(ev.ts);
+  if (ev.ph == 'X') {
+    out += ",\"dur\":";
+    out += fmt_u64(ev.dur);
+  }
+  if (ev.ph == 'i') out += ",\"s\":\"t\"";
+  if (ev.ph == 's' || ev.ph == 'f') {
+    out += ",\"id\":";
+    out += fmt_u64(ev.flow);
+    // "bp":"e" binds the finish to the enclosing slice so Perfetto draws
+    // the arrow even when the slices don't overlap in time.
+    if (ev.ph == 'f') out += ",\"bp\":\"e\"";
+  }
+  out += ",\"pid\":1,\"tid\":";
+  out += fmt_u64(ev.tid);
+  if (!ev.args.empty()) {
+    out += ",\"args\":{";
+    out += ev.args;
+    out += '}';
+  }
+  out += '}';
+}
+
+/// The Chrome event a root's outcome renders as (see to_chrome_trace).
+struct OutcomeEvent {
+  TraceLayer layer;
+  std::string_view outcome;
+  char ph;
+  std::string_view name;
+};
+constexpr OutcomeEvent kOutcomeEvents[] = {
+    {TraceLayer::kPpss, "completed", 'X', "ppss.exchange"},
+    {TraceLayer::kPpss, "timeout", 'i', "ppss.exchange.timeout"},
+    {TraceLayer::kChord, "completed", 'X', "chord.lookup"},
+    {TraceLayer::kChord, "timeout", 'i', "chord.lookup.timeout"},
+    {TraceLayer::kWcl, "no_path", 'i', "wcl.send.no_path"},
+};
+
+/// One wire copy: what pairs a wire_out with its wire_in (as in assembly).
+using WireKey = std::tuple<std::uint64_t, std::uint16_t, std::uint32_t, std::uint32_t>;
+WireKey wire_key(const FlightEventRec& e) { return {e.trace, e.attempt, e.hop, e.seq}; }
+
+struct Flow {
+  std::uint64_t id = 0;  // 0 = the copy was never emitted in this log
+  bool begun = false;
+  bool ended = false;
+};
 
 }  // namespace
 
@@ -147,39 +213,92 @@ std::string to_jsonl(const TimeSeriesRecorder& recorder) {
   return out;
 }
 
-std::string to_chrome_trace(const Tracer& tracer) {
+std::string to_chrome_trace(const std::vector<FlightEventRec>& events) {
+  // Each trace's layer (from its kBegin), and the wire copies that arrived.
+  std::map<std::uint64_t, TraceLayer> layer_of;
+  std::map<WireKey, Flow> flows;
+  for (const FlightEventRec& e : events) {
+    if (e.kind == FlightKind::kBegin) layer_of.emplace(e.trace, e.layer);
+    if (e.kind == FlightKind::kWireIn) flows.try_emplace(wire_key(e));
+  }
+  // Number the arrived copies' flows in log order of their emission. A
+  // second pass, because a concatenated multi-recorder log can hold a
+  // copy's wire_in before its wire_out.
+  std::uint64_t next_flow = 0;
+  for (const FlightEventRec& e : events) {
+    if (e.kind != FlightKind::kWireOut) continue;
+    auto it = flows.find(wire_key(e));
+    if (it != flows.end() && it->second.id == 0) it->second.id = ++next_flow;
+  }
+
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& ev : tracer.events()) {
+  std::string name;  // storage for composed names
+  for (const FlightEventRec& e : events) {
+    ChromeEvent ce;
+    ce.ts = e.ts;
+    ce.tid = e.node;
+    switch (e.kind) {
+      case FlightKind::kCrypto:
+        name = "wcl.onion." + e.detail;
+        ce.name = name;
+        ce.cat = "wcl";
+        ce.dur = e.dur;
+        break;
+      case FlightKind::kEnd: {
+        auto layer = layer_of.find(e.trace);
+        if (layer == layer_of.end()) continue;
+        const OutcomeEvent* oe = nullptr;
+        for (const OutcomeEvent& cand : kOutcomeEvents) {
+          if (cand.layer == layer->second && cand.outcome == e.detail) oe = &cand;
+        }
+        if (oe == nullptr) continue;
+        ce.name = oe->name;
+        ce.cat = trace_layer_name(oe->layer);
+        ce.ph = oe->ph;
+        if (ce.ph == 'X') {
+          // The root ends when its RTT (kEnd's dur) has elapsed.
+          ce.dur = std::min(e.dur, e.ts);
+          ce.ts = e.ts - ce.dur;
+        }
+        break;
+      }
+      case FlightKind::kMark: {
+        const std::string_view detail = e.detail;
+        const std::size_t space = detail.find(' ');
+        ce.name = detail.substr(0, space);
+        ce.cat = ce.name.substr(0, ce.name.find('.'));
+        ce.ph = e.dur > 0 ? 'X' : 'i';
+        ce.dur = e.dur;
+        if (space != std::string_view::npos) {
+          const std::string_view kv = detail.substr(space + 1);
+          const std::size_t eq = kv.find('=');
+          append_arg(ce.args, kv.substr(0, eq),
+                     eq == std::string_view::npos ? std::string_view{} : kv.substr(eq + 1));
+        }
+        break;
+      }
+      case FlightKind::kWireOut:
+      case FlightKind::kWireIn: {
+        auto it = flows.find(wire_key(e));
+        if (it == flows.end() || it->second.id == 0) continue;
+        const bool out_side = e.kind == FlightKind::kWireOut;
+        bool& done = out_side ? it->second.begun : it->second.ended;
+        if (done) continue;  // one arrow per copy, whatever the log repeats
+        done = true;
+        ce.name = "net.hop";
+        ce.cat = "net";
+        ce.ph = out_side ? 's' : 'f';
+        ce.flow = it->second.id;
+        break;
+      }
+      default:
+        continue;  // the flight records carry the rest
+    }
+    if (e.trace != 0) append_arg(ce.args, "trace", fmt_u64(e.trace));
     if (!first) out += ',';
     first = false;
-    out += "\n{\"name\":\"";
-    out += json_escape(ev.name);
-    out += "\",\"cat\":\"";
-    out += json_escape(ev.category);
-    out += "\",\"ph\":\"";
-    out += ev.phase;
-    out += "\",\"ts\":";
-    out += fmt_u64(ev.ts);
-    if (ev.phase == 'X') {
-      out += ",\"dur\":";
-      out += fmt_u64(ev.dur);
-    }
-    if (ev.phase == 'i') out += ",\"s\":\"t\"";
-    if (ev.phase == 's' || ev.phase == 'f') {
-      out += ",\"id\":";
-      out += fmt_u64(ev.flow);
-      // "bp":"e" binds the finish to the enclosing slice so Perfetto draws
-      // the arrow even when the slices don't overlap in time.
-      if (ev.phase == 'f') out += ",\"bp\":\"e\"";
-    }
-    out += ",\"pid\":1,\"tid\":";
-    out += fmt_u64(ev.tid);
-    if (!ev.args.empty()) {
-      out += ",\"args\":";
-      append_args(out, ev.args);
-    }
-    out += "}";
+    append_event(out, ce);
   }
   out += first ? "]}\n" : "\n]}\n";
   return out;

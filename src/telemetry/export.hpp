@@ -1,19 +1,21 @@
 // Exporters: registry and time-series state as JSONL (one JSON object per
-// line, trivially grep/jq-able), and the tracer's events as Chrome
+// line, trivially grep/jq-able), and the flight log rendered as Chrome
 // trace-event JSON loadable in Perfetto / chrome://tracing.
 //
-// Determinism contract: output depends only on registry/tracer *content*
-// (itself deterministic under the virtual clock) — iteration is ordered,
-// numbers are printed with fixed formats, nothing derives from pointers or
-// wall-clock time. Golden tests diff two same-seed runs byte-for-byte.
+// Determinism contract: output depends only on registry/flight-log
+// *content* (itself deterministic under the virtual clock) — iteration is
+// ordered, numbers are printed with fixed formats, nothing derives from
+// pointers or wall-clock time. Golden tests diff two same-seed runs
+// byte-for-byte.
 #pragma once
 
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/timeseries.hpp"
-#include "telemetry/trace.hpp"
 
 namespace whisper::telemetry {
 
@@ -26,8 +28,23 @@ std::string to_jsonl(const Registry& registry);
 std::string to_jsonl(const TimeSeriesRecorder& recorder);
 
 /// {"displayTimeUnit":"ms","traceEvents":[...]} — the trace-event JSON
-/// object form. ts/dur are virtual microseconds; tid is the node id.
-std::string to_chrome_trace(const Tracer& tracer);
+/// object form of a flight log (one recorder's events, or several
+/// concatenated). ts/dur are the recorder's microseconds; tid is the node
+/// id; every event names its flight trace in args.trace when it has one.
+/// The log renders as:
+///   - crypto charges: "X" slices wcl.onion.build / .peel / .open;
+///   - PPSS and T-Chord root outcomes: "X" slices ppss.exchange and
+///     chord.lookup spanning the measured RTT, "i" instants
+///     ppss.exchange.timeout and chord.lookup.timeout;
+///   - a WCL send that found no path: "i" instant wcl.send.no_path;
+///   - marks: an "X" slice when they carry a duration, else an "i" instant,
+///     named by the mark, category = the name up to its first dot, args
+///     from the mark's key=value;
+///   - each delivered wire copy (a wire_out with a matching wire_in): one
+///     "s"/"f" flow pair named net.hop, sharing an id. A lost copy draws no
+///     arrow.
+/// Every other event kind is left to the flight records.
+std::string to_chrome_trace(const std::vector<FlightEventRec>& events);
 
 /// JSON string escaping for the exporters (exposed for tests).
 std::string json_escape(std::string_view s);

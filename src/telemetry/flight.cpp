@@ -43,6 +43,7 @@ const char* flight_kind_name(FlightKind k) {
     case FlightKind::kFault: return "fault";
     case FlightKind::kAck: return "ack";
     case FlightKind::kEnd: return "end";
+    case FlightKind::kMark: return "mark";
   }
   return "unknown";
 }
@@ -58,6 +59,7 @@ FlightKind flight_kind_from_name(std::string_view name) {
   if (name == "fault") return FlightKind::kFault;
   if (name == "ack") return FlightKind::kAck;
   if (name == "end") return FlightKind::kEnd;
+  if (name == "mark") return FlightKind::kMark;
   return FlightKind::kBegin;
 }
 
@@ -179,6 +181,21 @@ void FlightRecorder::end(std::uint64_t trace, std::uint64_t node, std::uint64_t 
                       TraceLayer::kNone, std::move(outcome)});
 }
 
+void FlightRecorder::mark(std::uint64_t node, std::uint64_t ts, std::uint64_t dur,
+                          std::string_view name, std::string_view key,
+                          std::string_view value) {
+  if (!enabled()) return;
+  std::string detail(name);
+  if (!key.empty()) {
+    detail += ' ';
+    detail += key;
+    detail += '=';
+    detail += value;
+  }
+  push(FlightEventRec{ctx_.trace_id, ctx_.root, FlightKind::kMark, 0, 0, 0, node, 0, ts, dur,
+                      TraceLayer::kNone, std::move(detail)});
+}
+
 std::vector<FlightRecord> FlightRecorder::assemble() const {
   return assemble_flight_events(events_);
 }
@@ -190,7 +207,9 @@ std::vector<FlightRecord> assemble_flight_events(
   // order is the caller's: the recorder passes its time-ordered log; the
   // canonical multi-shard path passes a content-sorted merge.
   std::map<std::uint64_t, std::vector<const FlightEventRec*>> by_trace;
-  for (const FlightEventRec& ev : events) by_trace[ev.trace].push_back(&ev);
+  for (const FlightEventRec& ev : events) {
+    if (ev.kind != FlightKind::kMark) by_trace[ev.trace].push_back(&ev);
+  }
 
   std::vector<FlightRecord> out;
   out.reserve(by_trace.size());
@@ -295,6 +314,8 @@ std::vector<FlightRecord> assemble_flight_events(
           rec.rtt_us = ev->dur;
           ended = true;
           break;
+        case FlightKind::kMark:
+          break;  // filtered out above
       }
     }
 

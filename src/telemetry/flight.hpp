@@ -11,12 +11,14 @@
 // stand-alone unit test pays one null check and nothing else.
 //
 // The recorder is an append-only event log (wire emissions/arrivals, crypto
-// charges, retries, drops, fault attributions, outcomes). assemble() folds
+// charges, retries, drops, fault attributions, outcomes, and node-timeline
+// marks for protocol events that belong to no message). assemble() folds
 // the log into one FlightRecord per message: the hop list with
 // queue/propagation split, crypto/retry totals, drop reasons, and the
 // Karn-ambiguity flag for retransmitted sends. Records round-trip through
 // JSONL (parse_flight_jsonl) for the whisper_trace CLI and the adversary's
-// -view auditor (telemetry/audit.hpp).
+// -view auditor (telemetry/audit.hpp); the raw log renders as a Chrome
+// trace (to_chrome_trace in telemetry/export.hpp).
 #pragma once
 
 #include <cstdint>
@@ -75,6 +77,7 @@ enum class FlightKind : std::uint8_t {
   kFault = 8,    // fault fabric touched the packet (detail: fault kind)
   kAck = 9,      // ACK/NACK observed at the source (detail: ack/nack)
   kEnd = 10,     // outcome determined (detail: delivered/no_route/...)
+  kMark = 11,    // node-timeline mark (detail: name [key=value]; dur: span or 0)
 };
 const char* flight_kind_name(FlightKind k);
 FlightKind flight_kind_from_name(std::string_view name);
@@ -89,7 +92,7 @@ struct FlightEventRec {
   std::uint64_t node = 0;  // node id (0 = unknown)
   std::uint64_t peer = 0;  // destination node for kBegin; 0 otherwise
   std::uint64_t ts = 0;    // virtual microseconds
-  std::uint64_t dur = 0;   // crypto cost / injected delay / rtt for kEnd
+  std::uint64_t dur = 0;   // crypto cost / injected delay / rtt for kEnd / mark span
   TraceLayer layer = TraceLayer::kNone;
   std::string detail;
 };
@@ -213,6 +216,13 @@ class FlightRecorder {
   void ack(std::uint64_t trace, std::uint64_t node, std::uint64_t ts, bool success);
   void end(std::uint64_t trace, std::uint64_t node, std::uint64_t ts,
            std::string outcome, std::uint16_t attempts, std::uint64_t rtt_us);
+  /// A protocol event on `node`'s timeline that belongs to no message (a PSS
+  /// view exchange, a fault window opening). `dur` > 0 makes it a span
+  /// starting at `ts`; the optional key/value pair annotates it. Carries the
+  /// ambient trace id, if any, but assembly skips marks: flight records are
+  /// the same with or without them.
+  void mark(std::uint64_t node, std::uint64_t ts, std::uint64_t dur, std::string_view name,
+            std::string_view key = {}, std::string_view value = {});
 
   const std::vector<FlightEventRec>& events() const { return events_; }
   void clear();
@@ -269,6 +279,7 @@ std::uint64_t flight_digest(std::string_view text);
 
 /// Assembly over an explicit event stream (what FlightRecorder::assemble
 /// runs on its own log); per-trace event order is taken from the stream.
+/// Marks belong to no record and are skipped.
 std::vector<FlightRecord> assemble_flight_events(
     const std::vector<FlightEventRec>& events);
 

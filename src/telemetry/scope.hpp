@@ -1,24 +1,23 @@
 // telemetry::Scope — the handle protocol layers hold. Bundles the registry
-// and tracer with the owning node's id (the trace timeline row) and falls
-// back to shared no-op sinks when telemetry is not wired, so a layer
-// constructed stand-alone in a unit test instruments itself unconditionally
-// at zero setup cost.
+// and the flight recorder with the owning node's id (the trace timeline row)
+// and falls back to shared no-op sinks when telemetry is not wired, so a
+// layer constructed stand-alone in a unit test instruments itself
+// unconditionally at zero setup cost.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/trace.hpp"
 
 namespace whisper::telemetry {
 
 /// What a testbed (or tool) hands to each node at construction.
 struct Sinks {
   Registry* registry = nullptr;
-  Tracer* tracer = nullptr;
   FlightRecorder* flight = nullptr;
 };
 
@@ -26,12 +25,10 @@ class Scope {
  public:
   Scope() = default;
   Scope(Sinks sinks, std::uint64_t tid)
-      : registry_(sinks.registry), tracer_(sinks.tracer), flight_(sinks.flight),
-        tid_(tid) {}
+      : registry_(sinks.registry), flight_(sinks.flight), tid_(tid) {}
 
   bool enabled() const { return registry_ != nullptr; }
   Registry* registry() const { return registry_; }
-  Tracer* tracer() const { return tracer_; }
   FlightRecorder* flight() const { return flight_; }
   std::uint64_t tid() const { return tid_; }
   /// Node label for per-node metric instances ("n<id>").
@@ -48,8 +45,6 @@ class Scope {
     return registry_ ? registry_->histogram(name, spec, labels) : noop_histogram();
   }
 
-  bool tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
-
   // --- Causal flight recording (no-ops until the testbed enables it). ---
   bool flight_enabled() const { return flight_ != nullptr && flight_->enabled(); }
   /// The ambient context armed by the network around the current handler
@@ -58,22 +53,13 @@ class Scope {
     return flight_ != nullptr ? flight_->context() : TraceContext{};
   }
 
-  /// Emit a complete event on this node's timeline. `ts` is the event's
-  /// virtual start time; `dur` its virtual duration (often the processing
-  /// cost charged to the clock, or a measured round-trip).
-  void complete(std::string name, std::string category, std::uint64_t ts, std::uint64_t dur,
-                std::vector<std::pair<std::string, std::string>> args = {}) const {
-    if (tracing()) {
-      annotate_trace(args);
-      tracer_->complete(std::move(name), std::move(category), tid_, ts, dur, std::move(args));
-    }
-  }
-  void instant(std::string name, std::string category, std::uint64_t ts,
-               std::vector<std::pair<std::string, std::string>> args = {}) const {
-    if (tracing()) {
-      annotate_trace(args);
-      tracer_->instant(std::move(name), std::move(category), tid_, ts, std::move(args));
-    }
+  /// Record a mark on this node's timeline (FlightRecorder::mark): a
+  /// protocol event that belongs to no message. `dur` > 0 makes it a span
+  /// starting at `ts`. While recording is off this is one inlined check and
+  /// builds nothing; the views are copied into the log only when it is on.
+  void mark(std::string_view name, std::uint64_t ts, std::uint64_t dur = 0,
+            std::string_view key = {}, std::string_view value = {}) const {
+    if (flight_enabled()) flight_->mark(tid_, ts, dur, name, key, value);
   }
 
   /// Attribute a rejected inbound frame (decode error, rate limit, replay)
@@ -87,26 +73,8 @@ class Scope {
     }
   }
 
-  /// RAII span on this node's timeline (no-op when tracing is off). When an
-  /// ambient flight context is armed, the span carries the trace id so
-  /// Perfetto queries can join spans to flight records (parent linkage).
-  Span span(std::string name, std::string category) const {
-    Span s(tracer_, std::move(name), std::move(category), tid_);
-    if (flight_ != nullptr && flight_->context().valid()) {
-      s.annotate("trace", std::to_string(flight_->context().trace_id));
-    }
-    return s;
-  }
-
  private:
-  void annotate_trace(std::vector<std::pair<std::string, std::string>>& args) const {
-    if (flight_ != nullptr && flight_->context().valid()) {
-      args.emplace_back("trace", std::to_string(flight_->context().trace_id));
-    }
-  }
-
   Registry* registry_ = nullptr;
-  Tracer* tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   std::uint64_t tid_ = 0;
 };

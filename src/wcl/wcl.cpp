@@ -10,6 +10,35 @@ namespace {
 constexpr std::uint8_t kKindOnion = 1;
 constexpr std::uint8_t kKindAck = 2;
 constexpr std::uint8_t kKindNack = 3;
+
+/// Connection-backlog capacity (the paper's 2c).
+constexpr std::size_t kCbCapacity = 20;
+
+// Deterministic processing costs charged to the virtual clock (actual
+// wall-clock measurements still flow into the CPU meters for Table II /
+// Fig. 7, but folding *measured* time into event ordering would make runs
+// irreproducible). Calibrated from bench_crypto_micro at 512-bit keys.
+constexpr net::Time kVirtualRsaSealCost = 15;     // us per onion layer sealed
+constexpr net::Time kVirtualRsaPeelCost = 160;    // us per layer peeled
+constexpr net::Time kVirtualAesCostPerKb = 30;    // us per KB of body
+
+// Hostile-input defenses, generous enough that honest traffic never trips
+// them.
+/// Hard cap on mix forward-state entries; overflow evicts the oldest (FIFO —
+/// entries expire in insertion order, so FIFO == earliest-expiry).
+constexpr std::size_t kMaxPendingForwards = 4096;
+/// Hard cap on per-destination RTT estimators (FIFO eviction).
+constexpr std::size_t kMaxRttPeers = 512;
+/// Onion-header replay window: fingerprints of recently seen headers; a
+/// repeat is dropped without peeling.
+constexpr std::size_t kReplayWindow = 1024;
+/// Per-peer inbound WCL frame budget (frames/sec) and burst; malformed
+/// frames from one peer before it is reported to the PSS quarantine path;
+/// peers tracked by the guard.
+constexpr double kPeerRatePerSec = 200;
+constexpr double kPeerRateBurst = 400;
+constexpr int kDecodeFailThreshold = 3;
+constexpr std::size_t kGuardMaxPeers = 1024;
 }  // namespace
 
 void Helper::serialize(Writer& w) const {
@@ -63,9 +92,12 @@ Wcl::Wcl(net::Clock& clock, nylon::Transport& transport, keysvc::KeyService& key
          nylon::NylonPss& pss, net::CpuMeter& cpu, WclConfig config, Rng rng,
          telemetry::Scope telemetry)
     : clock_(clock), transport_(transport), keys_(keys), pss_(pss), cpu_(cpu), config_(config),
-      rng_(rng), drbg_(rng_.next_u64()), cb_(config.cb_capacity),
+      rng_(rng), drbg_(rng_.next_u64()), cb_(kCbCapacity),
       next_msg_id_((static_cast<std::uint64_t>(config.incarnation) << 44) |
                    ((transport.self().value << 20) & ((1ull << 44) - 1))),
+      guard_(PeerGuardConfig{kPeerRatePerSec, kPeerRateBurst, kDecodeFailThreshold,
+                             kGuardMaxPeers}),
+      replay_window_(kReplayWindow),
       tel_(telemetry),
       m_first_try_(tel_.counter("wcl.sends.first_try")),
       m_alternative_(tel_.counter("wcl.sends.alternative")),
@@ -81,13 +113,6 @@ Wcl::Wcl(net::Clock& clock, nylon::Transport& transport, keysvc::KeyService& key
       m_backlog_evicted_(tel_.counter("wcl.backlog.evicted")),
       m_backlog_depth_(tel_.gauge("wcl.backlog.depth", {{"node", tel_.node_label()}})),
       m_srtt_(tel_.gauge("wcl.rtt.srtt_us", {{"node", tel_.node_label()}})) {
-  PeerGuardConfig gc;
-  gc.rate_per_sec = config_.peer_rate_per_sec;
-  gc.burst = config_.peer_rate_burst;
-  gc.decode_fail_threshold = config_.decode_fail_threshold;
-  gc.max_peers = config_.guard_max_peers;
-  guard_ = PeerGuard(gc);
-  replay_window_ = ReplayWindow(config_.replay_window);
   transport_.register_handler(nylon::kTagWcl,
                               [this](NodeId from, BytesView p) { handle_message(from, p); });
   if (config_.sweep_interval > 0) {
@@ -121,7 +146,7 @@ void Wcl::sweep() {
 }
 
 void Wcl::evict_forwards() {
-  while (pending_forwards_.size() >= config_.max_pending_forwards &&
+  while (pending_forwards_.size() >= kMaxPendingForwards &&
          !forward_order_.empty()) {
     const std::uint64_t victim = forward_order_.front();
     forward_order_.pop_front();
@@ -257,7 +282,6 @@ bool Wcl::send_confidential(const RemotePeer& dest, BytesView payload, SendCallb
     pending_sends_.erase(it);
     ++stats_.no_alternative;
     m_no_alternative_.add(1);
-    tel_.instant("wcl.send.no_path", "wcl", clock_.now());
     if (outcome_probe) outcome_probe(dest_id, SendOutcome::kNoAlternative);
     if (cb) cb(SendOutcome::kNoAlternative);
     return false;
@@ -350,26 +374,19 @@ bool Wcl::attempt(std::uint64_t msg_id, PendingSend& pending) {
   crypto::OnionPacket packet;
   // Deterministic virtual processing cost (measured wall time is recorded
   // separately by the CPU meter and must not perturb event ordering).
-  const net::Time crypto_time =
-      config_.virtual_rsa_seal_cost * path.size() +
-      config_.virtual_aes_cost_per_kb * (pending.payload.size() / 1024 + 1);
+  const net::Time crypto_time = kVirtualRsaSealCost * path.size() +
+                                kVirtualAesCostPerKb * (pending.payload.size() / 1024 + 1);
   cpu_.charge(net::CpuCategory::kAes, [&] {
-    // One cleartext mode byte tells the destination how to open the body.
-    if (config_.authenticated_bodies) {
-      packet.body = crypto::seal_authenticated(keys.k, keys.iv, pending.payload);
-      packet.body.insert(packet.body.begin(), 1);
-    } else {
-      packet.body = crypto::onion_crypt_body(keys, pending.payload);
-      packet.body.insert(packet.body.begin(), 0);
-    }
+    // The body keeps a leading cleartext byte, always 0, that the
+    // destination skips.
+    packet.body = crypto::onion_crypt_body(keys, pending.payload);
+    packet.body.insert(packet.body.begin(), 0);
   });
   cpu_.charge(net::CpuCategory::kRsaEncrypt, [&] {
     packet.header = crypto::onion_build_header(path, keys, drbg_);
   });
-  // The build occupies the virtual clock for `crypto_time`; emit the span
-  // with that charged duration (RAII would see zero virtual elapsed time).
-  tel_.complete("wcl.onion.build", "wcl", clock_.now(), crypto_time,
-                {{"hops", std::to_string(path.size())}});
+  // The build occupies the virtual clock for `crypto_time`: record it with
+  // that charged duration.
   if (traced) fr->crypto(pending.trace, self.value, clock_.now(), crypto_time, "build");
 
   Writer w;
@@ -452,7 +469,7 @@ void Wcl::handle_ack(std::uint64_t msg_id, bool success) {
         // Estimators are per-destination state: cap them, evicting the
         // oldest-tracked destination (entries are never erased elsewhere,
         // so the FIFO front is always live).
-        while (rtt_.size() >= config_.max_rtt_peers && !rtt_order_.empty()) {
+        while (rtt_.size() >= kMaxRttPeers && !rtt_order_.empty()) {
           rtt_.erase(rtt_order_.front());
           rtt_order_.pop_front();
         }
@@ -536,17 +553,14 @@ void Wcl::handle_onion(NodeId from, Reader& r) {
   // re-injected by a misbehaving peer, or a network duplicate) is dropped
   // without peeling. Retries always carry a freshly built header, so this
   // never suppresses a legitimate attempt.
-  if (config_.replay_window > 0) {
-    const std::uint64_t fp = crypto::fingerprint64(packet->header);
-    if (replay_window_.seen_or_insert(fp)) {
-      ++stats_.replays_suppressed;
-      tel_.drop_frame(m_replays_, clock_.now(), "replay");
-      return;
-    }
+  if (replay_window_.seen_or_insert(crypto::fingerprint64(packet->header))) {
+    ++stats_.replays_suppressed;
+    tel_.drop_frame(m_replays_, clock_.now(), "replay");
+    return;
   }
 
   std::optional<crypto::OnionPeel> peel;
-  net::Time crypto_time = config_.virtual_rsa_peel_cost;
+  net::Time crypto_time = kVirtualRsaPeelCost;
   cpu_.charge(net::CpuCategory::kRsaDecrypt, [&] {
     peel = crypto::onion_peel_header(keys_.own_pair(), *packet);
   });
@@ -561,31 +575,14 @@ void Wcl::handle_onion(NodeId from, Reader& r) {
       send_signal(predecessor, /*success=*/false, msg_id);
       return;
     }
-    const std::uint8_t mode = packet->body.front();
+    // Skip the body's leading byte (see attempt()).
     const BytesView body(packet->body.data() + 1, packet->body.size() - 1);
     Bytes content;
-    bool body_ok = true;
-    crypto_time += config_.virtual_aes_cost_per_kb * (body.size() / 1024 + 1);
-    cpu_.charge(net::CpuCategory::kAes, [&] {
-      if (mode == 1) {
-        auto opened = crypto::open_authenticated(peel->keys.k, peel->keys.iv, body);
-        if (opened) {
-          content = std::move(*opened);
-        } else {
-          body_ok = false;  // tampered in transit
-        }
-      } else {
-        content = crypto::onion_crypt_body(peel->keys, body);
-      }
-    });
-    if (!body_ok) {
-      ++stats_.bodies_rejected;
-      send_signal(predecessor, /*success=*/false, msg_id);
-      return;
-    }
+    crypto_time += kVirtualAesCostPerKb * (body.size() / 1024 + 1);
+    cpu_.charge(net::CpuCategory::kAes,
+                [&] { content = crypto::onion_crypt_body(peel->keys, body); });
     ++stats_.onions_delivered;
     m_delivered_.add(1);
-    tel_.complete("wcl.onion.open", "wcl", clock_.now(), crypto_time);
     telemetry::FlightRecorder* fr = tel_.flight();
     const telemetry::TraceContext ctx =
         fr != nullptr && fr->enabled() ? fr->context() : telemetry::TraceContext{};
@@ -632,7 +629,6 @@ void Wcl::handle_onion(NodeId from, Reader& r) {
   }
 
   const NodeId next_hop = peel->next_hop;
-  tel_.complete("wcl.onion.relay", "wcl", clock_.now(), crypto_time);
   telemetry::FlightRecorder* fr = tel_.flight();
   const telemetry::TraceContext ctx =
       fr != nullptr && fr->enabled() ? fr->context() : telemetry::TraceContext{};

@@ -21,7 +21,6 @@
 #include "common/densemap.hpp"
 
 #include "common/guard.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/onion.hpp"
 #include "keysvc/keyservice.hpp"
 #include "nylon/pss.hpp"
@@ -68,7 +67,6 @@ struct WclConfig {
   /// mix state — the mis-ack path a naive restart would hit.
   std::uint32_t incarnation = 0;
   std::size_t pi = 3;                          // Π
-  std::size_t cb_capacity = 20;                // 2c
   /// Number of mixes on a path (the paper's default is 2: S → A → B → D).
   /// f mixes tolerate f−1 colluding nodes (footnote 2); values above 2 add
   /// P-node mixes between A and B. Must be >= 1.
@@ -87,37 +85,6 @@ struct WclConfig {
   /// for a forwarded onion leaks an entry per loss — unbounded growth under
   /// sustained fault injection.
   net::Time sweep_interval = 30 * net::kSecond;
-  /// Encrypt-then-MAC the content body (AES-CTR + HMAC-SHA256, +32 bytes).
-  /// The paper uses plain AES (its model excludes active tampering), so the
-  /// default reproduces that; enable for integrity-protected deployments.
-  bool authenticated_bodies = false;
-
-  /// Deterministic processing costs charged to the virtual clock (actual
-  /// wall-clock measurements still flow into the CPU meters for Table II /
-  /// Fig. 7, but folding *measured* time into event ordering would make
-  /// runs irreproducible). Defaults calibrated from bench_crypto_micro at
-  /// 512-bit keys.
-  net::Time virtual_rsa_seal_cost = 15;      // us per onion layer sealed
-  net::Time virtual_rsa_peel_cost = 160;     // us per layer peeled
-  net::Time virtual_aes_cost_per_kb = 30;    // us per KB of body
-
-  // --- Hostile-input defenses (defaults generous enough that honest
-  // traffic never trips them). ---
-  /// Hard cap on mix forward-state entries; overflow evicts the oldest
-  /// (FIFO — entries expire in insertion order, so FIFO == earliest-expiry).
-  std::size_t max_pending_forwards = 4096;
-  /// Hard cap on per-destination RTT estimators (FIFO eviction).
-  std::size_t max_rtt_peers = 512;
-  /// Onion-header replay window: fingerprints of recently seen headers;
-  /// a repeat is dropped without peeling (0 disables).
-  std::size_t replay_window = 1024;
-  /// Per-peer inbound WCL frame budget (frames/sec; 0 disables).
-  double peer_rate_per_sec = 200;
-  double peer_rate_burst = 400;
-  /// Consecutive malformed frames from one peer before it is reported to
-  /// the PSS suspicion/quarantine path.
-  int decode_fail_threshold = 3;
-  std::size_t guard_max_peers = 1024;
 };
 
 /// Wire cap on helpers per RemotePeer descriptor (honest peers ship Π ≈ 3).
@@ -176,8 +143,6 @@ class Wcl {
     std::uint64_t onions_delivered = 0;
     std::uint64_t forward_failures = 0;
     std::uint64_t total_attempts = 0;
-    /// Authenticated bodies whose MAC failed (tampering detected).
-    std::uint64_t bodies_rejected = 0;
     /// Mix-state entries evicted by the sweep (ACK/NACK never came back).
     std::uint64_t forwards_expired = 0;
     /// Malformed inbound frames rejected (typed DecodeError taxonomy).

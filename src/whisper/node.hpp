@@ -39,8 +39,8 @@ struct NodeConfig {
 class WhisperNode {
  public:
   /// `keypair` must outlive the node (typically from the key pool).
-  /// `sinks` (optional) routes every layer's metrics/trace events into the
-  /// testbed's registry and tracer, on this node's timeline.
+  /// `sinks` (optional) routes every layer's metrics and flight events into
+  /// the testbed's registry and flight recorder, on this node's timeline.
   WhisperNode(net::Clock& clock, net::Stack& net, NodeId id, Endpoint internal_ep,
               bool is_public, const crypto::RsaKeyPair& keypair, NodeConfig config, Rng rng,
               telemetry::Sinks sinks = {});

@@ -48,8 +48,6 @@ UdpMesh::Config::Config() : node(realtime_node_config()) {}
 
 UdpMesh::UdpMesh(Config config)
     : config_(std::move(config)), rng_(config_.seed), backend_(config_.backend) {
-  tracer_.set_clock(net::clock_fn(backend_));
-  tracer_.set_enabled(false);
   flight_.set_clock(net::clock_fn(backend_));
   flight_.set_enabled(config_.flight);
   backend_.set_flight(&flight_);
@@ -69,7 +67,7 @@ WhisperNode* UdpMesh::spawn_node() {
   auto node = std::make_unique<WhisperNode>(
       backend_, backend_, id, *ep, /*is_public=*/true,
       pooled_keypair(next_key_index_++, config_.node.rsa_bits), config_.node,
-      rng_.fork(), telemetry::Sinks{&registry_, &tracer_, &flight_});
+      rng_.fork(), telemetry::Sinks{&registry_, &flight_});
 
   std::vector<pss::ContactCard> bootstrap;
   std::vector<WhisperNode*> alive = nodes();

@@ -21,7 +21,6 @@
 #include "net/udp.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/trace.hpp"
 #include "whisper/node.hpp"
 
 namespace whisper {
@@ -74,7 +73,6 @@ class UdpMesh {
   Rng rng_;
   net::UdpBackend backend_;
   telemetry::Registry registry_;
-  telemetry::Tracer tracer_;
   telemetry::FlightRecorder flight_;
   std::vector<std::unique_ptr<WhisperNode>> nodes_;
   std::uint64_t next_node_id_ = 1;

@@ -31,8 +31,6 @@ ScaleTestbed::ScaleTestbed(ScaleConfig config)
   for (std::size_t s = 0; s < S; ++s) {
     auto st = std::make_unique<ShardState>();
     st->sim = std::make_unique<sim::Simulator>();
-    st->tracer.set_clock(net::clock_fn(*st->sim));
-    st->tracer.set_enabled(config_.trace);
     st->flight.set_clock(net::clock_fn(*st->sim));
     st->flight.set_enabled(config_.flight);
     st->flight.set_id_base(static_cast<std::uint64_t>(s) << 48);
@@ -45,7 +43,6 @@ ScaleTestbed::ScaleTestbed(ScaleConfig config)
         *st->sim, sim::make_latency_model(config_.latency), config_.seed, &st->registry);
     st->net->set_translator(st->fabric.get());
     st->net->set_flight(&st->flight);
-    st->net->set_tracer(&st->tracer);
     st->net->set_per_node_accounting(config_.node_telemetry);
     shards_.push_back(std::move(st));
     engine_shards.push_back(
@@ -70,7 +67,7 @@ ScaleTestbed::~ScaleTestbed() = default;
 telemetry::Sinks ScaleTestbed::sinks(std::size_t shard) {
   if (!config_.node_telemetry) return telemetry::Sinks{};
   ShardState& st = *shards_[shard];
-  return telemetry::Sinks{&st.registry, &st.tracer, &st.flight};
+  return telemetry::Sinks{&st.registry, &st.flight};
 }
 
 WhisperNode& ScaleTestbed::spawn_node() {

@@ -3,9 +3,11 @@
 // benches, examples, whisper_sim and the benchmark) goes through it.
 //
 // The population is partitioned across S shards (node i lives on shard
-// i % S), each with its own Simulator/Network/NatFabric/Registry/Tracer/
+// i % S), each with its own Simulator/Network/NatFabric/Registry/
 // FlightRecorder, driven in lockstep through sim::ShardedEngine. S=1 runs
-// the one shard inline on the calling thread.
+// the one shard inline on the calling thread. The flight recorder is the
+// one trace-event log: flight records, the anonymity audit, whisper_trace
+// and the Chrome trace (telemetry::to_chrome_trace) all read it.
 //
 // Shard-count invariance is a hard guarantee (CI-gated): everything that
 // shapes traffic is derived from the *global* node index, never from
@@ -42,7 +44,6 @@
 #include "sim/simulator.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/trace.hpp"
 #include "whisper/node.hpp"
 
 namespace whisper {
@@ -56,10 +57,8 @@ struct ScaleConfig {
   std::uint64_t seed = 42;
   /// How many existing node cards a booting node receives.
   std::size_t bootstrap_contacts = 5;
-  /// Record trace events (spans/instants/flows) on every shard's tracer.
-  /// Opt-in because event buffers grow with run length.
-  bool trace = false;
-  /// Record causal flight events on every shard's recorder.
+  /// Record causal flight events and node-timeline marks on every shard's
+  /// recorder. Opt-in because the event log grows with run length.
   bool flight = false;
   /// Per-node byte counters and per-node protocol metrics. Off for 100k
   /// runs: label strings would dominate memory; aggregates remain.
@@ -135,7 +134,6 @@ class ScaleTestbed {
   sim::Network& network(std::size_t shard) { return *shards_[shard]->net; }
   nat::NatFabric& fabric(std::size_t shard) { return *shards_[shard]->fabric; }
   telemetry::Registry& registry(std::size_t shard) { return shards_[shard]->registry; }
-  telemetry::Tracer& tracer(std::size_t shard) { return shards_[shard]->tracer; }
   telemetry::FlightRecorder& flight(std::size_t shard) { return shards_[shard]->flight; }
 
   // --- Shard-count-invariant exports (the determinism gate's inputs). ---
@@ -146,7 +144,6 @@ class ScaleTestbed {
   struct ShardState {
     std::unique_ptr<sim::Simulator> sim;
     telemetry::Registry registry;
-    telemetry::Tracer tracer;
     telemetry::FlightRecorder flight;
     std::unique_ptr<nat::NatFabric> fabric;
     std::unique_ptr<sim::Network> net;

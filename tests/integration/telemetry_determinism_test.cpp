@@ -1,10 +1,14 @@
 // Golden determinism of the telemetry subsystem: two same-seed full-stack
-// runs with tracing and time-series sampling enabled must export
-// byte-identical JSONL and Chrome-trace documents, and enabling telemetry
-// must not perturb the protocol evolution itself (same overlay digest as a
-// telemetry-dark run would see — telemetry reads, it never schedules
-// protocol events).
+// runs with tracing (the flight log) and time-series sampling enabled must
+// export byte-identical JSONL and Chrome-trace documents, and enabling
+// telemetry must not perturb the protocol evolution itself (same overlay
+// digest as a telemetry-dark run would see — telemetry reads, it never
+// schedules protocol events).
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <map>
+#include <sstream>
 
 #include "telemetry/export.hpp"
 #include "telemetry/timeseries.hpp"
@@ -29,7 +33,7 @@ RunOutput run_once(std::uint64_t seed, bool trace) {
   cfg.node.wcl.pi = 3;
   cfg.node.ppss.cycle = 30 * net::kSecond;
   cfg.seed = seed;
-  cfg.trace = trace;
+  cfg.flight = trace;
   ScaleTestbed tb(cfg);
   // With tracing on, snapshot every metric into the time series once per
   // virtual minute, between run_for slices.
@@ -54,7 +58,7 @@ RunOutput run_once(std::uint64_t seed, bool trace) {
   RunOutput out;
   out.metrics_jsonl = telemetry::to_jsonl(tb.registry(0));
   out.series_jsonl = telemetry::to_jsonl(recorder);
-  out.chrome_trace = telemetry::to_chrome_trace(tb.tracer(0));
+  out.chrome_trace = telemetry::to_chrome_trace(tb.flight(0).events());
   for (WhisperNode* n : tb.alive_nodes()) {
     for (const auto& e : n->pss().view().entries()) {
       out.overlay_digest = out.overlay_digest * 1099511628211ull + e.id().value;
@@ -77,6 +81,28 @@ TEST(TelemetryDeterminism, SameSeedExportsAreByteIdentical) {
   EXPECT_NE(a.metrics_jsonl.find("net.node.bytes"), std::string::npos);
   EXPECT_NE(a.chrome_trace.find("pss.exchange"), std::string::npos);
   EXPECT_FALSE(a.series_jsonl.empty());
+  // The rendered flight log shows onion crypto and PPSS exchanges as
+  // slices, and draws each arrow with exactly one start and one finish.
+  EXPECT_NE(a.chrome_trace.find(R"({"name":"wcl.onion.build","cat":"wcl","ph":"X")"),
+            std::string::npos);
+  EXPECT_NE(a.chrome_trace.find(R"({"name":"ppss.exchange","cat":"ppss","ph":"X")"),
+            std::string::npos);
+  std::map<std::uint64_t, std::pair<int, int>> flows;  // id -> (starts, finishes)
+  std::istringstream lines(a.chrome_trace);
+  for (std::string line; std::getline(lines, line);) {
+    const bool start = line.find(R"("ph":"s")") != std::string::npos;
+    const bool finish = line.find(R"("ph":"f")") != std::string::npos;
+    if (!start && !finish) continue;
+    const std::size_t id_at = line.find(R"("id":)");
+    ASSERT_NE(id_at, std::string::npos) << line;
+    const std::uint64_t id = std::strtoull(line.c_str() + id_at + 5, nullptr, 10);
+    (start ? flows[id].first : flows[id].second) += 1;
+  }
+  EXPECT_FALSE(flows.empty());
+  for (const auto& [id, ends] : flows) {
+    EXPECT_EQ(ends.first, 1) << "flow " << id;
+    EXPECT_EQ(ends.second, 1) << "flow " << id;
+  }
 }
 
 // Drop "sim.*" metric lines: event-loop bookkeeping (when attached) is not

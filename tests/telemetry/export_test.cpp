@@ -54,13 +54,31 @@ TEST(ExportJsonl, TimeSeriesRows) {
   EXPECT_EQ(out, "{\"ts\":60000000,\"values\":{\"c\":4}}\n");
 }
 
+std::size_t count_of(const std::string& text, std::string_view what) {
+  std::size_t n = 0;
+  for (auto pos = text.find(what); pos != std::string::npos; pos = text.find(what, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+FlightEventRec event(FlightKind kind, std::uint64_t node, std::uint64_t ts,
+                     std::uint64_t dur = 0, std::string detail = {}) {
+  FlightEventRec e;
+  e.kind = kind;
+  e.node = node;
+  e.ts = ts;
+  e.dur = dur;
+  e.detail = std::move(detail);
+  return e;
+}
+
 TEST(ExportChromeTrace, WellFormedEventObjects) {
-  Tracer t;
-  t.set_clock([] { return std::uint64_t{0}; });
-  t.set_enabled(true);
-  t.complete("pss.exchange", "pss", 3, 100, 250, {{"hops", "2"}});
-  t.instant("timeout", "wcl", 4, 500);
-  const std::string out = to_chrome_trace(t);
+  const std::vector<FlightEventRec> log = {
+      event(FlightKind::kMark, 3, 100, 250, "pss.exchange hops=2"),
+      event(FlightKind::kMark, 4, 500, 0, "pss.exchange.timeout"),
+  };
+  const std::string out = to_chrome_trace(log);
   EXPECT_NE(out.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(out.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(
@@ -68,34 +86,87 @@ TEST(ExportChromeTrace, WellFormedEventObjects) {
                R"("pid":1,"tid":3,"args":{"hops":"2"}})"),
       std::string::npos);
   // Instants carry thread scope, no dur.
-  EXPECT_NE(out.find(R"("ph":"i")"), std::string::npos);
-  EXPECT_NE(out.find(R"("s":"t")"), std::string::npos);
+  EXPECT_NE(out.find(R"({"name":"pss.exchange.timeout","cat":"pss","ph":"i","ts":500,)"
+                     R"("s":"t","pid":1,"tid":4})"),
+            std::string::npos);
   // Valid JSON shape: closes the array and the object.
   EXPECT_EQ(out.substr(out.size() - 3), "]}\n");
 }
 
 TEST(ExportChromeTrace, FlowEventsCarryIdAndBindingPoint) {
-  Tracer t;
-  t.set_clock([] { return std::uint64_t{0}; });
-  t.set_enabled(true);
-  t.flow_begin("net.hop", "net", 3, 100, 0xbeef);
-  t.flow_end("net.hop", "net", 5, 400, 0xbeef);
-  const std::string out = to_chrome_trace(t);
+  FlightEventRec out_ev = event(FlightKind::kWireOut, 3, 100);
+  out_ev.trace = 7;
+  out_ev.attempt = 1;
+  out_ev.seq = 4;
+  FlightEventRec in_ev = out_ev;
+  in_ev.kind = FlightKind::kWireIn;
+  in_ev.node = 5;
+  in_ev.ts = 400;
+  const std::string out = to_chrome_trace({out_ev, in_ev});
   // Perfetto links the 's' and 'f' events through the shared flow id; the
   // terminator binds to the enclosing slice ("bp":"e").
   EXPECT_NE(out.find(R"({"name":"net.hop","cat":"net","ph":"s","ts":100,)"
-                     R"("id":48879,"pid":1,"tid":3})"),
+                     R"("id":1,"pid":1,"tid":3,"args":{"trace":"7"}})"),
             std::string::npos);
-  EXPECT_NE(out.find(R"("ph":"f")"), std::string::npos);
-  EXPECT_NE(out.find(R"("bp":"e")"), std::string::npos);
+  EXPECT_NE(out.find(R"({"name":"net.hop","cat":"net","ph":"f","ts":400,)"
+                     R"("id":1,"bp":"e","pid":1,"tid":5,"args":{"trace":"7"}})"),
+            std::string::npos);
 }
 
-TEST(ExportChromeTrace, EmptyTracerYieldsValidDocument) {
-  Tracer t;
-  EXPECT_EQ(to_chrome_trace(t), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");
+TEST(ExportChromeTrace, LostCopyDrawsNoFlow) {
+  // Two copies of one hop leave; only the second arrives.
+  FlightEventRec lost = event(FlightKind::kWireOut, 3, 100);
+  lost.trace = 7;
+  lost.seq = 1;
+  FlightEventRec sent = lost;
+  sent.seq = 2;
+  FlightEventRec arrived = sent;
+  arrived.kind = FlightKind::kWireIn;
+  arrived.node = 5;
+  arrived.ts = 400;
+  const std::string out = to_chrome_trace({lost, sent, arrived});
+  EXPECT_EQ(count_of(out, R"("ph":"s")"), 1u);
+  EXPECT_EQ(count_of(out, R"("ph":"f")"), 1u);
+  EXPECT_NE(out.find(R"("ph":"s","ts":100,"id":1)"), std::string::npos);
+  EXPECT_NE(out.find(R"("ph":"f","ts":400,"id":1)"), std::string::npos);
+  EXPECT_EQ(to_chrome_trace({lost}),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");
 }
 
-// Determinism: two identically-fed registries/tracers export byte-identical
+TEST(ExportChromeTrace, CryptoAndRootOutcomesRenderAsSlices) {
+  FlightEventRec ppss = event(FlightKind::kBegin, 1, 0);
+  ppss.trace = 1;
+  ppss.layer = TraceLayer::kPpss;
+  FlightEventRec wcl = event(FlightKind::kBegin, 1, 0);
+  wcl.trace = 2;
+  wcl.layer = TraceLayer::kWcl;
+  FlightEventRec peel = event(FlightKind::kCrypto, 2, 300, 160, "peel");
+  peel.trace = 2;
+  FlightEventRec retry = event(FlightKind::kRetry, 1, 0);
+  retry.trace = 2;
+  FlightEventRec no_path = event(FlightKind::kEnd, 1, 900, 0, "no_path");
+  no_path.trace = 2;
+  FlightEventRec done = event(FlightKind::kEnd, 1, 1000, 700, "completed");
+  done.trace = 1;
+  const std::string out = to_chrome_trace({ppss, wcl, peel, retry, no_path, done});
+  EXPECT_NE(out.find(R"({"name":"wcl.onion.peel","cat":"wcl","ph":"X","ts":300,"dur":160,)"
+                     R"("pid":1,"tid":2,"args":{"trace":"2"}})"),
+            std::string::npos);
+  EXPECT_NE(out.find(R"({"name":"wcl.send.no_path","cat":"wcl","ph":"i","ts":900,)"),
+            std::string::npos);
+  // A root's slice spans its RTT, ending at the outcome.
+  EXPECT_NE(out.find(R"({"name":"ppss.exchange","cat":"ppss","ph":"X","ts":300,"dur":700,)"
+                     R"("pid":1,"tid":1,"args":{"trace":"1"}})"),
+            std::string::npos);
+  // Begin and retry events stay in the flight records only.
+  EXPECT_EQ(count_of(out, R"("ph":)"), 3u);
+}
+
+TEST(ExportChromeTrace, EmptyLogYieldsValidDocument) {
+  EXPECT_EQ(to_chrome_trace({}), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");
+}
+
+// Determinism: two identically-fed registries export byte-identical
 // documents (ordered iteration, fixed number formats). The full-stack
 // same-seed variant lives in tests/integration/telemetry_determinism_test.
 TEST(Export, ByteIdenticalAcrossIdenticalFeeds) {

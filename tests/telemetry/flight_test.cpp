@@ -247,6 +247,49 @@ TEST(FlightAssemble, PostEndTrafficIsExcluded) {
   EXPECT_EQ(records[0].decomposed_us(), records[0].rtt_us);
 }
 
+// Marks belong to no message: a log with marks interleaved — recorded
+// with no trace armed and under a message's armed context — assembles to
+// exactly the records of the same log without them.
+TEST(FlightAssemble, MarksDoNotChangeRecords) {
+  auto record = [](bool with_marks) {
+    std::uint64_t clock = 0;
+    FlightRecorder fr = make_recorder(&clock);
+    const std::uint64_t root = fr.new_root(TraceLayer::kPpss, 1, "group=g7000");
+    if (with_marks) fr.mark(1, 0, 0, "pss.peer.quarantine");
+    const std::uint64_t id = fr.new_trace(TraceLayer::kWcl, 1, root, 2);
+    TraceContext ctx;
+    ctx.trace_id = id;
+    ctx.root = root;
+    ctx.layer = TraceLayer::kWcl;
+    ctx.attempt = 1;
+    fr.crypto(ctx, 1, 0, 100, "build");
+    ctx.seq = fr.next_wire_seq();
+    fr.wire_out(ctx, 1, 100, 0);
+    fr.wire_in(ctx, 2, 400);
+    {
+      ScopedTraceContext armed(&fr, ctx.next_hop());
+      if (with_marks) fr.mark(2, 0, 400, "pss.exchange");
+      if (with_marks) fr.mark(0, 400, 0, "fault.activate", "kind", "loss");
+    }
+    fr.end(id, 1, 400, "delivered", 1, 400);
+    fr.end(root, 1, 400, "completed", 1, 400);
+    return fr.events();
+  };
+  const std::vector<FlightEventRec> plain = record(false);
+  const std::vector<FlightEventRec> marked = record(true);
+  ASSERT_EQ(marked.size(), plain.size() + 3);
+  std::size_t armed_marks = 0;
+  for (const FlightEventRec& e : marked) {
+    if (e.kind == FlightKind::kMark && e.trace != 0) ++armed_marks;
+  }
+  EXPECT_EQ(armed_marks, 2u);
+
+  EXPECT_EQ(to_jsonl(assemble_flight_events(marked)), to_jsonl(assemble_flight_events(plain)));
+  EXPECT_EQ(to_jsonl(canonical_flight_records(marked)),
+            to_jsonl(canonical_flight_records(plain)));
+  EXPECT_EQ(assemble_flight_events(marked).size(), 2u);
+}
+
 TEST(FlightJsonl, RoundTripsLosslessly) {
   std::uint64_t clock = 0;
   FlightRecorder fr = make_recorder(&clock);
@@ -311,6 +354,7 @@ TEST(FlightMerge, CrossProcessHalvesPairUp) {
   ctx.seq = sender.next_wire_seq();
   sender.wire_out(ctx, 1, 100, 0);
   receiver.wire_in(ctx, 2, 400);  // context arrived on the v2 frame
+  receiver.mark(2, 450, 0, "fault.activate", "kind", "loss");
   sender.end(id, 1, 400, "delivered", 1, 300);
 
   // Round-trip both sides through the JSONL event interchange, concatenate,
@@ -320,6 +364,11 @@ TEST(FlightMerge, CrossProcessHalvesPairUp) {
   std::vector<FlightEventRec> merged;
   std::string err;
   ASSERT_TRUE(parse_flight_events_jsonl(merged_text, &merged, &err)) << err;
+  // The mark survives the interchange with its kind and detail.
+  ASSERT_EQ(merged.size(), 5u);
+  EXPECT_EQ(merged.back().kind, FlightKind::kMark);
+  EXPECT_EQ(merged.back().detail, "fault.activate kind=loss");
+  EXPECT_EQ(merged.back().ts, 450u);
   const auto records = canonical_flight_records(std::move(merged));
   ASSERT_EQ(records.size(), 1u);
   const FlightRecord& rec = records[0];

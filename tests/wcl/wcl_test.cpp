@@ -167,48 +167,6 @@ TEST_F(WclFixture, RetryFindsAlternativeWhenHelperDead) {
   dst->wcl().on_deliver = nullptr;
 }
 
-TEST(WclAuthenticated, EndToEndWithAuthenticatedBodies) {
-  ScaleConfig cfg = config(30, /*seed=*/350);
-  cfg.node.wcl.authenticated_bodies = true;
-  ScaleTestbed tb(cfg);
-  tb.run_for(6 * net::kMinute);
-  auto nodes = tb.alive_nodes();
-  WhisperNode* src = nodes[1];
-  WhisperNode* dst = nodes[2];
-  Bytes delivered;
-  dst->wcl().on_deliver = [&](Bytes p) { delivered = std::move(p); };
-  std::optional<SendOutcome> outcome;
-  ASSERT_TRUE(src->wcl().send_confidential(dst->wcl().self_peer(),
-                                           to_bytes("integrity-protected"),
-                                           [&](SendOutcome o) { outcome = o; }));
-  tb.run_for(30 * net::kSecond);
-  EXPECT_EQ(delivered, to_bytes("integrity-protected"));
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_NE(*outcome, SendOutcome::kNoAlternative);
-  EXPECT_EQ(dst->wcl().stats().bodies_rejected, 0u);
-}
-
-TEST(WclAuthenticated, ModesInteroperateAcrossMixes) {
-  // Only source and destination interpret the body: mixes forward both
-  // modes identically, so mixed-mode deployments work.
-  ScaleConfig cfg = config(30, /*seed=*/351);
-  cfg.node.wcl.authenticated_bodies = false;  // mixes run plain mode
-  ScaleTestbed tb(cfg);
-  tb.run_for(6 * net::kMinute);
-  auto nodes = tb.alive_nodes();
-  // A plain-mode sender to a plain-mode receiver through whatever mixes:
-  // mode byte 0 round-trips (covered elsewhere); here assert an overall
-  // mixed population keeps statistics clean.
-  WhisperNode* src = nodes[3];
-  WhisperNode* dst = nodes[4];
-  int deliveries = 0;
-  dst->wcl().on_deliver = [&](Bytes) { ++deliveries; };
-  src->wcl().send_confidential(dst->wcl().self_peer(), to_bytes("plain"));
-  tb.run_for(30 * net::kSecond);
-  EXPECT_EQ(deliveries, 1);
-  for (WhisperNode* n : nodes) EXPECT_EQ(n->wcl().stats().bodies_rejected, 0u);
-}
-
 // Path-length variants (f mixes tolerate f-1 colluders, paper footnote 2).
 class WclPathLength : public ::testing::TestWithParam<std::size_t> {};
 

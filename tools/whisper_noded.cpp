@@ -627,9 +627,7 @@ int main(int argc, char** argv) {
   }
 
   telemetry::Registry registry;
-  telemetry::Tracer tracer;
   telemetry::FlightRecorder flight;
-  tracer.set_clock(net::clock_fn(backend));
   flight.set_clock(net::clock_fn(backend));
   flight.set_enabled(!opt.flight_path.empty() || opt.trace_wire);
   // Namespace trace ids per process so merged cross-process event streams
@@ -754,7 +752,7 @@ int main(int argc, char** argv) {
   Rng rng(opt.seed ^ (opt.id * 0x9e3779b97f4a7c15ull));
   WhisperNode node(backend, *stack, NodeId{opt.id}, ep, /*is_public=*/!natted,
                    identity, cfg, rng.fork(),
-                   telemetry::Sinks{&registry, &tracer, &flight});
+                   telemetry::Sinks{&registry, &flight});
   flight.set_node_resolver([ep, &opt](Endpoint e) {
     return e == ep ? opt.id : 0ull;
   });

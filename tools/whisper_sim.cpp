@@ -22,8 +22,9 @@
 // split evenly across truncation, oversizing, bit-flipping, replay,
 // flooding and gossip fabrication.
 //
-// --trace dumps a Chrome trace-event file (load in Perfetto / about:tracing;
-// one timeline row per node, timestamps are virtual microseconds).
+// --trace records the flight log and renders it as a Chrome trace-event
+// file (load in Perfetto / about:tracing; one timeline row per node,
+// timestamps are virtual microseconds, an arrow per delivered wire copy).
 // --metrics dumps the final metric registry as JSONL; with --sample-secs
 // the per-interval time series of every metric is appended too.
 //
@@ -85,8 +86,7 @@ int main(int argc, char** argv) {
   const std::string flight_path = arg_string(argc, argv, "flight", "");
   const std::string audit_spec = arg_string(argc, argv, "audit", "");
   const double sample_secs = arg_double(argc, argv, "sample-secs", 0);
-  cfg.trace = !trace_path.empty();
-  cfg.flight = !flight_path.empty() || !audit_spec.empty();
+  cfg.flight = !flight_path.empty() || !audit_spec.empty() || !trace_path.empty();
   const auto sample_every = static_cast<net::Time>(sample_secs * net::kSecond);
 
   telemetry::Vantage vantage;
@@ -282,10 +282,10 @@ int main(int argc, char** argv) {
               tb.alive_nodes()[0]->id().str().c_str(), reach * 100.0);
 
   if (!trace_path.empty()) {
-    const telemetry::Tracer& tracer = tb.tracer(0);
-    if (telemetry::write_text_file(trace_path, telemetry::to_chrome_trace(tracer))) {
-      std::printf("trace: %zu events -> %s (%llu dropped)\n", tracer.events().size(),
-                  trace_path.c_str(), static_cast<unsigned long long>(tracer.dropped()));
+    const telemetry::FlightRecorder& flight = tb.flight(0);
+    if (telemetry::write_text_file(trace_path, telemetry::to_chrome_trace(flight.events()))) {
+      std::printf("trace: %zu events -> %s (%llu dropped)\n", flight.events().size(),
+                  trace_path.c_str(), static_cast<unsigned long long>(flight.dropped()));
     } else {
       std::fprintf(stderr, "trace: cannot write %s\n", trace_path.c_str());
       return 1;
