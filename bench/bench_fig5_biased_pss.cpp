@@ -32,7 +32,6 @@ Fig5Row run_config(std::size_t n_nodes, std::size_t pi) {
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = 0.7;
   cfg.latency = "cluster";
-  cfg.node.pss.view_size = 10;
   cfg.node.pss.pi_min_public = pi;
   cfg.seed = 500 + pi;
   ScaleTestbed tb(cfg);

@@ -24,7 +24,6 @@ Fig6Row run_config(std::size_t n_nodes, double natted_fraction, std::size_t pi,
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = natted_fraction;
   cfg.latency = "cluster";
-  cfg.node.pss.view_size = 10;
   cfg.node.pss.pi_min_public = pi;
   cfg.node.keys.key_wire_size = key_sampling ? 1024 : 0;
   cfg.seed = 600 + pi + (key_sampling ? 7 : 0);

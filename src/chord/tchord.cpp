@@ -12,6 +12,21 @@ constexpr std::uint8_t kKindGossipReq = 1;
 constexpr std::uint8_t kKindGossipResp = 2;
 constexpr std::uint8_t kKindLookupReq = 3;
 constexpr std::uint8_t kKindLookupResp = 4;
+
+constexpr std::size_t kCandidateCapacity = 32;
+constexpr std::size_t kGossipDescriptors = 8;
+constexpr std::size_t kSuccessorList = 4;
+/// One finger per bit of the ring's 64-bit identifier space.
+constexpr std::size_t kFingerBits = 64;
+static_assert(kFingerBits <= 64, "finger offsets are 2^i on a 64-bit ring");
+constexpr std::size_t kLookupHopLimit = 32;
+constexpr net::Time kLookupTimeout = 20 * net::kSecond;
+/// Re-dispatches after a timeout before reporting failure (stale
+/// descriptors along the path heal as gossip refreshes them).
+constexpr std::size_t kLookupRetries = 1;
+/// Cap on descriptors accepted from one gossip frame (hostile frames
+/// cannot force unbounded parsing; well above kGossipDescriptors).
+constexpr std::size_t kMaxWireDescriptors = 32;
 }  // namespace
 
 ChordKey chord_key_of(NodeId id) {
@@ -81,7 +96,7 @@ ChordDescriptor TChord::self_descriptor() {
 void TChord::absorb(const ChordDescriptor& d) {
   if (d.id() == ppss_.self() || d.id().is_nil()) return;
   candidates_[d.key] = d;
-  if (candidates_.size() <= config_.candidate_capacity) return;
+  if (candidates_.size() <= kCandidateCapacity) return;
   // Evict the candidate least useful for ring structure: the one with the
   // largest minimum distance to any finger target (approximate by evicting
   // the entry furthest from self in both directions but not a finger/
@@ -93,11 +108,11 @@ void TChord::absorb(const ChordDescriptor& d) {
   // Also keep a successor list.
   std::size_t listed = 0;
   for (auto it = candidates_.upper_bound(self_key_);
-       listed < config_.successor_list && it != candidates_.end(); ++it, ++listed) {
+       listed < kSuccessorList && it != candidates_.end(); ++it, ++listed) {
     keep.insert(it->second.id());
   }
   for (auto it = candidates_.begin(); it != candidates_.end();) {
-    if (candidates_.size() <= config_.candidate_capacity) break;
+    if (candidates_.size() <= kCandidateCapacity) break;
     if (!keep.contains(it->second.id())) {
       it = candidates_.erase(it);
     } else {
@@ -105,7 +120,7 @@ void TChord::absorb(const ChordDescriptor& d) {
     }
   }
   // Still over capacity (everything protected): drop arbitrary tail.
-  while (candidates_.size() > config_.candidate_capacity) {
+  while (candidates_.size() > kCandidateCapacity) {
     candidates_.erase(std::prev(candidates_.end()));
   }
 }
@@ -127,9 +142,9 @@ std::optional<ChordDescriptor> TChord::predecessor() const {
 std::vector<ChordDescriptor> TChord::fingers() const {
   std::vector<ChordDescriptor> out;
   std::unordered_set<NodeId> seen;
-  for (std::size_t i = 0; i < config_.finger_bits; ++i) {
+  for (std::size_t i = 0; i < kFingerBits; ++i) {
     if (candidates_.empty()) break;
-    const ChordKey target = self_key_ + (i < 64 ? (ChordKey{1} << i) : 0);
+    const ChordKey target = self_key_ + (ChordKey{1} << i);
     auto it = candidates_.lower_bound(target);
     if (it == candidates_.end()) it = candidates_.begin();
     if (seen.insert(it->second.id()).second) out.push_back(it->second);
@@ -150,7 +165,7 @@ std::vector<ChordDescriptor> TChord::best_for(ChordKey target_key) const {
                                  ring_distance(b.key, target_key));
     return da < db;
   });
-  if (all.size() > config_.gossip_descriptors) all.resize(config_.gossip_descriptors);
+  if (all.size() > kGossipDescriptors) all.resize(kGossipDescriptors);
   return all;
 }
 
@@ -220,7 +235,7 @@ void TChord::handle_app(const wcl::RemotePeer& from, BytesView payload) {
 }
 
 void TChord::handle_gossip(std::uint8_t kind, const wcl::RemotePeer& from, Reader& r) {
-  const std::uint16_t count = r.count16(config_.max_wire_descriptors);
+  const std::uint16_t count = r.count16(kMaxWireDescriptors);
   std::vector<ChordDescriptor> received;
   for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
     auto d = ChordDescriptor::deserialize(r);
@@ -297,10 +312,10 @@ void TChord::lookup(ChordKey key, LookupCallback callback) {
 
 void TChord::arm_lookup_timer(std::uint64_t lookup_id) {
   auto& pending = pending_lookups_[lookup_id];
-  pending.timeout_timer = clock_.schedule_after(config_.lookup_timeout, [this, lookup_id] {
+  pending.timeout_timer = clock_.schedule_after(kLookupTimeout, [this, lookup_id] {
     auto it = pending_lookups_.find(lookup_id);
     if (it == pending_lookups_.end()) return;
-    if (it->second.attempts <= config_.lookup_retries) {
+    if (it->second.attempts <= kLookupRetries) {
       // Retry: descriptors refresh with every gossip cycle, so a second
       // dispatch often routes around the stale hop.
       ++it->second.attempts;
@@ -330,7 +345,7 @@ void TChord::route_or_serve(ChordKey key, std::uint64_t lookup_id,
                             const ChordDescriptor& origin, std::uint32_t hops) {
   const bool we_are_origin = origin.id() == ppss_.self();
 
-  if (owns(key) || hops >= config_.lookup_hop_limit) {
+  if (owns(key) || hops >= kLookupHopLimit) {
     if (we_are_origin) {
       // Local hit: we own the key ourselves; complete immediately.
       auto it = pending_lookups_.find(lookup_id);

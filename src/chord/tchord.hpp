@@ -42,18 +42,6 @@ struct ChordDescriptor {
 
 struct TChordConfig {
   net::Time cycle = 30 * net::kSecond;
-  std::size_t candidate_capacity = 32;
-  std::size_t gossip_descriptors = 8;
-  std::size_t successor_list = 4;
-  std::size_t finger_bits = 64;
-  std::size_t lookup_hop_limit = 32;
-  net::Time lookup_timeout = 20 * net::kSecond;
-  /// Re-dispatches after a timeout before reporting failure (stale
-  /// descriptors along the path heal as gossip refreshes them).
-  std::size_t lookup_retries = 1;
-  /// Cap on descriptors accepted from one gossip frame (hostile frames
-  /// cannot force unbounded parsing; well above gossip_descriptors).
-  std::size_t max_wire_descriptors = 32;
 };
 
 class TChord {
@@ -71,7 +59,8 @@ class TChord {
   std::optional<ChordDescriptor> successor() const;
   std::optional<ChordDescriptor> predecessor() const;
   /// Finger i: the known node minimizing clockwise distance from
-  /// self + 2^i. Deduplicated; may be fewer than finger_bits entries.
+  /// self + 2^i, for every i of the 64-bit ring. Deduplicated; may be
+  /// fewer than 64 entries.
   std::vector<ChordDescriptor> fingers() const;
   std::size_t candidate_count() const { return candidates_.size(); }
 

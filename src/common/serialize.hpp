@@ -102,6 +102,9 @@ class Writer {
 class Reader {
  public:
   explicit Reader(BytesView data) : data_(data) {}
+  /// A Reader only views its buffer, which must outlive it: a temporary
+  /// would be destroyed before the first read.
+  Reader(Bytes&&) = delete;
 
   std::uint8_t u8() {
     std::uint8_t v = 0;

@@ -5,6 +5,10 @@ namespace whisper::keysvc {
 namespace {
 constexpr std::uint8_t kKindRequest = 1;
 constexpr std::uint8_t kKindResponse = 2;
+
+/// Hard cap on cached peer keys (peer-driven state; FIFO eviction).
+constexpr std::size_t kMaxCachedKeys = 4096;
+static_assert(kMaxCachedKeys > 0, "the key cache is always bounded");
 }  // namespace
 
 KeyService::KeyService(net::Clock& clock, nylon::Transport& transport,
@@ -39,12 +43,10 @@ void KeyService::store(NodeId id, const crypto::RsaPublicKey& key) {
     it->second = key;
     return;
   }
-  if (config_.max_cached_keys > 0) {
-    while (cache_.size() >= config_.max_cached_keys && !cache_order_.empty()) {
-      cache_.erase(cache_order_.front());
-      cache_order_.pop_front();
-      ++cache_evictions_;
-    }
+  while (cache_.size() >= kMaxCachedKeys && !cache_order_.empty()) {
+    cache_.erase(cache_order_.front());
+    cache_order_.pop_front();
+    ++cache_evictions_;
   }
   cache_order_.push_back(id);
   cache_.emplace(id, key);

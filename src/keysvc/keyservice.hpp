@@ -27,8 +27,6 @@ struct KeyServiceConfig {
   /// key). 0 disables piggybacking entirely (Fig. 6's no-KS baseline).
   std::size_t key_wire_size = 1024;
   net::Time request_timeout = 5 * net::kSecond;
-  /// Hard cap on cached peer keys (peer-driven state; FIFO eviction).
-  std::size_t max_cached_keys = 4096;
 };
 
 class KeyService {

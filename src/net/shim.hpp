@@ -18,7 +18,7 @@
 //     index), so two same-seed runs sample identical schedules even though
 //     packets land at wall-clock times (the determinism model: decisions
 //     are deterministic, arrival times are not).
-//   - Lease expiry and delayed emissions ride the backend's timer wheel;
+//   - Lease expiry and delayed emissions ride the backend's timer queue;
 //     nat_reboot() wipes every mapping mid-run (the chaos supervisor's
 //     "natreboot" event) and nodes must recover by re-registering.
 //

@@ -9,8 +9,8 @@
 //                      Stack), assembled into deployments by
 //                      whisper::ScaleTestbed.
 //   net::UdpBackend  — a real UDP/epoll event loop (level-triggered,
-//                      non-blocking sockets) with a monotonic-clock timer
-//                      wheel. One backend instance can host one node
+//                      non-blocking sockets) with timers on the monotonic
+//                      clock. One backend instance can host one node
 //                      (whisper_noded) or a whole in-process mesh on
 //                      loopback ports (tests, bench_throughput --backend=udp).
 //

@@ -21,9 +21,8 @@ inline constexpr Time kMinute = 60 * kSecond;
 
 /// Handle for cancelling a scheduled timer. Encodes (generation << 32 |
 /// slot); generations start at 1, so a valid id is never 0 — protocol code
-/// uses 0 as a "no timer armed" sentinel. Both backends mint ids with this
-/// scheme (the simulator's event heap and the UDP timer wheel share the
-/// slot/generation design from PR 2).
+/// uses 0 as a "no timer armed" sentinel. Both backends mint ids from the
+/// same net::TimerQueue.
 using TimerId = std::uint64_t;
 
 }  // namespace whisper::net

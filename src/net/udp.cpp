@@ -99,14 +99,14 @@ Time UdpBackend::now() const {
 }
 
 TimerId UdpBackend::schedule_at(Time at, std::function<void()> fn) {
-  return wheel_.schedule(at, std::move(fn));
+  return timers_.schedule(at, std::move(fn));
 }
 
 TimerId UdpBackend::schedule_after(Time delay, std::function<void()> fn) {
-  return wheel_.schedule(now() + delay, std::move(fn));
+  return timers_.schedule(now() + delay, std::move(fn));
 }
 
-void UdpBackend::cancel(TimerId id) { wheel_.cancel(id); }
+void UdpBackend::cancel(TimerId id) { timers_.cancel(id); }
 
 std::optional<Endpoint> UdpBackend::open_socket(Endpoint ep) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -263,9 +263,9 @@ bool UdpBackend::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
       emit(fd, internal_src, public_dst, dgram.payload, proto,
            carry_ctx ? &dgram.trace : nullptr);
     } else {
-      // Fault-injected delay: hold the bytes on the wheel, then emit. The
-      // socket may be gone by then (detach); that drop is the same loss the
-      // real network would produce.
+      // Fault-injected delay: hold the bytes on the timer queue, then emit.
+      // The socket may be gone by then (detach); that drop is the same loss
+      // the real network would produce.
       schedule_after(extra_delay, [this, internal_src, public_dst,
                                    payload = dgram.payload, proto, carry_ctx,
                                    trace = dgram.trace] {
@@ -398,7 +398,7 @@ void UdpBackend::drain_socket(int fd) {
 void UdpBackend::poll(Time max_wait) {
   const Time start = now();
   Time budget = std::min(max_wait, config_.max_poll_wait);
-  if (auto deadline = wheel_.next_deadline()) {
+  if (auto deadline = timers_.next_deadline()) {
     budget = *deadline > start ? std::min(budget, *deadline - start) : 0;
   }
   const int timeout_ms = static_cast<int>(std::min<Time>(budget / 1000, 60'000));
@@ -415,7 +415,7 @@ void UdpBackend::poll(Time max_wait) {
   for (int i = 0; i < std::max(n, 0); ++i) {
     drain_socket(events[i].data.fd);
   }
-  wheel_.advance(now());
+  timers_.advance(now());
 }
 
 void UdpBackend::run_for(Time duration) {

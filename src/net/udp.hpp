@@ -1,5 +1,5 @@
 // Real-network backend: non-blocking UDP sockets on a level-triggered
-// epoll loop, timers on a monotonic-clock wheel.
+// epoll loop, timers on the monotonic clock (net::TimerQueue).
 //
 // One UdpBackend is one single-threaded event loop, exactly like the
 // simulator: it can host a single node (whisper_noded) or a whole
@@ -32,7 +32,7 @@
 
 #include "common/bytes.hpp"
 #include "net/spi.hpp"
-#include "net/wheel.hpp"
+#include "net/timer_queue.hpp"
 
 namespace whisper::telemetry {
 class FlightRecorder;
@@ -144,7 +144,7 @@ class UdpBackend final : public Clock, public Stack {
   std::uint64_t rx_kernel_drops() const { return rx_kernel_drops_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
-  std::size_t pending_timers() const { return wheel_.pending(); }
+  std::size_t pending_timers() const { return timers_.pending(); }
   const std::string& last_error() const { return last_error_; }
 
  private:
@@ -172,7 +172,7 @@ class UdpBackend final : public Clock, public Stack {
   Config config_;
   int epoll_fd_ = -1;
   std::uint64_t epoch_ns_ = 0;  // CLOCK_MONOTONIC at construction
-  TimerWheel wheel_;
+  TimerQueue timers_;
   std::unordered_map<Endpoint, SocketState> sockets_;
   std::unordered_map<int, Endpoint> fd_to_ep_;
   FaultInterposer* faults_ = nullptr;

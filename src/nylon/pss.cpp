@@ -7,12 +7,53 @@ namespace whisper::nylon {
 namespace {
 constexpr std::uint8_t kKindRequest = 1;
 constexpr std::uint8_t kKindResponse = 2;
+
+constexpr std::size_t kViewSize = 10;    // c
+constexpr std::size_t kGossipSize = 5;   // entries per buffer, including self
+/// Consecutive failed exchanges before a peer is quarantined. Quarantined
+/// descriptors are refused on merge, so a dead node's card stops
+/// recirculating through gossip instead of being re-learned every cycle.
+constexpr int kSuspicionThreshold = 2;
+/// Healing reserve: peers evicted by exchange timeout are remembered and
+/// one is re-probed every `kReserveRetryCycles` cycles. A network
+/// partition turns the entire view over to same-side peers, so without
+/// this a healed partition leaves the overlay permanently bisected — the
+/// reserve re-seeds the first cross-side edge and gossip re-blends from
+/// there. Entries are dropped for good after `kReserveMaxAttempts` failed
+/// probes.
+constexpr std::size_t kReserveCapacity = 8;
+constexpr int kReserveRetryCycles = 3;
+static_assert(kReserveRetryCycles > 0, "the healing reserve is always on");
+constexpr int kReserveMaxAttempts = 8;
+
+// Hostile-input defenses, generous enough that honest traffic never trips
+// them, but a misbehaving peer is bounded and eventually reported into the
+// quarantine path.
+/// Wire cap on gossip entries per frame (honest buffers carry
+/// `kGossipSize`; a forged count can never drive the allocation).
+constexpr std::size_t kMaxGossipEntries = 64;
+/// Wire cap on the key-sampling piggyback blob.
+constexpr std::size_t kMaxExtraBytes = 4096;
+/// Per-peer inbound frame budget (frames/sec) and burst.
+constexpr double kPeerRatePerSec = 20;
+constexpr double kPeerRateBurst = 60;
+/// Consecutive malformed frames from one peer before it is reported as
+/// misbehaving (which counts as a suspicion strike).
+constexpr int kDecodeFailThreshold = 3;
+/// Hard caps on peer-driven tracking state (FIFO / earliest-expiry
+/// eviction beyond them).
+constexpr std::size_t kGuardMaxPeers = 1024;
+constexpr std::size_t kMaxSuspects = 1024;
+constexpr std::size_t kMaxQuarantined = 1024;
 }  // namespace
 
 NylonPss::NylonPss(net::Clock& clock, Transport& transport, PssConfig config, Rng rng,
                    telemetry::Scope telemetry)
     : clock_(clock), transport_(transport), config_(config), rng_(rng),
-      view_(config.view_size), tel_(telemetry),
+      view_(kViewSize),
+      guard_(PeerGuardConfig{kPeerRatePerSec, kPeerRateBurst, kDecodeFailThreshold,
+                             kGuardMaxPeers}),
+      tel_(telemetry),
       m_initiated_(tel_.counter("pss.exchanges.initiated")),
       m_completed_(tel_.counter("pss.exchanges.completed")),
       m_timed_out_(tel_.counter("pss.exchanges.timed_out")),
@@ -27,12 +68,6 @@ NylonPss::NylonPss(net::Clock& clock, Transport& transport, PssConfig config, Rn
                             telemetry::BucketSpec::log_spaced(100, 20'000'000))),
       m_view_size_(tel_.histogram("pss.view.size",
                                   telemetry::BucketSpec::linear(0, 64, 64))) {
-  PeerGuardConfig gc;
-  gc.rate_per_sec = config_.peer_rate_per_sec;
-  gc.burst = config_.peer_rate_burst;
-  gc.decode_fail_threshold = config_.decode_fail_threshold;
-  gc.max_peers = config_.guard_max_peers;
-  guard_ = PeerGuard(gc);
   transport_.register_handler(kTagPss,
                               [this](NodeId from, BytesView p) { handle_message(from, p); });
   // Failover the moment the transport declares the relay lost, rather than
@@ -76,7 +111,7 @@ void NylonPss::stop() {
 std::vector<PssEntry> NylonPss::make_buffer() {
   std::vector<PssEntry> buffer;
   buffer.push_back(PssEntry{transport_.self_card(), 0});
-  auto subset = view_.random_subset(config_.gossip_size - 1, rng_);
+  auto subset = view_.random_subset(kGossipSize - 1, rng_);
   buffer.insert(buffer.end(), subset.begin(), subset.end());
   return buffer;
 }
@@ -106,7 +141,7 @@ void NylonPss::note_failure(NodeId id) {
   if (it == suspicion_.end()) {
     // Suspicion is peer-driven state: cap it, evicting the oldest tracked
     // peer (lazily skipping entries already cleared by success/threshold).
-    while (suspicion_.size() >= config_.max_suspects && !suspicion_order_.empty()) {
+    while (suspicion_.size() >= kMaxSuspects && !suspicion_order_.empty()) {
       const NodeId victim = suspicion_order_.front();
       suspicion_order_.pop_front();
       suspicion_.erase(victim);
@@ -114,9 +149,9 @@ void NylonPss::note_failure(NodeId id) {
     suspicion_order_.push_back(id);
     it = suspicion_.emplace(id, 0).first;
   }
-  if (++it->second < config_.suspicion_threshold) return;
+  if (++it->second < kSuspicionThreshold) return;
   suspicion_.erase(it);
-  if (quarantine_.size() >= config_.max_quarantined && quarantine_.count(id) == 0) {
+  if (quarantine_.size() >= kMaxQuarantined && quarantine_.count(id) == 0) {
     // Evict the entry closest to expiry rather than refusing the new one.
     auto victim = quarantine_.begin();
     for (auto q = quarantine_.begin(); q != quarantine_.end(); ++q) {
@@ -164,8 +199,7 @@ void NylonPss::note_success(NodeId id) {
 }
 
 void NylonPss::remember(const pss::ContactCard& card, int attempts) {
-  if (config_.reserve_retry_cycles <= 0) return;
-  if (attempts >= config_.reserve_max_attempts) return;
+  if (attempts >= kReserveMaxAttempts) return;
   if (card.id == transport_.self()) return;
   for (auto& e : reserve_) {
     if (e.card.id == card.id) {
@@ -174,7 +208,7 @@ void NylonPss::remember(const pss::ContactCard& card, int attempts) {
       return;
     }
   }
-  if (reserve_.size() >= config_.reserve_capacity) reserve_.pop_front();
+  if (reserve_.size() >= kReserveCapacity) reserve_.pop_front();
   reserve_.push_back(ReserveEntry{card, attempts});
 }
 
@@ -212,8 +246,8 @@ void NylonPss::on_cycle() {
   if (const PssEntry* partner = view_.oldest(); partner != nullptr) {
     start_exchange(partner->card, /*from_reserve=*/false, 0);
   }
-  if (config_.reserve_retry_cycles > 0 && !reserve_.empty() &&
-      cycle_count_ % static_cast<std::uint64_t>(config_.reserve_retry_cycles) == 0) {
+  if (!reserve_.empty() &&
+      cycle_count_ % static_cast<std::uint64_t>(kReserveRetryCycles) == 0) {
     retry_reserved();
   }
 }
@@ -264,13 +298,13 @@ void NylonPss::handle_message(NodeId from, BytesView payload) {
   Reader r(payload);
   const std::uint8_t kind = r.u8();
   const std::uint32_t seq = r.u32();
-  const std::uint32_t count = r.count16(config_.max_gossip_entries);
+  const std::uint32_t count = r.count16(kMaxGossipEntries);
   std::vector<PssEntry> received;
   received.reserve(count);
   for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
     received.push_back(PssEntry::deserialize(r));
   }
-  const Bytes extra = r.bytes(config_.max_extra_bytes);
+  const Bytes extra = r.bytes(kMaxExtraBytes);
   if (kind != kKindRequest && kind != kKindResponse) r.fail(DecodeError::kBadValue);
   if (r.ok() && received.empty()) r.fail(DecodeError::kBadValue);
   // The first buffer entry is the sender's own fresh card; a mismatch is a

@@ -27,46 +27,11 @@
 namespace whisper::nylon {
 
 struct PssConfig {
-  std::size_t view_size = 10;       // c
-  std::size_t gossip_size = 5;      // entries per buffer, including self
   std::size_t pi_min_public = 0;    // Π
   net::Time cycle = 10 * net::kSecond;
   net::Time response_timeout = 5 * net::kSecond;
-  /// Consecutive failed exchanges before a peer is quarantined. Quarantined
-  /// descriptors are refused on merge, so a dead node's card stops
-  /// recirculating through gossip instead of being re-learned every cycle.
-  int suspicion_threshold = 2;
+  /// How long a peer that failed too many exchanges stays quarantined.
   net::Time quarantine_ttl = 2 * net::kMinute;
-  /// Healing reserve: peers evicted by exchange timeout are remembered and
-  /// one is re-probed every `reserve_retry_cycles` cycles (0 disables). A
-  /// network partition turns the entire view over to same-side peers, so
-  /// without this a healed partition leaves the overlay permanently
-  /// bisected — the reserve re-seeds the first cross-side edge and gossip
-  /// re-blends from there. Entries are dropped for good after
-  /// `reserve_max_attempts` failed probes.
-  std::size_t reserve_capacity = 8;
-  int reserve_retry_cycles = 3;
-  int reserve_max_attempts = 8;
-
-  // --- Hostile-input defenses (generous defaults: honest traffic never
-  // trips them, but a misbehaving peer is bounded and eventually reported
-  // into the quarantine path). ---
-  /// Wire cap on gossip entries per frame (honest buffers carry
-  /// `gossip_size` ≈ 5; a forged count can never drive the allocation).
-  std::size_t max_gossip_entries = 64;
-  /// Wire cap on the key-sampling piggyback blob.
-  std::size_t max_extra_bytes = 4096;
-  /// Per-peer inbound frame budget (frames/sec; 0 disables).
-  double peer_rate_per_sec = 20;
-  double peer_rate_burst = 60;
-  /// Consecutive malformed frames from one peer before it is reported as
-  /// misbehaving (which counts as a suspicion strike).
-  int decode_fail_threshold = 3;
-  /// Hard caps on peer-driven tracking state (FIFO / earliest-expiry
-  /// eviction beyond them).
-  std::size_t guard_max_peers = 1024;
-  std::size_t max_suspects = 1024;
-  std::size_t max_quarantined = 1024;
 };
 
 /// View entry of the system-wide PSS: contact card + gossip age.

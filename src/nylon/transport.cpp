@@ -17,6 +17,27 @@ enum class MsgType : std::uint8_t {
   kProbeAck = 6,
 };
 
+/// Unanswered punch probes retransmit (doubling from probe_min_interval)
+/// up to this many times before waiting for fresh traffic to re-trigger
+/// them; a single probe/ack pair is two datagrams that both must survive
+/// the lossy path for a hole to open.
+constexpr int kProbeMaxRetries = 3;
+static_assert(kProbeMaxRetries > 0, "probe_sweep() always has retries to send");
+/// Once the relay is declared lost, keepalives back off exponentially up
+/// to this ceiling (the relay may return, and failover may need time to
+/// find a replacement — but hammering a dead address helps nobody).
+constexpr net::Time kKeepaliveBackoffMax = 5 * net::kMinute;
+
+// Hostile-input bounds. All relay/punch state is peer-driven, so all of it
+// is hard-capped; overflow evicts the stalest entry.
+/// Wire cap on a relayed (kForward) inner frame.
+constexpr std::size_t kMaxForwardBytes = 64 * 1024;
+/// Max relay registrations held for N-nodes (P-nodes only).
+constexpr std::size_t kMaxRegistrations = 512;
+/// Max verified punched routes remembered.
+constexpr std::size_t kMaxDirectRoutes = 1024;
+/// Max punch probes tracked.
+constexpr std::size_t kMaxProbes = 256;
 }  // namespace
 
 Bytes Transport::DataMsg::serialize() const {
@@ -89,7 +110,7 @@ void Transport::set_relay(const pss::ContactCard& relay) {
 bool Transport::relay_lost() const {
   if (is_public_) return false;
   if (relay_.id.is_nil()) return true;
-  return unanswered_keepalives_ >= config_.relay_loss_threshold;
+  return unanswered_keepalives_ >= kRelayLossThreshold;
 }
 
 void Transport::send_keepalive() {
@@ -104,10 +125,10 @@ void Transport::send_keepalive() {
   // the loss threshold, back off exponentially — failover owns recovery,
   // these keepalives only cover the relay coming back.
   net::Time delay = config_.keepalive_period;
-  if (unanswered_keepalives_ >= config_.relay_loss_threshold) {
-    const int over = unanswered_keepalives_ - config_.relay_loss_threshold;
-    for (int i = 0; i <= over && delay < config_.keepalive_backoff_max; ++i) delay *= 2;
-    delay = std::min(delay, config_.keepalive_backoff_max);
+  if (unanswered_keepalives_ >= kRelayLossThreshold) {
+    const int over = unanswered_keepalives_ - kRelayLossThreshold;
+    for (int i = 0; i <= over && delay < kKeepaliveBackoffMax; ++i) delay *= 2;
+    delay = std::min(delay, kKeepaliveBackoffMax);
   } else if (!registered_ && config_.register_retry_initial > 0) {
     // Never acked by this relay yet: retry fast with doubling backoff until
     // the first ack lands (lossy paths eat initial registers; an unregistered
@@ -120,7 +141,7 @@ void Transport::send_keepalive() {
     delay = std::min(delay, config_.keepalive_period);
   }
   keepalive_timer_ = clock_.schedule_after(delay, [this] { send_keepalive(); });
-  if (unanswered_keepalives_ == config_.relay_loss_threshold) {
+  if (unanswered_keepalives_ == kRelayLossThreshold) {
     ++relays_lost_;
     registered_ = false;
     if (on_relay_lost) on_relay_lost();  // may re-enter set_relay()
@@ -288,7 +309,7 @@ void Transport::handle_data(const net::Datagram& dgram, Reader& r) {
 void Transport::handle_forward(const net::Datagram& dgram, Reader& r) {
   if (!is_public_) return;  // only P-nodes relay
   const NodeId dst = r.node_id();
-  Bytes inner = r.bytes(config_.max_forward_bytes);
+  Bytes inner = r.bytes(kMaxForwardBytes);
   if (!r.expect_done()) {
     ++decode_rejects_;
     return;
@@ -325,7 +346,7 @@ void Transport::handle_register(const net::Datagram& dgram, Reader& r) {
   }
   if (!observe_incarnation(who, incarnation)) return;  // stale pre-crash register
   if (registrations_.count(who) == 0 &&
-      registrations_.size() >= config_.max_registrations) {
+      registrations_.size() >= kMaxRegistrations) {
     // Table full: evict the registration closest to expiry so an id-spraying
     // peer can't grow relay state without bound.
     auto victim = registrations_.begin();
@@ -353,7 +374,7 @@ void Transport::handle_register_ack(Reader& r) {
   }
   if (!observe_incarnation(from, incarnation)) return;
   if (from != relay_.id) return;
-  const bool was_backed_off = unanswered_keepalives_ >= config_.relay_loss_threshold;
+  const bool was_backed_off = unanswered_keepalives_ >= kRelayLossThreshold;
   const bool first_ack = !registered_;
   unanswered_keepalives_ = 0;
   registered_ = true;
@@ -375,7 +396,7 @@ void Transport::handle_register_ack(Reader& r) {
 
 void Transport::consider_probe(NodeId peer, Endpoint candidate) {
   if (peer == self_ || candidate.is_nil()) return;
-  if (probes_.count(peer) == 0 && probes_.size() >= config_.max_probes) {
+  if (probes_.count(peer) == 0 && probes_.size() >= kMaxProbes) {
     // Evict the stalest in-flight probe (peer-driven state, hard-capped).
     auto victim = probes_.begin();
     for (auto it = probes_.begin(); it != probes_.end(); ++it) {
@@ -406,7 +427,7 @@ void Transport::send_probe_frame(Endpoint target, std::uint32_t seq) {
 }
 
 void Transport::arm_probe_sweep() {
-  if (probe_sweep_timer_ != 0 || !attached_ || config_.probe_max_retries <= 0) return;
+  if (probe_sweep_timer_ != 0 || !attached_) return;
   probe_sweep_timer_ =
       clock_.schedule_after(config_.probe_min_interval, [this] { probe_sweep(); });
 }
@@ -417,7 +438,7 @@ void Transport::probe_sweep() {
   const net::Time now = clock_.now();
   bool pending_left = false;
   for (auto [peer, p] : probes_) {
-    if (p.retries >= config_.probe_max_retries) continue;
+    if (p.retries >= kProbeMaxRetries) continue;
     if (can_send_direct(peer)) continue;  // the ack landed; nothing to chase
     net::Time wait = config_.probe_min_interval;
     for (int i = 0; i < p.retries; ++i) wait *= 2;
@@ -428,7 +449,7 @@ void Transport::probe_sweep() {
       ++probe_retries_;
       p.sent_at = now;
     }
-    if (p.retries < config_.probe_max_retries) pending_left = true;
+    if (p.retries < kProbeMaxRetries) pending_left = true;
   }
   if (pending_left) arm_probe_sweep();
 }
@@ -511,7 +532,7 @@ bool Transport::observe_incarnation(NodeId peer, std::uint32_t incarnation) {
 
 void Transport::note_direct_route(NodeId peer, Endpoint ep) {
   if (direct_routes_.count(peer) == 0 &&
-      direct_routes_.size() >= config_.max_direct_routes) {
+      direct_routes_.size() >= kMaxDirectRoutes) {
     // Evict the least recently verified route.
     auto victim = direct_routes_.begin();
     for (auto it = direct_routes_.begin(); it != direct_routes_.end(); ++it) {

@@ -33,14 +33,15 @@ inline constexpr std::uint8_t kTagWcl = 3;
 inline constexpr std::uint8_t kTagApp = 4;
 
 struct TransportConfig {
-  /// Incarnation epoch of this node's process (DESIGN.md §14). 0 means "no
-  /// durable state" (epochless peers are never considered stale). A node
-  /// booting from a state dir bumps this before touching the network, so
-  /// peers can distinguish its fresh frames from pre-crash stragglers:
-  /// frames carrying an older incarnation than the highest seen from that
-  /// peer are dropped, and the first frame of a *newer* incarnation purges
-  /// all per-peer transport state (punched routes, probes, registrations)
-  /// and fires on_peer_restart.
+  /// Incarnation epoch of this node's process (DESIGN.md §14), the one copy
+  /// for the whole stack: WCL and PPSS read it through incarnation(). 0
+  /// means "no durable state" (epochless peers are never considered stale).
+  /// A node booting from a state dir bumps this before touching the
+  /// network, so peers can distinguish its fresh frames from pre-crash
+  /// stragglers: frames carrying an older incarnation than the highest seen
+  /// from that peer are dropped, and the first frame of a *newer*
+  /// incarnation purges all per-peer transport state (punched routes,
+  /// probes, registrations) and fires on_peer_restart.
   std::uint32_t incarnation = 0;
   /// Relay registration refresh period (also refreshes the NAT mapping).
   net::Time keepalive_period = 30 * net::kSecond;
@@ -58,31 +59,12 @@ struct TransportConfig {
   /// initial register is the one packet standing between a natted node and
   /// total unreachability. 0 disables the fast path.
   net::Time register_retry_initial = 250 * net::kMillisecond;
-  /// Unanswered punch probes retransmit (doubling from probe_min_interval)
-  /// up to this many times before waiting for fresh traffic to re-trigger
-  /// them; a single probe/ack pair is two datagrams that both must survive
-  /// the lossy path for a hole to open.
-  int probe_max_retries = 3;
-  /// After this many unanswered keepalives the relay is declared lost.
-  int relay_loss_threshold = 3;
-  /// Once the relay is declared lost, keepalives back off exponentially up
-  /// to this ceiling (the relay may return, and failover may need time to
-  /// find a replacement — but hammering a dead address helps nobody).
-  net::Time keepalive_backoff_max = 5 * net::kMinute;
-
-  // --- Hostile-input bounds. All relay/punch state is peer-driven, so all
-  // of it is hard-capped; overflow evicts the stalest entry. ---
-  /// Wire cap on a relayed (kForward) inner frame.
-  std::size_t max_forward_bytes = 64 * 1024;
-  /// Max relay registrations held for N-nodes (P-nodes only).
-  std::size_t max_registrations = 512;
-  /// Max verified punched routes remembered.
-  std::size_t max_direct_routes = 1024;
-  /// Max punch probes tracked.
-  std::size_t max_probes = 256;
   /// Max per-peer incarnation epochs remembered (peer-driven, hard-capped).
   std::size_t max_peer_incarnations = 2048;
 };
+
+/// After this many unanswered keepalives the relay is declared lost.
+inline constexpr int kRelayLossThreshold = 3;
 
 class Transport {
  public:

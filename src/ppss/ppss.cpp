@@ -19,6 +19,38 @@ constexpr std::uint8_t kKindApp = 7;
 /// epoch + serialized public key + announcer id, with headroom.
 constexpr std::size_t kMaxRotationBytes = crypto::kMaxKeyWireBytes + 64;
 
+constexpr std::size_t kViewSize = 10;
+constexpr std::size_t kGossipSize = 5;  // entries per exchange (the paper's figure)
+/// Entries older than this many cycles are dropped: their Π helper sets
+/// are too stale to open WCL paths reliably.
+constexpr std::uint32_t kMaxEntryAge = 8;
+/// Election converges after the max-hash proposal has been stable for
+/// this many consecutive cycles.
+constexpr int kElectionStableCycles = 3;
+constexpr std::size_t kJoinMaxRetries = 3;
+
+// Hostile-input hardening.
+/// Cap on gossip/bootstrap entries per frame (well above kGossipSize).
+constexpr std::size_t kMaxGossipEntries = 32;
+/// Cap on key-history epochs accepted in a join response.
+constexpr std::size_t kMaxKeyEpochs = 256;
+/// Cap on an application payload carried in a kApp frame.
+constexpr std::size_t kMaxAppPayload = 64 * 1024;
+/// Replay-suppression window: distinct (sender, kind, seq/nonce)
+/// fingerprints remembered per instance. Join frames are deliberately
+/// exempt — retries resend identical bytes.
+constexpr std::size_t kReplayWindow = 1024;
+/// Bound on the verified-passport signature cache.
+constexpr std::size_t kPassportCache = 1024;
+/// Per-member inbound budget, applied only after the sender's passport
+/// verifies (frames/sec and burst).
+constexpr double kPeerRatePerSec = 20.0;
+constexpr double kPeerRateBurst = 60.0;
+/// The guard's decode-failure threshold. PPSS never scores decode failures
+/// against a member (see reject_frame()), so it only fills the guard config.
+constexpr int kDecodeFailThreshold = 3;
+constexpr std::size_t kGuardMaxPeers = 1024;
+
 /// Fingerprint of a frame for replay suppression: the claimed sender, the
 /// frame kind, and its sequence number / nonce. Join frames never go
 /// through this (retries resend identical bytes on purpose).
@@ -57,10 +89,10 @@ std::optional<PrivateEntry> PrivateEntry::deserialize(Reader& r) {
 Ppss::Ppss(net::Clock& clock, wcl::Wcl& wcl, NodeId self, GroupId group, net::CpuMeter& cpu,
            PpssConfig config, Rng rng, telemetry::Scope telemetry)
     : clock_(clock), wcl_(wcl), self_(self), group_(group), cpu_(cpu), config_(config), rng_(rng),
-      drbg_(rng_.next_u64()), keyring_(group), view_(config.view_size),
-      verified_passports_(config.passport_cache), replay_window_(config.replay_window),
-      guard_(PeerGuardConfig{config.peer_rate_per_sec, config.peer_rate_burst,
-                             /*decode_fail_threshold=*/3, config.guard_max_peers}),
+      drbg_(rng_.next_u64()), keyring_(group), view_(kViewSize),
+      verified_passports_(kPassportCache), replay_window_(kReplayWindow),
+      guard_(PeerGuardConfig{kPeerRatePerSec, kPeerRateBurst, kDecodeFailThreshold,
+                             kGuardMaxPeers}),
       tel_(telemetry),
       m_initiated_(tel_.counter("ppss.exchanges.initiated")),
       m_completed_(tel_.counter("ppss.exchanges.completed")),
@@ -82,9 +114,9 @@ Ppss::Ppss(net::Clock& clock, wcl::Wcl& wcl, NodeId self, GroupId group, net::Cp
   // replay-suppression windows drop its first frames as duplicates. Join
   // frames are exempt from suppression, which is why a rejoin gets through
   // even before this scoping matters.
-  next_seq_ = (static_cast<std::uint32_t>(config_.incarnation & 0xffu) << 24) | 1u;
-  next_app_nonce_ =
-      (static_cast<std::uint64_t>(config_.incarnation) << 32) | 1u;
+  const std::uint32_t incarnation = wcl_.transport().incarnation();
+  next_seq_ = (static_cast<std::uint32_t>(incarnation & 0xffu) << 24) | 1u;
+  next_app_nonce_ = (static_cast<std::uint64_t>(incarnation) << 32) | 1u;
 }
 
 Ppss::~Ppss() { stop(); }
@@ -127,7 +159,7 @@ void Ppss::resume(const std::vector<std::pair<std::uint64_t, crypto::RsaPublicKe
 void Ppss::send_join_request() {
   if (!pending_join_) return;
   PendingJoin& pj = *pending_join_;
-  if (pj.attempts >= config_.join_max_retries) {
+  if (pj.attempts >= kJoinMaxRetries) {
     pending_join_.reset();
     return;
   }
@@ -286,7 +318,7 @@ void Ppss::maybe_elect() {
   }
   // Converged and we are the winner: rotate the group key.
   if (election_proposal_node_ == self_ &&
-      election_stable_count_ >= config_.election_stable_cycles) {
+      election_stable_count_ >= kElectionStableCycles) {
     crypto::RsaKeyPair new_key =
         crypto::RsaKeyPair::generate(keyring_.key_for(keyring_.latest_epoch())
                                          ? keyring_.key_for(keyring_.latest_epoch())->n.bit_length()
@@ -334,7 +366,7 @@ void Ppss::on_cycle() {
 
   maybe_elect();
   view_.age_all();
-  view_.expire_older_than(config_.max_entry_age);
+  view_.expire_older_than(kMaxEntryAge);
   // Private-view health: the fill distribution over cycles and members.
   m_view_size_.observe(static_cast<double>(view_.size()));
   const PrivateEntry* partner = view_.oldest();
@@ -347,7 +379,7 @@ void Ppss::on_cycle() {
 
   std::vector<PrivateEntry> buffer;
   buffer.push_back(self_entry());
-  auto subset = view_.random_subset(config_.gossip_size - 1, rng_);
+  auto subset = view_.random_subset(kGossipSize - 1, rng_);
   buffer.insert(buffer.end(), subset.begin(), subset.end());
 
   ++stats_.exchanges_initiated;
@@ -464,7 +496,7 @@ void Ppss::handle_gossip(std::uint8_t kind, Reader& r) {
   meta.proposal_hash = r.u64();
   meta.proposal_node = r.node_id();
   meta.rotation = r.bytes(kMaxRotationBytes);
-  const std::uint16_t count = r.count16(config_.max_gossip_entries);
+  const std::uint16_t count = r.count16(kMaxGossipEntries);
   std::vector<PrivateEntry> received;
   for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
     auto e = PrivateEntry::deserialize(r);
@@ -500,7 +532,7 @@ void Ppss::handle_gossip(std::uint8_t kind, Reader& r) {
   if (kind == kKindGossipReq) {
     std::vector<PrivateEntry> buffer;
     buffer.push_back(self_entry());
-    auto subset = view_.random_subset(config_.gossip_size - 1, rng_);
+    auto subset = view_.random_subset(kGossipSize - 1, rng_);
     buffer.insert(buffer.end(), subset.begin(), subset.end());
     wcl_.send_confidential(sender, encode_gossip(kKindGossipResp, seq, buffer));
     view_.merge(received, self_, /*pi_min_public=*/0, rng_);
@@ -563,7 +595,7 @@ void Ppss::handle_join_request(Reader& r) {
   // Bootstrap entries: ourself plus a view sample.
   std::vector<PrivateEntry> boot;
   boot.push_back(self_entry());
-  auto subset = view_.random_subset(config_.gossip_size - 1, rng_);
+  auto subset = view_.random_subset(kGossipSize - 1, rng_);
   boot.insert(boot.end(), subset.begin(), subset.end());
   w.u16(static_cast<std::uint16_t>(boot.size()));
   for (const auto& e : boot) e.serialize(w);
@@ -585,7 +617,7 @@ void Ppss::handle_join_response(Reader& r) {
   if (passport->node != self_) return;
   // Parse the full key history and bootstrap view before mutating anything:
   // a frame that fails partway through must leave the keyring untouched.
-  const std::uint16_t n_keys = r.count16(config_.max_key_epochs);
+  const std::uint16_t n_keys = r.count16(kMaxKeyEpochs);
   std::vector<std::pair<std::uint64_t, crypto::RsaPublicKey>> keys;
   for (std::uint16_t i = 0; i < n_keys && r.ok(); ++i) {
     const std::uint64_t epoch = r.u64();
@@ -593,7 +625,7 @@ void Ppss::handle_join_response(Reader& r) {
     if (!r.ok() || !key) break;
     keys.emplace_back(epoch, std::move(*key));
   }
-  const std::uint16_t n_entries = r.count16(config_.max_gossip_entries);
+  const std::uint16_t n_entries = r.count16(kMaxGossipEntries);
   std::vector<PrivateEntry> boot;
   for (std::uint16_t i = 0; i < n_entries && r.ok(); ++i) {
     auto e = PrivateEntry::deserialize(r);
@@ -669,7 +701,7 @@ void Ppss::handle_app(Reader& r) {
   auto sender = wcl::RemotePeer::deserialize(r);
   const std::uint64_t nonce = r.u64();
   const std::uint8_t app_id = r.u8();
-  Bytes payload = r.bytes(config_.max_app_payload);
+  Bytes payload = r.bytes(kMaxAppPayload);
   if (!r.ok() || !passport || !sender || !r.expect_done()) {
     reject_frame(r);
     return;

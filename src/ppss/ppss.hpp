@@ -33,45 +33,12 @@
 namespace whisper::ppss {
 
 struct PpssConfig {
-  std::size_t view_size = 10;
-  std::size_t gossip_size = 5;  // entries per exchange (the paper's figure)
-  /// Entries older than this many cycles are dropped: their Π helper sets
-  /// are too stale to open WCL paths reliably.
-  std::uint32_t max_entry_age = 8;
   net::Time cycle = 1 * net::kMinute;
   net::Time response_timeout = 15 * net::kSecond;
   net::Time pcp_refresh = 2 * net::kMinute;
   /// A leader is presumed dead when no heartbeat has been observed for this
   /// long; an election then starts.
   net::Time leader_timeout = 5 * net::kMinute;
-  /// Election converges after the max-hash proposal has been stable for
-  /// this many consecutive cycles.
-  int election_stable_cycles = 3;
-  std::size_t join_max_retries = 3;
-  /// Process incarnation epoch (DESIGN.md §14). Scopes outgoing gossip
-  /// seqs and app nonces so a restarted member's counters never collide
-  /// with its previous life inside peers' replay-suppression windows —
-  /// otherwise the first post-restart frames would be dropped as replays.
-  std::uint32_t incarnation = 0;
-
-  // --- Hostile-input hardening. ---
-  /// Cap on gossip/bootstrap entries per frame (well above gossip_size).
-  std::size_t max_gossip_entries = 32;
-  /// Cap on key-history epochs accepted in a join response.
-  std::size_t max_key_epochs = 256;
-  /// Cap on an application payload carried in a kApp frame.
-  std::size_t max_app_payload = 64 * 1024;
-  /// Replay-suppression window: distinct (sender, kind, seq/nonce)
-  /// fingerprints remembered per instance; 0 disables suppression. Join
-  /// frames are deliberately exempt — retries resend identical bytes.
-  std::size_t replay_window = 1024;
-  /// Bound on the verified-passport signature cache.
-  std::size_t passport_cache = 1024;
-  /// Per-member inbound budget, applied only after the sender's passport
-  /// verifies (frames/sec and burst; 0 disables).
-  double peer_rate_per_sec = 20.0;
-  double peer_rate_burst = 60.0;
-  std::size_t guard_max_peers = 1024;
 };
 
 /// Entry of a private view: a reachable member descriptor plus gossip age.

@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "net/spi.hpp"
+#include "net/timer_queue.hpp"
 #include "telemetry/registry.hpp"
 
 namespace whisper::sim {
@@ -17,13 +17,9 @@ namespace whisper::sim {
 /// Event-loop with a virtual clock, and the simulator-side implementation
 /// of the transport SPI's timer service (net::Clock). Events scheduled for
 /// the same instant fire in scheduling order (stable), which keeps runs
-/// deterministic.
-///
-/// Cancellation bookkeeping is a slot/generation scheme rather than hash
-/// sets: each pending event owns a slot in a pooled table, and its TimerId
-/// carries the slot's generation at scheduling time. cancel() is an O(1)
-/// array probe (the heap entry is dropped lazily when it surfaces), step()
-/// is pure O(log n) heap work — no hashing on either path.
+/// deterministic. The events live in net::TimerQueue, the same queue the
+/// UDP backend fires its timers from: cancel() is an O(1) slot probe,
+/// step() is O(log n) heap work.
 class Simulator : public net::Clock {
  public:
   Simulator();
@@ -64,11 +60,11 @@ class Simulator : public net::Clock {
   /// cancelled entries sitting at the heap front as a side effect. The
   /// sharded engine uses this to skip lockstep windows in which no shard
   /// has work (conservative "lookahead jump").
-  net::Time next_event_at();
+  net::Time next_event_at() { return queue_.next_deadline().value_or(UINT64_MAX); }
 
-  std::size_t pending_events() const { return live_count_; }
-  std::uint64_t executed_events() const { return executed_; }
-  std::uint64_t cancelled_events() const { return cancelled_total_; }
+  std::size_t pending_events() const { return queue_.pending(); }
+  std::uint64_t executed_events() const { return queue_.fired(); }
+  std::uint64_t cancelled_events() const { return queue_.cancelled(); }
 
   /// Register event-loop metrics on `registry` (sim.events.executed,
   /// sim.events.cancelled counters; sim.queue.depth gauge updated per
@@ -77,55 +73,11 @@ class Simulator : public net::Clock {
   void attach_telemetry(telemetry::Registry& registry);
 
  private:
-  struct Event {
-    net::Time at;
-    std::uint64_t ka;   // canonical key, major (UINT64_MAX for plain timers)
-    std::uint64_t kb;   // canonical key, minor (== seq for plain timers)
-    std::uint64_t seq;  // tie-breaker: FIFO among same-time, same-key events
-    net::TimerId id;
-    std::function<void()> fn;
-  };
-  /// Min-heap order on (at, ka, kb, seq) for std::push_heap/pop_heap (which
-  /// build max-heaps, hence the inverted comparison). Plain timers carry
-  /// (ka, kb) = (UINT64_MAX, seq), so among themselves the order is exactly
-  /// the historical (at, seq) FIFO.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.ka != b.ka) return a.ka > b.ka;
-      if (a.kb != b.kb) return a.kb > b.kb;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// One entry per event slot. `gen` is bumped every time the slot retires
-  /// (fire or cancel), so TimerIds minted for earlier occupants go stale.
-  struct Slot {
-    std::uint32_t gen = 1;
-    bool live = false;
-  };
-
-  static net::TimerId make_id(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<net::TimerId>(gen) << 32) | slot;
-  }
-
-  std::uint32_t claim_slot();
-  /// Free a slot and invalidate outstanding ids for it.
-  void retire_slot(std::uint32_t slot);
-  /// True if `id` no longer names a pending event (fired/cancelled/unknown).
-  bool stale(net::TimerId id) const;
-  /// Drop cancelled entries sitting at the heap front so callers can trust
-  /// events_.front() to be a pending event.
-  void drop_stale_front();
+  /// Advance the clock to the earliest event and run it.
+  void run_next();
 
   net::Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::uint64_t cancelled_total_ = 0;
-  std::vector<Event> events_;  // binary heap, storage reserved up front
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t live_count_ = 0;
+  net::TimerQueue queue_;
   telemetry::Counter* executed_counter_ = nullptr;
   telemetry::Counter* cancelled_counter_ = nullptr;
   telemetry::Gauge* depth_gauge_ = nullptr;

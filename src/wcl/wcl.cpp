@@ -93,7 +93,7 @@ Wcl::Wcl(net::Clock& clock, nylon::Transport& transport, keysvc::KeyService& key
          telemetry::Scope telemetry)
     : clock_(clock), transport_(transport), keys_(keys), pss_(pss), cpu_(cpu), config_(config),
       rng_(rng), drbg_(rng_.next_u64()), cb_(kCbCapacity),
-      next_msg_id_((static_cast<std::uint64_t>(config.incarnation) << 44) |
+      next_msg_id_((static_cast<std::uint64_t>(transport.incarnation()) << 44) |
                    ((transport.self().value << 20) & ((1ull << 44) - 1))),
       guard_(PeerGuardConfig{kPeerRatePerSec, kPeerRateBurst, kDecodeFailThreshold,
                              kGuardMaxPeers}),

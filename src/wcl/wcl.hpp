@@ -60,12 +60,6 @@ enum class SendOutcome {
 };
 
 struct WclConfig {
-  /// Incarnation epoch of this node's process (DESIGN.md §14). Scopes the
-  /// message-id space: ids are minted as
-  /// (incarnation << 44) | (self << 20) | seq, so a restarted node can
-  /// never re-mint ids its peers still hold in replay windows or pending
-  /// mix state — the mis-ack path a naive restart would hit.
-  std::uint32_t incarnation = 0;
   std::size_t pi = 3;                          // Π
   /// Number of mixes on a path (the paper's default is 2: S → A → B → D).
   /// f mixes tolerate f−1 colluding nodes (footnote 2); values above 2 add
@@ -134,6 +128,9 @@ class Wcl {
 
   /// The RemotePeer descriptor other nodes can use to reach this node.
   RemotePeer self_peer() const;
+
+  /// The node's transport, which carries its incarnation (DESIGN.md §14).
+  const nylon::Transport& transport() const { return transport_; }
 
   struct Stats {
     std::uint64_t first_try_success = 0;
@@ -212,6 +209,10 @@ class Wcl {
   ConnectionBacklog cb_;
 
   DenseMap<std::uint64_t, PendingSend> pending_sends_;
+  /// Message ids are minted as (incarnation << 44) | (self << 20) | seq,
+  /// with the transport's incarnation (DESIGN.md §14), so a restarted node
+  /// can never re-mint ids its peers still hold in replay windows or
+  /// pending mix state — the mis-ack path a naive restart would hit.
   std::uint64_t next_msg_id_;
 
   // Mix state: where an in-flight onion came from, for ACK/NACK backtracking.

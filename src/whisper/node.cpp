@@ -2,27 +2,11 @@
 
 namespace whisper {
 
-namespace {
-
-// One incarnation value for the whole stack: NodeConfig::incarnation wins
-// over whatever the per-layer configs carried.
-NodeConfig apply_incarnation(NodeConfig config) {
-  if (config.incarnation != 0) {
-    config.transport.incarnation = config.incarnation;
-    config.wcl.incarnation = config.incarnation;
-    config.ppss.incarnation = config.incarnation;
-  }
-  return config;
-}
-
-}  // namespace
-
 WhisperNode::WhisperNode(net::Clock& clock, net::Stack& net, NodeId id,
                          Endpoint internal_ep, bool is_public,
                          const crypto::RsaKeyPair& keypair, NodeConfig config, Rng rng,
                          telemetry::Sinks sinks)
-    : clock_(clock), id_(id), keypair_(keypair), config_(apply_incarnation(std::move(config))),
-      rng_(rng),
+    : clock_(clock), id_(id), keypair_(keypair), config_(std::move(config)), rng_(rng),
       tel_(sinks, id.value),
       transport_(clock, net, id, internal_ep, is_public, config_.transport),
       pss_(clock, transport_, config_.pss, rng_.fork(), tel_),

@@ -29,12 +29,11 @@ struct NodeConfig {
   wcl::WclConfig wcl;
   ppss::PpssConfig ppss;
   std::size_t rsa_bits = 512;
-  /// Process incarnation epoch (DESIGN.md §14). 0 = no durable state.
-  /// Overrides transport.incarnation and wcl.incarnation so the whole
-  /// stack agrees on the epoch; a node restoring from a state dir sets
-  /// this to its bumped persisted value before construction.
-  std::uint32_t incarnation = 0;
 };
+
+/// How many existing node cards a booting node receives, in a simulated
+/// deployment (ScaleTestbed) and an in-process UDP mesh (UdpMesh) alike.
+inline constexpr std::size_t kBootstrapContacts = 5;
 
 class WhisperNode {
  public:

@@ -73,7 +73,7 @@ WhisperNode* UdpMesh::spawn_node() {
   std::vector<WhisperNode*> alive = nodes();
   rng_.shuffle(alive);
   for (WhisperNode* n : alive) {
-    if (bootstrap.size() >= config_.bootstrap_contacts) break;
+    if (bootstrap.size() >= kBootstrapContacts) break;
     if (!n->running()) continue;
     bootstrap.push_back(n->transport().self_card());
   }

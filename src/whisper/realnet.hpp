@@ -32,7 +32,7 @@ NodeConfig realtime_node_config();
 
 /// An in-process mesh of real nodes: one UdpBackend, one UDP socket per
 /// node on a distinct OS-assigned loopback port. All nodes are public
-/// (loopback has no NAT) and bootstrap from up to `bootstrap_contacts`
+/// (loopback has no NAT) and bootstrap from up to `kBootstrapContacts`
 /// previously spawned nodes, as ScaleTestbed::spawn_node does.
 class UdpMesh {
  public:
@@ -40,7 +40,6 @@ class UdpMesh {
     net::UdpBackend::Config backend;
     NodeConfig node;           // defaulted to realtime_node_config()
     std::uint64_t seed = 42;
-    std::size_t bootstrap_contacts = 5;
     bool flight = false;       // record causal flight events
     Config();
   };

@@ -112,7 +112,7 @@ std::vector<pss::ContactCard> ScaleTestbed::sample_bootstrap() {
   // one's predecessor is already stopped.
   std::vector<pss::ContactCard> bootstrap;
   if (nodes_.empty()) return bootstrap;
-  const std::size_t want = std::min(config_.bootstrap_contacts, nodes_.size());
+  const std::size_t want = std::min(kBootstrapContacts, nodes_.size());
   std::vector<std::size_t> picked;
   for (std::size_t attempts = 0; attempts < 20 * want && picked.size() < want;
        ++attempts) {
@@ -145,7 +145,7 @@ WhisperNode* ScaleTestbed::restart_node(std::size_t global_index) {
   std::unique_ptr<WhisperNode>& slot = nodes_[global_index];
   ShardState& st = *shards_[global_index % shards_.size()];
   NodeConfig cfg = config_.node;
-  cfg.incarnation = slot->transport().incarnation() + 1;
+  cfg.transport.incarnation = slot->transport().incarnation() + 1;
   // Abrupt stop: timers die, no departure message goes out (there is
   // none), the endpoint frees up — but the NAT binding and the entry in
   // endpoint_ids_ stay, exactly like a process dying under kill -9.

@@ -55,8 +55,6 @@ struct ScaleConfig {
   std::string latency = "cluster";
   NodeConfig node;
   std::uint64_t seed = 42;
-  /// How many existing node cards a booting node receives.
-  std::size_t bootstrap_contacts = 5;
   /// Record causal flight events and node-timeline marks on every shard's
   /// recorder. Opt-in because the event log grows with run length.
   bool flight = false;
@@ -103,8 +101,9 @@ class ScaleTestbed {
   /// like any booting node (DESIGN.md §14). The NAT binding survives, as
   /// it does for a process dying under kill -9. Peers only notice the
   /// restart when the previous life advertised a nonzero incarnation, so
-  /// crash-recovery scenarios set config.node.incarnation. The stopped
-  /// predecessor stays allocated but node_at(i) now names the replacement.
+  /// crash-recovery scenarios set config.node.transport.incarnation. The
+  /// stopped predecessor stays allocated but node_at(i) now names the
+  /// replacement.
   /// Returns nullptr for unknown or already-stopped nodes.
   WhisperNode* restart_node(std::size_t global_index);
 

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace whisper {
 namespace {
+
+// A Reader views its buffer: it binds to lvalues and views, never to a
+// temporary that dies before the first read.
+static_assert(!std::is_constructible_v<Reader, Bytes&&>);
+static_assert(std::is_constructible_v<Reader, const Bytes&>);
+static_assert(std::is_constructible_v<Reader, BytesView>);
 
 TEST(Serialize, RoundTripScalars) {
   Writer w;
@@ -90,7 +98,8 @@ TEST(Serialize, DoneFalseWhenBytesRemain) {
 }
 
 TEST(Serialize, FailedReadReturnsZero) {
-  Reader r(Bytes{});
+  const Bytes empty;
+  Reader r(empty);
   EXPECT_EQ(r.u32(), 0u);
   EXPECT_EQ(r.node_id(), kNilNode);
   EXPECT_FALSE(r.ok());

@@ -54,7 +54,7 @@ RunResult run_once(std::uint64_t seed) {
   // Every node is epoch-aware from birth, as if booted with --state-dir:
   // peers can only recognize a restart of a node whose previous life
   // advertised a nonzero incarnation.
-  cfg.node.incarnation = 1;
+  cfg.node.transport.incarnation = 1;
   cfg.seed = seed;
   ScaleTestbed tb(cfg);
   tb.run_for(5 * net::kMinute);

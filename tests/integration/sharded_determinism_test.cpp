@@ -32,7 +32,7 @@ RunOutput run_once(std::uint64_t seed, std::size_t shards, bool crash_restart = 
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   // Epoch-aware nodes, so peers notice the restarted incarnations.
-  if (crash_restart) cfg.node.incarnation = 1;
+  if (crash_restart) cfg.node.transport.incarnation = 1;
   ScaleTestbed tb(cfg);
 
   tb.run_for(90 * net::kSecond);

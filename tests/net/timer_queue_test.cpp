@@ -1,7 +1,7 @@
-// Unit tests for the monotonic timer wheel behind the UDP backend: expiry
-// ordering, O(1) slot/generation cancellation, stale-id safety, and
-// re-arming from inside callbacks.
-#include "net/wheel.hpp"
+// Unit tests for the timer queue behind both backends: expiry ordering,
+// O(1) slot/generation cancellation, stale-id safety, and re-arming from
+// inside callbacks.
+#include "net/timer_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,8 @@
 namespace whisper::net {
 namespace {
 
-TEST(TimerWheel, FiresInDeadlineOrder) {
-  TimerWheel wheel;
+TEST(TimerQueue, FiresInDeadlineOrder) {
+  TimerQueue wheel;
   std::vector<int> order;
   wheel.schedule(300, [&] { order.push_back(3); });
   wheel.schedule(100, [&] { order.push_back(1); });
@@ -20,8 +20,8 @@ TEST(TimerWheel, FiresInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimerWheel, SameDeadlineFiresInArmOrder) {
-  TimerWheel wheel;
+TEST(TimerQueue, SameDeadlineFiresInArmOrder) {
+  TimerQueue wheel;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
     wheel.schedule(50, [&order, i] { order.push_back(i); });
@@ -30,8 +30,8 @@ TEST(TimerWheel, SameDeadlineFiresInArmOrder) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(TimerWheel, AdvanceStopsAtNow) {
-  TimerWheel wheel;
+TEST(TimerQueue, AdvanceStopsAtNow) {
+  TimerQueue wheel;
   int fired = 0;
   wheel.schedule(100, [&] { ++fired; });
   wheel.schedule(101, [&] { ++fired; });
@@ -42,8 +42,8 @@ TEST(TimerWheel, AdvanceStopsAtNow) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(TimerWheel, CancelPreventsFiring) {
-  TimerWheel wheel;
+TEST(TimerQueue, CancelPreventsFiring) {
+  TimerQueue wheel;
   int fired = 0;
   const TimerId a = wheel.schedule(10, [&] { ++fired; });
   const TimerId b = wheel.schedule(20, [&] { ++fired; });
@@ -58,8 +58,8 @@ TEST(TimerWheel, CancelPreventsFiring) {
   EXPECT_EQ(wheel.fired(), 1u);
 }
 
-TEST(TimerWheel, StaleIdsAreHarmless) {
-  TimerWheel wheel;
+TEST(TimerQueue, StaleIdsAreHarmless) {
+  TimerQueue wheel;
   int fired = 0;
   const TimerId a = wheel.schedule(10, [&] { ++fired; });
   wheel.advance(10);  // a fires; its slot retires
@@ -75,8 +75,8 @@ TEST(TimerWheel, StaleIdsAreHarmless) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(TimerWheel, DoubleCancelCountsOnce) {
-  TimerWheel wheel;
+TEST(TimerQueue, DoubleCancelCountsOnce) {
+  TimerQueue wheel;
   const TimerId a = wheel.schedule(10, [] {});
   wheel.cancel(a);
   wheel.cancel(a);
@@ -84,8 +84,8 @@ TEST(TimerWheel, DoubleCancelCountsOnce) {
   EXPECT_EQ(wheel.pending(), 0u);
 }
 
-TEST(TimerWheel, NextDeadlineTracksEarliestLiveTimer) {
-  TimerWheel wheel;
+TEST(TimerQueue, NextDeadlineTracksEarliestLiveTimer) {
+  TimerQueue wheel;
   EXPECT_FALSE(wheel.next_deadline().has_value());
   const TimerId a = wheel.schedule(100, [] {});
   wheel.schedule(200, [] {});
@@ -98,8 +98,8 @@ TEST(TimerWheel, NextDeadlineTracksEarliestLiveTimer) {
   EXPECT_FALSE(wheel.next_deadline().has_value());
 }
 
-TEST(TimerWheel, CallbackMayArmTimerDueNow) {
-  TimerWheel wheel;
+TEST(TimerQueue, CallbackMayArmTimerDueNow) {
+  TimerQueue wheel;
   std::vector<int> order;
   wheel.schedule(10, [&] {
     order.push_back(1);
@@ -111,8 +111,8 @@ TEST(TimerWheel, CallbackMayArmTimerDueNow) {
   EXPECT_EQ(wheel.pending(), 1u);
 }
 
-TEST(TimerWheel, CallbackMayCancelLaterTimer) {
-  TimerWheel wheel;
+TEST(TimerQueue, CallbackMayCancelLaterTimer) {
+  TimerQueue wheel;
   int fired = 0;
   TimerId victim = 0;
   wheel.schedule(10, [&] { wheel.cancel(victim); });
@@ -123,8 +123,8 @@ TEST(TimerWheel, CallbackMayCancelLaterTimer) {
   EXPECT_EQ(wheel.cancelled(), 1u);
 }
 
-TEST(TimerWheel, PeriodicRearmKeepsSlotPoolBounded) {
-  TimerWheel wheel;
+TEST(TimerQueue, PeriodicRearmKeepsSlotPoolBounded) {
+  TimerQueue wheel;
   Time next = 1;
   std::function<void()> tick = [&] {
     if (next < 1000) wheel.schedule(++next, tick);
@@ -135,11 +135,11 @@ TEST(TimerWheel, PeriodicRearmKeepsSlotPoolBounded) {
   EXPECT_EQ(wheel.fired(), 1000u);
 }
 
-TEST(TimerWheel, CancelDuringExpiryOfSameDeadlineBatch) {
+TEST(TimerQueue, CancelDuringExpiryOfSameDeadlineBatch) {
   // Three timers due at the same instant fire in arm order; the first
   // cancels the second MID-EXPIRY, so the batch must deliver 1 then 3 —
   // the cancel takes effect even though the victim was already due.
-  TimerWheel wheel;
+  TimerQueue wheel;
   std::vector<int> order;
   TimerId second = 0;
   wheel.schedule(10, [&] {
@@ -154,11 +154,11 @@ TEST(TimerWheel, CancelDuringExpiryOfSameDeadlineBatch) {
   EXPECT_EQ(wheel.pending(), 0u);
 }
 
-TEST(TimerWheel, CancelThenRearmInCallbackYieldsFreshTimer) {
+TEST(TimerQueue, CancelThenRearmInCallbackYieldsFreshTimer) {
   // A callback that cancels a due timer and re-arms a replacement must not
   // resurrect the cancelled one, and the replacement's id must be distinct
   // (slot generations retire stale ids).
-  TimerWheel wheel;
+  TimerQueue wheel;
   int victim_fired = 0;
   int replacement_fired = 0;
   TimerId victim = 0;
@@ -178,10 +178,10 @@ TEST(TimerWheel, CancelThenRearmInCallbackYieldsFreshTimer) {
   EXPECT_EQ(wheel.cancelled(), 1u);
 }
 
-TEST(TimerWheel, RearmAfterFullDrainKeepsFiring) {
-  // The wheel survives going idle: drain everything, re-arm, fire again —
+TEST(TimerQueue, RearmAfterFullDrainKeepsFiring) {
+  // The queue survives going idle: drain everything, re-arm, fire again —
   // the pattern a lingering noded relies on after its own work is done.
-  TimerWheel wheel;
+  TimerQueue wheel;
   int fired = 0;
   wheel.schedule(5, [&] { ++fired; });
   wheel.advance(10);
@@ -194,8 +194,8 @@ TEST(TimerWheel, RearmAfterFullDrainKeepsFiring) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST(TimerWheel, ManyTimersRandomizedCancellation) {
-  TimerWheel wheel;
+TEST(TimerQueue, ManyTimersRandomizedCancellation) {
+  TimerQueue wheel;
   std::vector<TimerId> ids;
   int fired = 0;
   for (int i = 0; i < 500; ++i) {

@@ -230,7 +230,7 @@ TEST_F(TransportFixture, RelayCrashDetectedWithinThresholdKeepalives) {
   ASSERT_NE(detected_at, 0u) << "on_relay_lost never fired";
   const TransportConfig cfg{};  // defaults match what add_natted built
   EXPECT_LE(detected_at - crash_at,
-            static_cast<net::Time>(cfg.relay_loss_threshold) * cfg.keepalive_period +
+            static_cast<net::Time>(kRelayLossThreshold) * cfg.keepalive_period +
                 net::kSecond);
   EXPECT_EQ(n.relays_lost(), 1u);
 }

@@ -225,7 +225,8 @@ TEST(RemotePeerWire, SerializeRoundTrip) {
 }
 
 TEST(RemotePeerWire, DeserializeGarbageFails) {
-  Reader r(Bytes{1, 2, 3});
+  const Bytes garbage{1, 2, 3};
+  Reader r(garbage);
   EXPECT_FALSE(RemotePeer::deserialize(r).has_value());
 }
 

@@ -29,7 +29,7 @@
 // writes invitations; members join and send an onion-routed "ping I" to
 // the leader, retrying until the leader's "pong I" arrives. Exit 0 iff
 // this node's delivered.I was written before the timeout. All file polling
-// runs on backend timers — the same wheel the protocol stack uses.
+// runs on backend timers — the same queue the protocol stack uses.
 //
 // Crash recovery (DESIGN.md §14): with --state-dir the node persists its
 // identity keys, bound endpoint, incarnation and group membership through
@@ -347,7 +347,7 @@ struct Orchestrator {
 
   /// Admin endpoint: drain pending requests, answer each with one keyframe
   /// record (full registry — an admin scrape must not depend on the file
-  /// stream's delta chain). Served off the tick wheel; sub-50 ms latency is
+  /// stream's delta chain). Served off the tick timer; sub-50 ms latency is
   /// plenty for an operator tool.
   void admin_poll() {
     for (;;) {
@@ -747,7 +747,7 @@ int main(int argc, char** argv) {
   // restarts — that IS the recovery claim), from the pool otherwise.
   const crypto::RsaKeyPair identity =
       storep != nullptr ? store.state().identity : pooled_keypair(opt.id, cfg.rsa_bits);
-  cfg.incarnation = storep != nullptr ? store.state().incarnation : 0;
+  cfg.transport.incarnation = storep != nullptr ? store.state().incarnation : 0;
 
   Rng rng(opt.seed ^ (opt.id * 0x9e3779b97f4a7c15ull));
   WhisperNode node(backend, *stack, NodeId{opt.id}, ep, /*is_public=*/!natted,
@@ -765,7 +765,7 @@ int main(int argc, char** argv) {
   orch.publish_stats();
 
   // Admin stats endpoint: loopback UDP socket, port published via the
-  // rendezvous dir; serviced off the timer wheel.
+  // rendezvous dir; serviced off the backend's timers.
   std::uint16_t admin_port = 0;
   orch.admin_fd = open_admin_socket(&admin_port);
   if (orch.admin_fd >= 0) {
