@@ -9,6 +9,10 @@ namespace whisper::net {
 
 namespace {
 
+/// Queueing horizon for the rate cap: a packet whose token-bucket start
+/// would sit further out than this is tail-dropped.
+constexpr Time kRateHorizon = 500 * kMillisecond;
+
 // Strip leading/trailing spaces (impair specs come off command lines).
 std::string trim(const std::string& s) {
   std::size_t b = s.find_first_not_of(" \t");
@@ -342,7 +346,7 @@ bool ShimStack::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
         (static_cast<Time>(payload.size() + 32) * 8 * 1'000'000) / c.rate_bps;
     const Time now = clock_.now();
     const Time start = std::max(now, n->rate_free_at);
-    if (start - now > config_.rate_horizon) {
+    if (start - now > kRateHorizon) {
       ++rate_dropped_;
       emit_event("rate_drop", wire_src, public_dst, d.seq, 0);
       return true;

@@ -107,9 +107,6 @@ struct ShimConfig {
   /// assigned) and returns its endpoint — UdpBackend::reserve_endpoint_on.
   /// Required when any profile is natted.
   std::function<std::optional<Endpoint>(std::uint32_t bind_ip)> reserve;
-  /// Queueing horizon for the rate cap: a packet whose token-bucket start
-  /// would sit further out than this is tail-dropped.
-  Time rate_horizon = 500 * kMillisecond;
   /// Record every ImpairDecision (determinism tests).
   bool record_decisions = false;
 };

@@ -1,5 +1,7 @@
 // Real-network backend: non-blocking UDP sockets on a level-triggered
-// epoll loop, timers on the monotonic clock (net::TimerQueue).
+// epoll loop, timers on the monotonic clock (net::TimerQueue). Between
+// deadlines the loop sleeps on a timerfd; it polls without sleeping only in
+// the last 50 µs before each one (poll(), DESIGN.md §12).
 //
 // One UdpBackend is one single-threaded event loop, exactly like the
 // simulator: it can host a single node (whisper_noded) or a whole
@@ -41,13 +43,6 @@ class FlightRecorder;
 namespace whisper::net {
 
 struct UdpConfig {
-  /// Address new sockets bind to when reserve_endpoint() picks the port.
-  std::uint32_t bind_ip = (127u << 24) | 1;  // 127.0.0.1
-  /// Largest datagram accepted off the wire (frame header included).
-  std::size_t max_datagram = 64 * 1024 + 64;
-  /// Ceiling on one epoll_wait sleep, so stop requests and run_for
-  /// deadlines are honored promptly even with no timers armed.
-  Time max_poll_wait = 250 * kMillisecond;
   /// Opt-in cross-process flight tracing: emit version-2 frames carrying
   /// the sender's TraceContext (27 extra wire bytes per traced datagram).
   /// OFF by default — the zero-wire-bytes anonymity contract holds unless
@@ -102,7 +97,7 @@ class UdpBackend final : public Clock, public Stack {
   void set_fault_interposer(FaultInterposer* faults) override { faults_ = faults; }
   void set_flight(telemetry::FlightRecorder* flight) override { flight_ = flight; }
 
-  /// Bind a fresh socket on an OS-assigned loopback port and return its
+  /// Bind a fresh socket on an OS-assigned port of 127.0.0.1 and return its
   /// endpoint without installing a handler yet; a later attach() with the
   /// same endpoint claims the already-bound socket. This is how tools and
   /// tests get collision-free ports: the endpoint that goes into a node's
@@ -110,16 +105,22 @@ class UdpBackend final : public Clock, public Stack {
   /// socket/bind failure (see last_error()).
   std::optional<Endpoint> reserve_endpoint();
 
-  /// reserve_endpoint() on an explicit bind address instead of
-  /// config_.bind_ip. The NAT shim allocates its per-device mapping sockets
-  /// here: each emulated device owns a distinct loopback IP (all of 127/8 is
-  /// local), so IP-based restricted-cone filtering is real.
+  /// reserve_endpoint() on an explicit bind address instead of 127.0.0.1.
+  /// The NAT shim allocates its per-device mapping sockets here: each
+  /// emulated device owns a distinct loopback IP (all of 127/8 is local), so
+  /// IP-based restricted-cone filtering is real.
   std::optional<Endpoint> reserve_endpoint_on(std::uint32_t bind_ip);
 
   // --- Event loop. ---
-  /// One iteration: sleep until I/O, the next timer deadline, or
-  /// `max_wait` (whichever is earliest), drain ready sockets, fire due
-  /// timers. EINTR is absorbed (treated as a zero-event wakeup).
+  /// One iteration: wait for I/O or the earliest of the next timer
+  /// deadline, `max_wait` and the 250 ms ceiling, then drain ready sockets
+  /// and fire due timers. The wait sleeps on the timerfd until 50 µs before
+  /// that bound and polls with a zero timeout only inside those 50 µs, so a
+  /// timer never fires before its deadline and the loop never spins for
+  /// longer than the margin. The timerfd is re-armed only when the bound
+  /// is earlier than its expiry or that expiry has passed; a stale, earlier
+  /// expiry costs one early wake-up. EINTR is absorbed (treated as a
+  /// zero-event wakeup).
   void poll(Time max_wait);
   /// Pump the loop for `duration` of wall time.
   void run_for(Time duration);
@@ -171,6 +172,8 @@ class UdpBackend final : public Clock, public Stack {
 
   Config config_;
   int epoll_fd_ = -1;
+  int timer_fd_ = -1;  // CLOCK_MONOTONIC timerfd in the epoll set: poll()'s wake-up
+  std::uint64_t armed_ns_ = 0;  // timer_fd_'s expiry (CLOCK_MONOTONIC ns); 0 = idle
   std::uint64_t epoch_ns_ = 0;  // CLOCK_MONOTONIC at construction
   TimerQueue timers_;
   std::unordered_map<Endpoint, SocketState> sockets_;

@@ -1,5 +1,6 @@
-// UDP/epoll backend tests: loopback datagram exchange, wheel-driven
-// timers inside the event loop, frame validation against stray packets,
+// UDP/epoll backend tests: loopback datagram exchange, timer-queue
+// timers inside the event loop (which sleeps between sub-millisecond
+// deadlines instead of spinning), frame validation against stray packets,
 // EINTR handling under a signal storm, and the trace-wire contract
 // (version-2 frames carry the TraceContext; with the flag off the tapped
 // byte stream is identical to a build that never heard of tracing).
@@ -10,6 +11,7 @@
 #include <arpa/inet.h>
 #include <csignal>
 #include <cstring>
+#include <ctime>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -151,6 +153,44 @@ TEST(UdpBackend, TimersFireInDeadlineOrderAndCancelWorks) {
   backend.run_for(100 * kMillisecond);
   EXPECT_EQ(order, (std::vector<int>{1, 25, 3}));
   EXPECT_EQ(backend.pending_timers(), 0u);
+}
+
+TEST(UdpBackend, SleepsBetweenSubMillisecondDeadlines) {
+  // Deadlines closer together than epoll_wait's millisecond resolution: the
+  // loop must still fire each timer on time and in order, and sleep between
+  // them rather than spin on zero-timeout polls. No bound on lateness: on a
+  // loaded host a sleeping loop wakes late, and that is the host's doing.
+  constexpr std::size_t kTimers = 40;
+  constexpr Time kGap = 700;  // µs
+  const auto thread_cpu_us = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) / 1e3;
+  };
+  UdpBackend backend;
+  ASSERT_TRUE(backend.last_error().empty()) << backend.last_error();
+  std::vector<std::size_t> order;
+  int early = 0;
+  const Time first = backend.now() + kGap;
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    const Time at = first + i * kGap;
+    backend.schedule_at(at, [&, i, at] {
+      order.push_back(i);
+      if (backend.now() < at) ++early;
+    });
+  }
+  const double cpu0 = thread_cpu_us();
+  const Time wall0 = backend.now();
+  while (order.size() < kTimers) backend.poll(kSecond);
+  const double cpu = thread_cpu_us() - cpu0;
+  const auto wall = static_cast<double>(backend.now() - wall0);
+
+  std::vector<std::size_t> want(kTimers);
+  for (std::size_t i = 0; i < kTimers; ++i) want[i] = i;
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(early, 0);
+  EXPECT_LT(cpu, 0.25 * wall) << "thread CPU " << cpu << " µs over " << wall
+                              << " µs of wall time: the loop is spinning";
 }
 
 TEST(UdpBackend, RequestStopEndsRun) {

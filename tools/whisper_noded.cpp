@@ -58,6 +58,7 @@
 #include <vector>
 
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -165,6 +166,17 @@ std::uint64_t read_rss_kb() {
   return rss_pages * static_cast<std::uint64_t>(page > 0 ? page : 4096) / 1024;
 }
 
+/// CPU time of the whole process (user + sys, every thread), in µs.
+std::uint64_t read_process_cpu_us() {
+  rusage ru{};
+  if (::getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  const auto us = [](const timeval& tv) {
+    return static_cast<std::uint64_t>(tv.tv_sec) * 1'000'000 +
+           static_cast<std::uint64_t>(tv.tv_usec);
+  };
+  return us(ru.ru_utime) + us(ru.ru_stime);
+}
+
 /// Non-blocking loopback UDP socket on an OS-assigned port, for the admin
 /// stats endpoint. Returns the fd (or -1) and fills `port`.
 int open_admin_socket(std::uint16_t* port) {
@@ -263,11 +275,14 @@ struct Orchestrator {
                            [this] { backend.request_stop(); });
   }
 
-  /// Fold the traversal/shim/socket counters that live outside the registry
-  /// into it as gauges, so every export path (stats file, admin reply)
-  /// carries them. Called from snapshot() — both paths go through it.
+  /// Fold the traversal/shim/socket counters and the process CPU time that
+  /// live outside the registry into it as gauges, so every export path
+  /// (stats file, admin reply) carries them. Called from snapshot() — both
+  /// paths go through it. `proc.cpu_us` counts the event loop's waiting as
+  /// well as its handlers; the header's cpu_us is handler time only.
   void refresh_net_metrics() {
     const auto& t = node.transport();
+    registry.gauge("proc.cpu_us").set(static_cast<double>(read_process_cpu_us()));
     registry.gauge("udp.rx_kernel_drops")
         .set(static_cast<double>(backend.rx_kernel_drops()));
     registry.gauge("nylon.nat_type")
