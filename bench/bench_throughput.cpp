@@ -25,9 +25,9 @@
 #include "crypto/aes128.hpp"
 #include "crypto/envelope.hpp"
 #include "crypto/rsa.hpp"
+#include "common/file.hpp"
 #include "common/stats.hpp"
 #include "net/udp.hpp"
-#include "store/journal.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/registry.hpp"
 #include "whisper/keypool.hpp"
@@ -77,8 +77,8 @@ int run_udp_bench(bool quick, const std::string& json_dir) {
 
   // Serial ping-pong: one round trip in flight, RTT sampled per trip.
   // `stats_interval` > 0 additionally runs whisper_noded's stats-export
-  // duty cycle on a timer (registry flatten + delta encode + atomic file
-  // publish) so its overhead on the hot loop is measurable. The bench
+  // duty cycle on a timer (registry flatten + whole-record encode + atomic
+  // file publish) so its overhead on the hot loop is measurable. The bench
   // exports at 5 ms — 200x noded's default cadence — so the CI gate
   // (overhead <= 3%) is conservative.
   struct PingPongResult {
@@ -113,22 +113,23 @@ int run_udp_bench(bool quick, const std::string& json_dir) {
     });
 
     telemetry::Registry registry;
-    telemetry::HealthExporter exporter(&registry);
+    std::uint64_t stats_seq = 0;
     const std::string stats_path = json_dir + "/.bench_stats.tmp";
     std::function<void()> publish = [&] {
       if (backend.stop_requested()) return;
       // The same work noded does per tick: refresh a few gauges, flatten
-      // the registry into a delta record, publish atomically.
+      // the registry into a whole record, publish atomically.
       registry.counter("bench.pingpong.trips").add(1);
       registry.gauge("bench.backlog.depth").set(static_cast<double>(res.trips));
       telemetry::HealthSnapshot snap;
       snap.node = 1;
       snap.pid = 1;
-      snap.seq = 0;  // exporter fills
+      snap.seq = ++stats_seq;
       snap.now_us = backend.now();
-      const Bytes rec = exporter.next(snap);
+      snap.metrics = telemetry::registry_values(registry);
+      const Bytes rec = telemetry::encode_health_record(snap);
       std::string err;
-      (void)store::atomic_publish_file(stats_path, rec, &err);
+      (void)atomic_publish_file(stats_path, rec, &err);
       ++res.stats_exports;
       backend.schedule_after(stats_interval, publish);
     };

@@ -1,8 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xedb88320) over a byte span.
-// Table-driven, no zlib dependency. Shared by the durable-store journal
-// framing (store/journal.hpp) and the telemetry health/stats records
-// (telemetry/health.hpp) so both sides of a process boundary agree on the
-// checksum without linking each other's layer.
+// Table-driven, no zlib dependency. Frames the telemetry health/stats
+// records (telemetry/health.hpp), which cross a process boundary.
 #pragma once
 
 #include <cstdint>

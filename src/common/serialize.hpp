@@ -179,7 +179,7 @@ class Reader {
   }
 
   /// Raw byte run of exactly `n` bytes (length known from context, no
-  /// prefix on the wire — e.g. CRC-framed journal records).
+  /// prefix on the wire — e.g. a CRC-framed health record's payload).
   Bytes raw(std::size_t n) {
     if (n > remaining()) {
       fail(DecodeError::kTruncated);

@@ -3,8 +3,11 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+
+#include "common/file.hpp"
 
 namespace whisper::store {
 
@@ -129,8 +132,11 @@ Bytes NodeState::serialize() const {
   serialize_keypair(w, identity);
   w.u16(static_cast<std::uint16_t>(groups.size()));
   for (const auto& g : groups) g.serialize(w);
-  w.u16(static_cast<std::uint16_t>(peer_hints.size()));
-  for (const auto& c : peer_hints) c.serialize(w);
+  // The decoder rejects more than kMaxStoredPeerHints, so never write more:
+  // a snapshot that cannot be read back would stop every restart.
+  const std::size_t n_hints = std::min(peer_hints.size(), kMaxStoredPeerHints);
+  w.u16(static_cast<std::uint16_t>(n_hints));
+  for (std::size_t i = 0; i < n_hints; ++i) peer_hints[i].serialize(w);
   return std::move(w).take();
 }
 
@@ -205,91 +211,12 @@ bool NodeStateStore::open(const std::string& dir) {
     state_ = std::move(*s);
     has_state_ = true;
   }
-
-  auto replay = journal_.open(journal_path());
-  if (!replay) {
-    error_ = journal_.last_error();
-    return false;
-  }
-  for (const auto& rec : replay->records) {
-    // A record that fails to decode is treated like a torn tail: stop
-    // applying, keep everything before it. (The CRC already screens random
-    // corruption; this guards a version-skewed or truncated payload.)
-    if (!apply_record(rec)) break;
-    ++replayed_;
-    has_state_ = true;
-  }
   return true;
 }
 
-bool NodeStateStore::apply_record(const JournalRecord& rec) {
-  Reader r(rec.payload);
-  switch (static_cast<RecordType>(rec.type)) {
-    case RecordType::kIncarnation: {
-      const std::uint32_t inc = r.u32();
-      if (!r.expect_done() || inc == 0) return false;
-      if (inc > state_.incarnation) state_.incarnation = inc;
-      return true;
-    }
-    case RecordType::kGroup: {
-      auto g = StoredGroup::deserialize(r);
-      if (!g || !r.expect_done()) return false;
-      state_.upsert_group(std::move(*g));
-      return true;
-    }
-    case RecordType::kPeerHints: {
-      const std::uint32_t n = r.count16(kMaxStoredPeerHints);
-      std::vector<pss::ContactCard> hints;
-      for (std::uint32_t i = 0; i < n; ++i) hints.push_back(pss::ContactCard::deserialize(r));
-      if (!r.expect_done()) return false;
-      state_.peer_hints = std::move(hints);
-      return true;
-    }
-  }
-  return false;  // unknown record type: do not guess
-}
-
-bool NodeStateStore::commit_snapshot() {
+bool NodeStateStore::commit() {
   if (!atomic_write_file(snapshot_path(), state_.serialize(), &error_)) return false;
-  if (journal_.is_open() && !journal_.reset()) {
-    error_ = journal_.last_error();
-    return false;
-  }
   has_state_ = true;
-  return true;
-}
-
-bool NodeStateStore::record_incarnation(std::uint32_t incarnation) {
-  Writer w;
-  w.u32(incarnation);
-  if (!journal_.append(static_cast<std::uint8_t>(RecordType::kIncarnation), w.data())) {
-    error_ = journal_.last_error();
-    return false;
-  }
-  if (incarnation > state_.incarnation) state_.incarnation = incarnation;
-  return true;
-}
-
-bool NodeStateStore::record_group(const StoredGroup& g) {
-  Writer w;
-  g.serialize(w);
-  if (!journal_.append(static_cast<std::uint8_t>(RecordType::kGroup), w.data())) {
-    error_ = journal_.last_error();
-    return false;
-  }
-  state_.upsert_group(g);
-  return true;
-}
-
-bool NodeStateStore::record_peer_hints(const std::vector<pss::ContactCard>& hints) {
-  Writer w;
-  w.u16(static_cast<std::uint16_t>(hints.size()));
-  for (const auto& c : hints) c.serialize(w);
-  if (!journal_.append(static_cast<std::uint8_t>(RecordType::kPeerHints), w.data())) {
-    error_ = journal_.last_error();
-    return false;
-  }
-  state_.peer_hints = hints;
   return true;
 }
 

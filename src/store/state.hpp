@@ -9,13 +9,14 @@
 //    and (leader) the group private key or (member) the accreditation and
 //    entry point needed to re-join and re-validate the passport.
 //
-// Layout on disk under --state-dir:
-//   snapshot.bin   whole NodeState, written atomically (tmp+fsync+rename)
-//   journal.bin    CRC-framed deltas since the snapshot (store::RecordType)
+// One file on disk under --state-dir:
+//   snapshot.bin   the whole NodeState, rewritten atomically on every
+//                  commit (tmp + fsync + rename + directory fsync)
 //
-// Open = load snapshot, replay journal over it, truncate any torn tail.
-// All decoding goes through Reader with explicit caps; a corrupt store is
-// reported, never trusted.
+// A node commits a handful of times in its life (first boot or the
+// incarnation bump, bootstrap hints, group upserts), so every commit
+// writes the whole state. Decoding goes through Reader with explicit
+// caps; a corrupt store is reported, never trusted.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,6 @@
 #include "crypto/rsa.hpp"
 #include "pss/contact.hpp"
 #include "ppss/group.hpp"
-#include "store/journal.hpp"
 #include "wcl/wcl.hpp"
 
 namespace whisper::store {
@@ -43,16 +43,6 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x0157534eu;
 inline constexpr std::size_t kMaxStoredGroups = 64;
 inline constexpr std::size_t kMaxStoredEpochs = 256;
 inline constexpr std::size_t kMaxStoredPeerHints = 256;
-
-/// Journal record types (u8 on the wire).
-enum class RecordType : std::uint8_t {
-  /// payload: u32 incarnation — bumped-on-boot epoch.
-  kIncarnation = 1,
-  /// payload: StoredGroup — upserts by group id.
-  kGroup = 2,
-  /// payload: count16 of ContactCard — replaces the peer hint list.
-  kPeerHints = 3,
-};
 
 /// Everything needed to resume one group membership.
 struct StoredGroup {
@@ -88,6 +78,7 @@ struct NodeState {
   crypto::RsaKeyPair identity;
   std::vector<StoredGroup> groups;
   /// Last known contact cards of peers (bootstrap hints for rejoin).
+  /// serialize() writes at most the first kMaxStoredPeerHints.
   std::vector<pss::ContactCard> peer_hints;
 
   Bytes serialize() const;
@@ -102,7 +93,8 @@ struct NodeState {
 void serialize_keypair(Writer& w, const crypto::RsaKeyPair& kp);
 std::optional<crypto::RsaKeyPair> deserialize_keypair(Reader& r);
 
-/// Snapshot + journal store rooted at one directory.
+/// Snapshot store rooted at one directory. Callers mutate state() and
+/// then commit() it.
 class NodeStateStore {
  public:
   NodeStateStore() = default;
@@ -110,9 +102,8 @@ class NodeStateStore {
   NodeStateStore(const NodeStateStore&) = delete;
   NodeStateStore& operator=(const NodeStateStore&) = delete;
 
-  /// Open (creating the directory if needed), load the snapshot if one
-  /// exists and replay the journal over it. False on I/O failure or a
-  /// corrupt snapshot.
+  /// Open (creating the directory if needed) and load the snapshot if one
+  /// exists. False on I/O failure or a corrupt snapshot.
   bool open(const std::string& dir);
 
   /// True when open() found existing state to resume from.
@@ -121,31 +112,16 @@ class NodeStateStore {
   NodeState& state() { return state_; }
   const NodeState& state() const { return state_; }
 
-  /// Write the full state as a new atomic snapshot and clear the journal.
-  bool commit_snapshot();
-
-  /// Journal a bumped incarnation (fsync'd before returning).
-  bool record_incarnation(std::uint32_t incarnation);
-  /// Journal a group upsert (fsync'd before returning).
-  bool record_group(const StoredGroup& g);
-  /// Journal a replacement peer-hint list (fsync'd before returning).
-  bool record_peer_hints(const std::vector<pss::ContactCard>& hints);
+  /// Write the whole state as the new snapshot; durable when it returns.
+  bool commit();
 
   const std::string& last_error() const { return error_; }
-  std::uint64_t journal_records_replayed() const { return replayed_; }
-  std::uint64_t torn_tails_truncated() const { return journal_.torn_tails_truncated(); }
-
   std::string snapshot_path() const { return dir_ + "/snapshot.bin"; }
-  std::string journal_path() const { return dir_ + "/journal.bin"; }
 
  private:
-  bool apply_record(const JournalRecord& rec);
-
   std::string dir_;
   NodeState state_;
-  JournalFile journal_;
   bool has_state_ = false;
-  std::uint64_t replayed_ = 0;
   std::string error_;
 };
 

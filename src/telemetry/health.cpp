@@ -1,8 +1,10 @@
 #include "telemetry/health.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <variant>
 
 #include "common/crc32.hpp"
@@ -58,6 +60,13 @@ void encode_payload(Writer& w, const HealthSnapshot& s) {
 
 }  // namespace
 
+double HealthSnapshot::metric(std::string_view key) const {
+  for (const auto& [k, v] : metrics) {
+    if (k == key) return v;
+  }
+  return 0;
+}
+
 Bytes encode_health_record(const HealthSnapshot& snap) {
   Writer payload;
   encode_payload(payload, snap);
@@ -66,7 +75,6 @@ Bytes encode_health_record(const HealthSnapshot& snap) {
   w.u8(kHealthMagic0);
   w.u8(kHealthMagic1);
   w.u8(kHealthVersion);
-  w.u8(snap.keyframe ? kHealthFlagKeyframe : 0);
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u32(crc32(payload.data()));
   w.raw(payload.data());
@@ -79,7 +87,6 @@ std::optional<HealthSnapshot> decode_health_record(BytesView data, DecodeError* 
   const std::uint8_t m0 = r.u8();
   const std::uint8_t m1 = r.u8();
   const std::uint8_t version = r.u8();
-  const std::uint8_t flags = r.u8();
   const std::uint32_t len = r.u32();
   const std::uint32_t crc = r.u32();
   if (!r.ok()) {
@@ -127,7 +134,6 @@ std::optional<HealthSnapshot> decode_health_record(BytesView data, DecodeError* 
   s.rate_limited = p.u32();
   s.rss_kb = p.u64();
   s.cpu_us = p.u64();
-  s.keyframe = (flags & kHealthFlagKeyframe) != 0;
   const std::uint32_t count = p.count16(kMaxHealthMetrics);
   s.metrics.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -164,66 +170,30 @@ std::vector<std::pair<std::string, double>> registry_values(const Registry& reg)
   return out;
 }
 
-Bytes HealthExporter::next(HealthSnapshot snap) {
-  snap.seq = ++seq_;
-  snap.keyframe = ((seq_ - 1) % keyframe_every_) == 0;
-  snap.metrics.clear();
-  if (reg_) {
-    const auto values = registry_values(*reg_);
-    if (snap.keyframe) {
-      snap.metrics = values;
-      last_.clear();
-      for (const auto& [k, v] : values) last_[k] = v;
-    } else {
-      for (const auto& [k, v] : values) {
-        auto it = last_.find(k);
-        if (it == last_.end() || it->second != v) {
-          snap.metrics.emplace_back(k, v);
-          last_[k] = v;
-        }
-      }
-    }
+HealthSnapshot fleet_total(const std::vector<HealthSnapshot>& nodes) {
+  HealthSnapshot sum;
+  std::map<std::string, double> metrics;
+  for (const HealthSnapshot& s : nodes) {
+    sum.now_us = std::max(sum.now_us, s.now_us);
+    sum.uptime_us = std::max(sum.uptime_us, s.uptime_us);
+    sum.groups += s.groups;
+    sum.wcl_backlog += s.wcl_backlog;
+    sum.pending_forwards += s.pending_forwards;
+    sum.pss_view += s.pss_view;
+    sum.pss_reserve += s.pss_reserve;
+    sum.quarantined += s.quarantined;
+    sum.peer_restarts += s.peer_restarts;
+    sum.decode_rejects += s.decode_rejects;
+    sum.rate_limited += s.rate_limited;
+    sum.rss_kb += s.rss_kb;
+    sum.cpu_us += s.cpu_us;
+    for (const auto& [k, v] : s.metrics) metrics[k] += v;
   }
-  return encode_health_record(snap);
+  sum.metrics.assign(metrics.begin(), metrics.end());
+  return sum;
 }
 
-bool HealthAccumulator::apply(BytesView record, DecodeError* error) {
-  auto snap = decode_health_record(record, error);
-  if (!snap) return false;
-  apply(*snap);
-  return true;
-}
-
-void HealthAccumulator::apply(const HealthSnapshot& snap) {
-  // Same record scraped twice: nothing new — unless it is a keyframe and
-  // the metric view is stale (an admin reply reuses the last exported seq;
-  // its full value set is exactly what an unsynced accumulator needs).
-  if (valid_ && snap.pid == last_.pid && snap.incarnation == last_.incarnation &&
-      snap.seq == last_.seq && (synced_ || !snap.keyframe)) {
-    return;
-  }
-  const bool contiguous =
-      valid_ && snap.pid == last_.pid && snap.incarnation == last_.incarnation &&
-      snap.seq == last_.seq + 1;
-  if (snap.keyframe) {
-    metrics_.clear();
-    for (const auto& [k, v] : snap.metrics) metrics_[k] = v;
-    synced_ = true;
-  } else if (synced_ && contiguous) {
-    for (const auto& [k, v] : snap.metrics) metrics_[k] = v;
-  } else {
-    // Gap in the delta chain (missed scrape or restarted node): the metric
-    // view is stale until the next keyframe. Header fields stay live so the
-    // supervisor probe keeps working.
-    synced_ = false;
-  }
-  last_ = snap;
-  valid_ = true;
-}
-
-std::string health_to_json(const HealthSnapshot& snap,
-                           const std::map<std::string, double>& metrics,
-                           std::string_view label) {
+std::string health_to_json(const HealthSnapshot& snap, std::string_view label) {
   std::string out = "{\"node\":\"";
   out += json_escape(label);
   out += "\"";
@@ -247,6 +217,7 @@ std::string health_to_json(const HealthSnapshot& snap,
   out += buf;
   out += ",\"metrics\":{";
   bool first = true;
+  const std::map<std::string, double> metrics(snap.metrics.begin(), snap.metrics.end());
   for (const auto& [k, v] : metrics) {
     if (!first) out += ",";
     first = false;

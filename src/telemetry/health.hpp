@@ -6,30 +6,24 @@
 // counters, rss/cpu) into a versioned, CRC-framed binary record. The record
 // is published two ways: as an atomic file in the rendezvous directory
 // (scraped by whisper_localnet / whisper_top, and probed by the chaos
-// supervisor in place of the old "pid inc seq" heartbeat text file) and as
-// the reply on a local admin UDP socket.
+// supervisor for liveness) and as the reply on a local admin UDP socket.
 //
 // Wire format (little-endian, matching common/serialize.hpp):
-//   [0x57 'W'][0x48 'H'][u8 version][u8 flags][u32 payload_len]
+//   [0x57 'W'][0x48 'H'][u8 version=2][u32 payload_len]
 //   [u32 crc32(payload)][payload]
-// flags bit0 = keyframe (payload carries the FULL registry value set;
-// otherwise only values changed since the previous record). Decoding is
-// bounds-checked through Reader/DecodeError with hard caps on payload size,
-// metric count and name length, and rejects trailing garbage — hostile or
-// torn bytes can never drive an oversized allocation or a partial apply.
-//
-// Delta scheme: records carry a per-process monotonic `seq`. An aggregator
-// (HealthAccumulator) applies deltas only while the sequence is unbroken;
-// after a gap (dropped scrape, restarted node) it keeps serving the header
-// fields — the liveness probe must work from any record — but holds the
-// metric view stale until the next keyframe resyncs it. Exporters emit a
-// keyframe first and every `keyframe_every` records thereafter.
+// Every record is whole: its payload carries the full registry value set,
+// so any one record read alone gives the node's complete metrics. Records
+// carry a per-process monotonic `seq`, which the liveness probe watches.
+// Decoding is bounds-checked through Reader/DecodeError with hard caps on
+// payload size, metric count and name length, and rejects trailing
+// garbage — hostile or torn bytes can never drive an oversized allocation
+// or a partial apply.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,8 +35,9 @@ namespace whisper::telemetry {
 
 inline constexpr std::uint8_t kHealthMagic0 = 0x57;  // 'W'
 inline constexpr std::uint8_t kHealthMagic1 = 0x48;  // 'H'
-inline constexpr std::uint8_t kHealthVersion = 1;
-inline constexpr std::uint8_t kHealthFlagKeyframe = 0x01;
+/// Changes with the record layout, so a reader of another layout rejects
+/// the record instead of misreading it.
+inline constexpr std::uint8_t kHealthVersion = 2;
 /// Hard cap on a record payload; larger on-disk/wire values are corruption
 /// (kOversized), never an allocation request.
 inline constexpr std::size_t kMaxHealthPayloadBytes = 256 * 1024;
@@ -71,8 +66,10 @@ struct HealthSnapshot {
   std::uint32_t rate_limited = 0;
   std::uint64_t rss_kb = 0;
   std::uint64_t cpu_us = 0;  ///< CpuMeter::total(), wall µs in handlers
-  bool keyframe = true;
   std::vector<std::pair<std::string, double>> metrics;
+
+  /// The value of metric `key`; 0 when the record does not carry it.
+  double metric(std::string_view key) const;
 };
 
 /// Encode one CRC-framed record.
@@ -88,53 +85,14 @@ std::optional<HealthSnapshot> decode_health_record(BytesView data,
 /// gauges one value each, histograms as derived "<key>#stat" values.
 std::vector<std::pair<std::string, double>> registry_values(const Registry& reg);
 
-/// Stateful producer: tracks the previously exported value set so each
-/// record carries only changed values, with a keyframe first and every
-/// `keyframe_every` records. Fills snap.seq / snap.keyframe / snap.metrics;
-/// all other fields are the caller's.
-class HealthExporter {
- public:
-  explicit HealthExporter(const Registry* reg = nullptr,
-                          std::uint32_t keyframe_every = 10)
-      : reg_(reg), keyframe_every_(keyframe_every ? keyframe_every : 1) {}
-
-  Bytes next(HealthSnapshot snap);
-  std::uint64_t seq() const { return seq_; }
-
- private:
-  const Registry* reg_;
-  std::uint32_t keyframe_every_;
-  std::uint64_t seq_ = 0;
-  std::map<std::string, double> last_;
-};
-
-/// Aggregator side: folds a stream of keyframe/delta records from one node
-/// into the current metric view, resyncing on keyframes after a sequence
-/// gap. apply() is atomic: a record that fails to decode changes nothing.
-class HealthAccumulator {
- public:
-  bool apply(BytesView record, DecodeError* error = nullptr);
-  void apply(const HealthSnapshot& snap);
-
-  bool valid() const { return valid_; }
-  /// True while the metric view reflects an unbroken delta chain.
-  bool synced() const { return synced_; }
-  const HealthSnapshot& last() const { return last_; }
-  const std::map<std::string, double>& metrics() const { return metrics_; }
-
- private:
-  HealthSnapshot last_{};
-  std::map<std::string, double> metrics_;
-  bool valid_ = false;
-  bool synced_ = false;
-};
+/// The fleet-wide record over `nodes`: header counters and metrics summed,
+/// clocks maxed. node, pid, incarnation and seq stay 0.
+HealthSnapshot fleet_total(const std::vector<HealthSnapshot>& nodes);
 
 /// One JSONL object for fleet timelines: the fixed header fields plus every
-/// metric in `metrics` (deterministic: map order, fixed number format).
+/// metric (deterministic: metrics in key order, fixed number format).
 /// `label` names the node ("3", or "fleet" for the summed line).
-std::string health_to_json(const HealthSnapshot& snap,
-                           const std::map<std::string, double>& metrics,
-                           std::string_view label);
+std::string health_to_json(const HealthSnapshot& snap, std::string_view label);
 
 // ---------------------------------------------------------------------------
 // Admin socket protocol: fixed 4-byte request, health-record reply.
@@ -146,10 +104,10 @@ inline constexpr std::uint8_t kAdminMagic1 = 0x41;  // 'A'
 inline constexpr std::uint8_t kAdminVersion = 1;
 
 enum class AdminOp : std::uint8_t {
-  kStats = 1,      ///< reply: one keyframe health record
+  kStats = 1,      ///< reply: one health record
   kNatReboot = 2,  ///< wipe the node's emulated NAT mapping table (chaos
-                   ///< supervisor event); reply: one keyframe health record
-                   ///< so the supervisor gets delivery confirmation
+                   ///< supervisor event); reply: one health record so the
+                   ///< supervisor gets delivery confirmation
 };
 
 Bytes encode_admin_request(AdminOp op);

@@ -1,24 +1,20 @@
 // Structure-aware libFuzzer harness over the durable-store decoders
-// (DESIGN.md §14): the journal frame decoder and the snapshot (NodeState)
-// deserializer — the two paths that parse bytes a crash may have torn or a
-// hostile filesystem may have doctored.
+// (DESIGN.md §14): the snapshot (NodeState) deserializer and the group and
+// keypair decoders inside it — the paths that parse bytes a crash may have
+// torn or a hostile filesystem may have doctored.
 //
 // Same selector-byte scheme as fuzz_codecs: the first input byte picks the
 // decoder, the remainder is the payload, so one corpus covers the whole
 // surface while mutation stays within one format's grammar.
 //
-// Unlike the wire harness this one also asserts decoder INVARIANTS (via
-// __builtin_trap, which the fuzzer reports as a crash):
-//   - decode_journal never claims to consume more bytes than it was given,
-//     and frames are never smaller than the 9-byte header;
-//   - replay is prefix-stable: re-decoding exactly the consumed prefix
-//     yields the same records and a clean (untorn) tail — the property the
-//     torn-tail truncation on open() relies on.
+// Unlike the wire harness this one also asserts an INVARIANT (via
+// __builtin_trap, which the fuzzer reports as a crash): a snapshot that
+// decodes re-encodes to bytes that decode again — the store never writes
+// what it cannot read back.
 #include <cstddef>
 #include <cstdint>
 
 #include "common/serialize.hpp"
-#include "store/journal.hpp"
 #include "store/state.hpp"
 
 namespace {
@@ -30,42 +26,24 @@ void check(bool ok) {
   if (!ok) __builtin_trap();
 }
 
-void fuzz_journal(BytesView body) {
-  const whisper::store::JournalReplay replay = whisper::store::decode_journal(body);
-  check(replay.consumed <= body.size());
-  check(replay.torn_tail == (replay.consumed != body.size()));
-  // Each decoded frame costs at least its 9-byte header.
-  check(replay.consumed >= replay.records.size() * 9);
-  for (const auto& rec : replay.records) {
-    check(rec.payload.size() <= whisper::store::kMaxRecordBytes);
-  }
-  // Prefix stability: the consumed prefix must replay identically, clean.
-  const whisper::store::JournalReplay again =
-      whisper::store::decode_journal(BytesView(body.data(), replay.consumed));
-  check(!again.torn_tail);
-  check(again.records.size() == replay.records.size());
-  check(again.consumed == replay.consumed);
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   if (size == 0) return 0;
   const BytesView body(data + 1, size - 1);
-  switch (data[0] % 4) {
+  switch (data[0] % 3) {
     case 0:
-      fuzz_journal(body);
+      if (auto st = whisper::store::NodeState::deserialize(body)) {
+        check(whisper::store::NodeState::deserialize(st->serialize()).has_value());
+      }
       break;
-    case 1:
-      (void)whisper::store::NodeState::deserialize(body);
-      break;
-    case 2: {
+    case 1: {
       Reader r(body);
       if (auto g = whisper::store::StoredGroup::deserialize(r)) (void)r.expect_done();
       (void)r.reject_reason();
       break;
     }
-    case 3: {
+    case 2: {
       Reader r(body);
       if (auto kp = whisper::store::deserialize_keypair(r)) (void)r.expect_done();
       (void)r.reject_reason();

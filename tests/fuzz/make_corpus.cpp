@@ -157,31 +157,6 @@ int main(int argc, char** argv) {
   member_group.entry_point = sample_peer(rng, key, 2);
 
   {
-    // A realistic journal: one frame of each RecordType, matching what
-    // NodeStateStore appends between snapshots.
-    Bytes journal;
-    auto append = [&journal](store::RecordType type, const Bytes& payload) {
-      const Bytes frame =
-          store::encode_record(static_cast<std::uint8_t>(type), payload);
-      journal.insert(journal.end(), frame.begin(), frame.end());
-    };
-    Writer inc;
-    inc.u32(2);
-    append(store::RecordType::kIncarnation, inc.data());
-    Writer grp;
-    member_group.serialize(grp);
-    append(store::RecordType::kGroup, grp.data());
-    Writer hints;
-    hints.u16(2);
-    sample_card(rng).serialize(hints);
-    sample_card(rng).serialize(hints);
-    append(store::RecordType::kPeerHints, hints.data());
-    emit(store_dir, "journal", 0, journal);
-    // The same journal with a torn tail (crash mid-append).
-    Bytes torn(journal.begin(), journal.end() - 3);
-    emit(store_dir, "journal_torn", 0, torn);
-  }
-  {
     store::NodeState st;
     st.id = NodeId{42};
     st.is_public = true;
@@ -191,21 +166,21 @@ int main(int argc, char** argv) {
     st.groups.push_back(leader_group);
     st.groups.push_back(member_group);
     st.peer_hints.push_back(sample_card(rng));
-    emit(store_dir, "node_state", 1, st.serialize());
+    emit(store_dir, "node_state", 0, st.serialize());
   }
   {
     Writer w;
     member_group.serialize(w);
-    emit(store_dir, "stored_group", 2, w.data());
+    emit(store_dir, "stored_group", 1, w.data());
   }
   {
     Writer w;
     store::serialize_keypair(w, identity);
-    emit(store_dir, "keypair", 3, w.data());
+    emit(store_dir, "keypair", 2, w.data());
   }
 
   // Observability-plane seeds (fuzz_admin selectors, see fuzz_admin.cpp):
-  // one valid keyframe health record, one delta, one admin request.
+  // one valid health record and one admin request.
   const std::filesystem::path admin_dir = root / "admin";
   std::filesystem::create_directories(admin_dir);
   {
@@ -222,18 +197,10 @@ int main(int argc, char** argv) {
     snap.pss_reserve = 40;
     snap.rss_kb = 9000;
     snap.cpu_us = 123456;
-    snap.keyframe = true;
     snap.metrics = {{"wcl.onions.delivered", 11.0},
                     {"pss.exchange.rtt_us#p95", 4321.0},
                     {"wcl.backlog.depth{node=n3}", 4.0}};
-    emit(admin_dir, "health_keyframe", 0, telemetry::encode_health_record(snap));
-    snap.keyframe = false;
-    snap.seq = 8;
-    snap.metrics = {{"wcl.onions.delivered", 12.0}};
-    emit(admin_dir, "health_delta", 0, telemetry::encode_health_record(snap));
-    // Selector 2 replays the same record shape through the accumulator.
-    emit(admin_dir, "health_accumulate", 2,
-         telemetry::encode_health_record(snap));
+    emit(admin_dir, "health_record", 0, telemetry::encode_health_record(snap));
   }
   emit(admin_dir, "admin_request", 1,
        telemetry::encode_admin_request(telemetry::AdminOp::kStats));

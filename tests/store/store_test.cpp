@@ -1,16 +1,18 @@
-// Durable-store tests (DESIGN.md §14): CRC journal framing, torn-tail
-// tolerance at every byte boundary, snapshot atomicity, and full
-// NodeState round-trips including keys that must keep signing after
-// restore.
+// Durable-store tests (DESIGN.md §14): snapshot atomicity across a crash
+// before the rename, every commit surviving a reopen, the peer-hint cap on
+// write, and full NodeState round-trips including keys that must keep
+// signing after restore.
 #include "store/state.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include <unistd.h>
 
+#include "common/file.hpp"
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
 #include "ppss/group.hpp"
@@ -47,109 +49,7 @@ struct StoreTest : ::testing::Test {
   }
 };
 
-// --- Journal framing. ---
-
-TEST_F(StoreTest, JournalRecordsRoundTrip) {
-  Bytes stream;
-  for (std::uint8_t t = 1; t <= 3; ++t) {
-    const Bytes payload(t * 5, static_cast<std::uint8_t>(0xa0 + t));
-    const Bytes frame = encode_record(t, payload);
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  }
-  const JournalReplay replay = decode_journal(stream);
-  ASSERT_EQ(replay.records.size(), 3u);
-  EXPECT_FALSE(replay.torn_tail);
-  EXPECT_EQ(replay.consumed, stream.size());
-  for (std::uint8_t t = 1; t <= 3; ++t) {
-    EXPECT_EQ(replay.records[t - 1].type, t);
-    EXPECT_EQ(replay.records[t - 1].payload,
-              Bytes(t * 5u, static_cast<std::uint8_t>(0xa0 + t)));
-  }
-}
-
-TEST_F(StoreTest, TornTailToleratedAtEveryByteBoundary) {
-  // A crash can truncate the journal at ANY byte. Whatever the cut point,
-  // decode must keep every complete frame before it and flag the rest as a
-  // torn tail — never crash, never misparse.
-  std::vector<std::size_t> boundaries = {0};
-  Bytes stream;
-  for (std::uint8_t t = 1; t <= 3; ++t) {
-    const Bytes frame = encode_record(t, Bytes(4 * t, t));
-    stream.insert(stream.end(), frame.begin(), frame.end());
-    boundaries.push_back(stream.size());
-  }
-  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
-    const JournalReplay replay =
-        decode_journal(BytesView(stream.data(), cut));
-    std::size_t complete = 0;
-    while (complete + 1 < boundaries.size() && boundaries[complete + 1] <= cut) {
-      ++complete;
-    }
-    EXPECT_EQ(replay.records.size(), complete) << "cut at " << cut;
-    EXPECT_EQ(replay.consumed, boundaries[complete]) << "cut at " << cut;
-    EXPECT_EQ(replay.torn_tail, cut != boundaries[complete]) << "cut at " << cut;
-  }
-}
-
-TEST_F(StoreTest, CorruptedPayloadFailsCrcAndStopsReplay) {
-  Bytes stream;
-  for (std::uint8_t t = 1; t <= 3; ++t) {
-    const Bytes frame = encode_record(t, Bytes(16, t));
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  }
-  const std::size_t frame_len = stream.size() / 3;
-  // Flip one payload byte inside the SECOND frame.
-  stream[frame_len + 12] ^= 0x40;
-  const JournalReplay replay = decode_journal(stream);
-  ASSERT_EQ(replay.records.size(), 1u);
-  EXPECT_TRUE(replay.torn_tail);
-  EXPECT_EQ(replay.tail_error, DecodeError::kBadValue);
-  EXPECT_EQ(replay.consumed, frame_len);
-}
-
-TEST_F(StoreTest, OversizedLengthIsCorruptionNotAllocation) {
-  Bytes frame = encode_record(1, Bytes(8, 0x11));
-  // Rewrite the length field to claim a payload far over the cap.
-  const std::uint32_t huge = kMaxRecordBytes + 1;
-  frame[1] = static_cast<std::uint8_t>(huge & 0xff);
-  frame[2] = static_cast<std::uint8_t>((huge >> 8) & 0xff);
-  frame[3] = static_cast<std::uint8_t>((huge >> 16) & 0xff);
-  frame[4] = static_cast<std::uint8_t>((huge >> 24) & 0xff);
-  const JournalReplay replay = decode_journal(frame);
-  EXPECT_TRUE(replay.records.empty());
-  EXPECT_TRUE(replay.torn_tail);
-  EXPECT_EQ(replay.tail_error, DecodeError::kOversized);
-}
-
-TEST_F(StoreTest, JournalFileTruncatesTornTailOnOpen) {
-  const std::string jpath = path("journal.bin");
-  {
-    JournalFile j;
-    ASSERT_TRUE(j.open(jpath).has_value());
-    ASSERT_TRUE(j.append(7, Bytes(10, 0x22)));
-    ASSERT_TRUE(j.append(8, Bytes(20, 0x33)));
-    j.close();
-  }
-  // Crash mid-append: chop the file inside the second frame.
-  Bytes raw = file_bytes(jpath);
-  const std::size_t first_frame = 9 + 10;
-  write_bytes(jpath, BytesView(raw.data(), first_frame + 5));
-
-  JournalFile j;
-  const auto replay = j.open(jpath);
-  ASSERT_TRUE(replay.has_value());
-  ASSERT_EQ(replay->records.size(), 1u);
-  EXPECT_EQ(replay->records[0].type, 7);
-  EXPECT_EQ(j.torn_tails_truncated(), 1u);
-  // The torn bytes are gone from disk, and appends land cleanly after the
-  // surviving frame.
-  ASSERT_TRUE(j.append(9, Bytes(5, 0x44)));
-  j.close();
-  const JournalReplay after = decode_journal(file_bytes(jpath));
-  ASSERT_EQ(after.records.size(), 2u);
-  EXPECT_FALSE(after.torn_tail);
-  EXPECT_EQ(after.records[1].type, 9);
-}
+// --- Atomic file writes. ---
 
 TEST_F(StoreTest, AtomicWriteFileRoundTrips) {
   const std::string p = path("blob.bin");
@@ -267,13 +167,12 @@ TEST_F(StoreTest, NodeStateRejectsDamage) {
   EXPECT_FALSE(NodeState::deserialize(Bytes{}, &why).has_value());
 }
 
-// --- NodeStateStore: snapshot + journal over a directory. ---
+// --- NodeStateStore: one snapshot file over a directory. ---
 
 TEST_F(StoreTest, FreshDirectoryHasNoState) {
   NodeStateStore store;
   ASSERT_TRUE(store.open(dir + "/fresh")) << store.last_error();
   EXPECT_FALSE(store.has_state());
-  EXPECT_EQ(store.journal_records_replayed(), 0u);
 }
 
 TEST_F(StoreTest, SnapshotCommitSurvivesReopen) {
@@ -281,7 +180,7 @@ TEST_F(StoreTest, SnapshotCommitSurvivesReopen) {
     NodeStateStore store;
     ASSERT_TRUE(store.open(dir)) << store.last_error();
     store.state() = sample_state(404);
-    ASSERT_TRUE(store.commit_snapshot()) << store.last_error();
+    ASSERT_TRUE(store.commit()) << store.last_error();
   }
   NodeStateStore store;
   ASSERT_TRUE(store.open(dir)) << store.last_error();
@@ -289,62 +188,87 @@ TEST_F(StoreTest, SnapshotCommitSurvivesReopen) {
   EXPECT_EQ(store.state().id, NodeId{42});
   EXPECT_EQ(store.state().incarnation, 3u);
   ASSERT_EQ(store.state().groups.size(), 2u);
-  EXPECT_EQ(store.journal_records_replayed(), 0u);
 }
 
-TEST_F(StoreTest, JournalRecordsReplayOverSnapshot) {
+TEST_F(StoreTest, EveryCommitSurvivesReopen) {
   {
     NodeStateStore store;
     ASSERT_TRUE(store.open(dir)) << store.last_error();
     store.state() = sample_state(505);
     store.state().incarnation = 1;
-    ASSERT_TRUE(store.commit_snapshot());
-    // Post-snapshot deltas: a restart bump, a group update, fresh hints.
-    ASSERT_TRUE(store.record_incarnation(2)) << store.last_error();
-    StoredGroup g = store.state().groups[1];
-    g.epochs.emplace_back(3, store.state().identity.pub);
-    ASSERT_TRUE(store.record_group(g));
-    ASSERT_TRUE(store.record_peer_hints({pss::ContactCard{
-        NodeId{77}, Endpoint{(127u << 24) | 1, 7777}, true, kNilNode}}));
+    ASSERT_TRUE(store.commit());
+    // The writes a node makes after its first boot: a restart bump, a group
+    // update, fresh hints — each one a whole-state commit.
+    store.state().incarnation = 2;
+    ASSERT_TRUE(store.commit()) << store.last_error();
+    store.state().groups[1].epochs.emplace_back(3, store.state().identity.pub);
+    ASSERT_TRUE(store.commit());
+    store.state().peer_hints = {pss::ContactCard{
+        NodeId{77}, Endpoint{(127u << 24) | 1, 7777}, true, kNilNode}};
+    ASSERT_TRUE(store.commit());
   }
   NodeStateStore store;
   ASSERT_TRUE(store.open(dir)) << store.last_error();
   ASSERT_TRUE(store.has_state());
-  EXPECT_EQ(store.journal_records_replayed(), 3u);
   EXPECT_EQ(store.state().incarnation, 2u);
   ASSERT_EQ(store.state().groups.size(), 2u);
   EXPECT_EQ(store.state().groups[1].epochs.size(), 3u);
   ASSERT_EQ(store.state().peer_hints.size(), 1u);
   EXPECT_EQ(store.state().peer_hints[0].id, NodeId{77});
-
-  // A snapshot commit folds the journal in and resets it.
-  ASSERT_TRUE(store.commit_snapshot());
-  NodeStateStore reopened;
-  ASSERT_TRUE(reopened.open(dir));
-  EXPECT_EQ(reopened.journal_records_replayed(), 0u);
-  EXPECT_EQ(reopened.state().incarnation, 2u);
+  // The directory holds the snapshot and nothing else.
+  std::vector<std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    files.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"snapshot.bin"});
 }
 
-TEST_F(StoreTest, TornJournalTailIsTruncatedOnOpen) {
+TEST_F(StoreTest, CrashBeforeRenameKeepsPreviousSnapshot) {
   {
     NodeStateStore store;
     ASSERT_TRUE(store.open(dir));
     store.state() = sample_state(606);
-    store.state().incarnation = 1;
-    ASSERT_TRUE(store.commit_snapshot());
-    ASSERT_TRUE(store.record_incarnation(2));
-    ASSERT_TRUE(store.record_incarnation(3));
+    store.state().incarnation = 2;
+    ASSERT_TRUE(store.commit());
   }
-  // Crash mid-append: drop the last 3 bytes of the journal.
-  Bytes raw = file_bytes(dir + "/journal.bin");
-  ASSERT_GT(raw.size(), 3u);
-  write_bytes(dir + "/journal.bin", BytesView(raw.data(), raw.size() - 3));
+  // Crash between the temp write and the rename: a half-written temp file
+  // lies beside the valid snapshot.
+  write_bytes(dir + "/snapshot.bin.tmp", Bytes{0x4e, 0x53, 0x57, 0x01, 0xde, 0xad});
 
   NodeStateStore store;
   ASSERT_TRUE(store.open(dir)) << store.last_error();
-  EXPECT_EQ(store.journal_records_replayed(), 1u);  // the bump to 2 survived
+  ASSERT_TRUE(store.has_state());
   EXPECT_EQ(store.state().incarnation, 2u);
-  EXPECT_EQ(store.torn_tails_truncated(), 1u);
+  EXPECT_EQ(store.state().groups.size(), 2u);
+  // The next commit overwrites the debris and lands.
+  store.state().incarnation = 3;
+  ASSERT_TRUE(store.commit()) << store.last_error();
+  NodeStateStore reopened;
+  ASSERT_TRUE(reopened.open(dir)) << reopened.last_error();
+  EXPECT_EQ(reopened.state().incarnation, 3u);
+}
+
+// The decoder rejects more than kMaxStoredPeerHints hints, so the encoder
+// must never write more: an unreadable snapshot would stop every restart
+// of a node in a mesh of 258 or more.
+TEST_F(StoreTest, OversizedHintListIsCappedOnCommit) {
+  {
+    NodeStateStore store;
+    ASSERT_TRUE(store.open(dir));
+    store.state() = sample_state(909);
+    store.state().peer_hints.clear();
+    for (std::uint16_t i = 1; i <= 300; ++i) {
+      store.state().peer_hints.push_back(
+          pss::ContactCard{NodeId{i}, Endpoint{(127u << 24) | 1, i}, true, kNilNode});
+    }
+    ASSERT_TRUE(store.commit()) << store.last_error();
+  }
+  NodeStateStore store;
+  ASSERT_TRUE(store.open(dir)) << store.last_error();
+  ASSERT_EQ(store.state().peer_hints.size(), kMaxStoredPeerHints);
+  EXPECT_EQ(store.state().peer_hints.front().id, NodeId{1});
+  EXPECT_EQ(store.state().peer_hints.back().id, NodeId{256});
+  EXPECT_NE(store.state().find_group(GroupId{8}), nullptr);
 }
 
 TEST_F(StoreTest, CorruptSnapshotIsReportedNotTrusted) {
@@ -352,7 +276,7 @@ TEST_F(StoreTest, CorruptSnapshotIsReportedNotTrusted) {
     NodeStateStore store;
     ASSERT_TRUE(store.open(dir));
     store.state() = sample_state(707);
-    ASSERT_TRUE(store.commit_snapshot());
+    ASSERT_TRUE(store.commit());
   }
   // Structural damage is what open() can detect (there is no whole-file
   // checksum on the snapshot): a truncated file and a clobbered magic.

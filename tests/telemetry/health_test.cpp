@@ -31,7 +31,6 @@ HealthSnapshot sample_snapshot() {
   s.rate_limited = 4;
   s.rss_kb = 10'240;
   s.cpu_us = 123'456;
-  s.keyframe = true;
   s.metrics = {{"a.count", 10.0}, {"b.depth{node=n7}", 2.5}};
   return s;
 }
@@ -59,16 +58,33 @@ TEST(HealthRecord, RoundTrip) {
   EXPECT_EQ(out->rate_limited, in.rate_limited);
   EXPECT_EQ(out->rss_kb, in.rss_kb);
   EXPECT_EQ(out->cpu_us, in.cpu_us);
-  EXPECT_TRUE(out->keyframe);
   EXPECT_EQ(out->metrics, in.metrics);
 }
 
-TEST(HealthRecord, DeltaFlagRoundTrips) {
-  HealthSnapshot in = sample_snapshot();
-  in.keyframe = false;
-  const auto out = decode_health_record(encode_health_record(in));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_FALSE(out->keyframe);
+// A reader that missed every earlier record still gets the node's complete
+// metrics from the one it reads: no record depends on its predecessor.
+TEST(HealthRecord, EveryRecordCarriesTheFullRegistry) {
+  Registry reg;
+  reg.counter("c").add(5);
+  reg.gauge("g").set(2.0);
+  reg.histogram("h", BucketSpec::log_spaced(1, 1000)).observe(10);
+
+  HealthSnapshot s;
+  s.seq = 1;
+  s.metrics = registry_values(reg);
+  (void)encode_health_record(s);
+
+  reg.counter("c").add(1);  // one metric changes between the two records
+  s.seq = 2;
+  s.metrics = registry_values(reg);
+  const auto second = decode_health_record(encode_health_record(s));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->seq, 2u);
+  EXPECT_EQ(second->metrics, registry_values(reg));
+  EXPECT_EQ(second->metrics.size(), 9u);  // c, g, and h's seven stats
+  EXPECT_DOUBLE_EQ(second->metric("c"), 6.0);
+  EXPECT_DOUBLE_EQ(second->metric("h#count"), 1.0);
+  EXPECT_DOUBLE_EQ(second->metric("absent"), 0.0);
 }
 
 // Satellite requirement: decoding must fail cleanly on EVERY truncation
@@ -95,7 +111,7 @@ TEST(HealthRecord, TrailingGarbageRejected) {
 
 TEST(HealthRecord, CrcCorruptionRejected) {
   Bytes rec = encode_health_record(sample_snapshot());
-  // Flip one payload byte (past the 12-byte header); CRC must catch it.
+  // Flip one payload byte (past the 11-byte header); CRC must catch it.
   rec[rec.size() - 1] ^= 0x01;
   DecodeError err = DecodeError::kNone;
   EXPECT_FALSE(decode_health_record(rec, &err).has_value());
@@ -109,13 +125,16 @@ TEST(HealthRecord, BadMagicAndVersionRejected) {
     bad[i] ^= 0xFF;
     EXPECT_FALSE(decode_health_record(bad).has_value()) << "byte " << i;
   }
+  Bytes v1 = good;
+  v1[2] = 1;  // a version-1 record, which may have been a delta
+  EXPECT_FALSE(decode_health_record(v1).has_value());
 }
 
 TEST(HealthRecord, OversizedPayloadLengthRejected) {
   Bytes rec = encode_health_record(sample_snapshot());
-  // Overwrite the u32 payload_len at offset 4 with a value beyond the cap.
+  // Overwrite the u32 payload_len at offset 3 with a value beyond the cap.
   const std::uint32_t huge = kMaxHealthPayloadBytes + 1;
-  std::memcpy(rec.data() + 4, &huge, sizeof(huge));
+  std::memcpy(rec.data() + 3, &huge, sizeof(huge));
   DecodeError err = DecodeError::kNone;
   EXPECT_FALSE(decode_health_record(rec, &err).has_value());
   EXPECT_EQ(err, DecodeError::kOversized);
@@ -134,144 +153,6 @@ TEST(HealthRecord, EmptyInputRejected) {
   DecodeError err = DecodeError::kNone;
   EXPECT_FALSE(decode_health_record(BytesView{}, &err).has_value());
   EXPECT_EQ(err, DecodeError::kTruncated);
-}
-
-TEST(HealthExporter, KeyframeThenDeltas) {
-  Registry reg;
-  reg.counter("c").add(5);
-  HealthExporter exp(&reg, 10);
-
-  HealthSnapshot s;
-  s.node = 1;
-  const auto first = decode_health_record(exp.next(s));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->seq, 1u);
-  EXPECT_TRUE(first->keyframe);
-  ASSERT_EQ(first->metrics.size(), 1u);
-  EXPECT_EQ(first->metrics[0].first, "c");
-  EXPECT_DOUBLE_EQ(first->metrics[0].second, 5.0);
-
-  // Nothing changed: delta record carries no metrics.
-  const auto second = decode_health_record(exp.next(s));
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->seq, 2u);
-  EXPECT_FALSE(second->keyframe);
-  EXPECT_TRUE(second->metrics.empty());
-
-  // One metric changed: delta carries exactly that metric.
-  reg.counter("c").add(1);
-  reg.gauge("g").set(2.0);
-  const auto third = decode_health_record(exp.next(s));
-  ASSERT_TRUE(third.has_value());
-  EXPECT_FALSE(third->keyframe);
-  ASSERT_EQ(third->metrics.size(), 2u);
-  EXPECT_EQ(third->metrics[0].first, "c");
-  EXPECT_DOUBLE_EQ(third->metrics[0].second, 6.0);
-  EXPECT_EQ(third->metrics[1].first, "g");
-}
-
-TEST(HealthExporter, PeriodicKeyframe) {
-  Registry reg;
-  reg.counter("c").add(1);
-  HealthExporter exp(&reg, 3);
-  HealthSnapshot s;
-  std::vector<bool> keyframes;
-  for (int i = 0; i < 7; ++i) {
-    const auto rec = decode_health_record(exp.next(s));
-    ASSERT_TRUE(rec.has_value());
-    keyframes.push_back(rec->keyframe);
-  }
-  // Keyframe first and every 3rd record thereafter (seq 1, 4, 7 ...).
-  EXPECT_EQ(keyframes, (std::vector<bool>{true, false, false, true, false,
-                                          false, true}));
-}
-
-TEST(HealthAccumulator, DeltaChainAndGapResync) {
-  Registry reg;
-  reg.counter("c").add(1);
-  HealthExporter exp(&reg, 100);
-  HealthSnapshot s;
-  s.node = 2;
-  s.pid = 99;
-
-  HealthAccumulator acc;
-  EXPECT_FALSE(acc.valid());
-  ASSERT_TRUE(acc.apply(exp.next(s)));  // keyframe, seq 1
-  EXPECT_TRUE(acc.valid());
-  EXPECT_TRUE(acc.synced());
-  EXPECT_DOUBLE_EQ(acc.metrics().at("c"), 1.0);
-
-  reg.counter("c").add(1);
-  ASSERT_TRUE(acc.apply(exp.next(s)));  // delta, seq 2
-  EXPECT_TRUE(acc.synced());
-  EXPECT_DOUBLE_EQ(acc.metrics().at("c"), 2.0);
-
-  // Drop seq 3 on the floor: accumulator must go unsynced but stay valid
-  // (header liveness probing still works from any record).
-  reg.counter("c").add(1);
-  (void)exp.next(s);
-  reg.counter("c").add(1);
-  const Bytes after_gap = exp.next(s);  // delta, seq 4
-  ASSERT_TRUE(acc.apply(after_gap));
-  EXPECT_TRUE(acc.valid());
-  EXPECT_FALSE(acc.synced());
-  EXPECT_EQ(acc.last().seq, 4u);
-
-  // Deltas while unsynced do not resync...
-  reg.counter("c").add(1);
-  ASSERT_TRUE(acc.apply(exp.next(s)));  // delta, seq 5
-  EXPECT_FALSE(acc.synced());
-
-  // ...a keyframe does, with the full value set.
-  HealthExporter fresh(&reg, 100);
-  // Simulate node restart: new exporter restarts seq at 1 with a keyframe.
-  ASSERT_TRUE(acc.apply(fresh.next(s)));
-  EXPECT_TRUE(acc.synced());
-  EXPECT_DOUBLE_EQ(acc.metrics().at("c"), 5.0);
-}
-
-// Admin replies reuse the last exported seq as a keyframe; an accumulator
-// that is unsynced at that seq must accept the keyframe, not skip it as a
-// duplicate.
-TEST(HealthAccumulator, SameSeqKeyframeResyncsUnsynced) {
-  HealthSnapshot delta = sample_snapshot();
-  delta.keyframe = false;
-  delta.seq = 5;
-
-  HealthAccumulator acc;
-  acc.apply(delta);  // cold start on a mid-stream delta: valid, unsynced
-  EXPECT_TRUE(acc.valid());
-  EXPECT_FALSE(acc.synced());
-
-  HealthSnapshot key = delta;
-  key.keyframe = true;  // same pid / incarnation / seq
-  acc.apply(key);
-  EXPECT_TRUE(acc.synced());
-  EXPECT_DOUBLE_EQ(acc.metrics().at("a.count"), 10.0);
-
-  // Once synced, the same-seq record IS a duplicate and must be ignored.
-  HealthSnapshot dup = key;
-  dup.metrics = {{"a.count", 999.0}};
-  acc.apply(dup);
-  EXPECT_DOUBLE_EQ(acc.metrics().at("a.count"), 10.0);
-}
-
-TEST(HealthAccumulator, MalformedRecordChangesNothing) {
-  Registry reg;
-  reg.counter("c").add(1);
-  HealthExporter exp(&reg, 100);
-  HealthSnapshot s;
-  HealthAccumulator acc;
-  ASSERT_TRUE(acc.apply(exp.next(s)));
-  const auto before = acc.metrics();
-
-  Bytes bad = exp.next(s);
-  bad.resize(bad.size() / 2);
-  DecodeError err = DecodeError::kNone;
-  EXPECT_FALSE(acc.apply(bad, &err));
-  EXPECT_NE(err, DecodeError::kNone);
-  EXPECT_EQ(acc.metrics(), before);
-  EXPECT_EQ(acc.last().seq, 1u);
 }
 
 TEST(RegistryValues, FlattensHistogramsDeterministically) {
@@ -304,13 +185,28 @@ TEST(RegistryValues, FlattensHistogramsDeterministically) {
 
 TEST(HealthToJson, DeterministicOrdering) {
   HealthSnapshot s = sample_snapshot();
-  const std::map<std::string, double> m = {{"b", 2.0}, {"a", 1.0}};
-  const std::string j1 = health_to_json(s, m, "7");
-  const std::string j2 = health_to_json(s, m, "7");
+  s.metrics = {{"b", 2.0}, {"a", 1.0}};
+  const std::string j1 = health_to_json(s, "7");
+  const std::string j2 = health_to_json(s, "7");
   EXPECT_EQ(j1, j2);
   // Map iteration order: "a" before "b".
   EXPECT_LT(j1.find("\"a\""), j1.find("\"b\""));
   EXPECT_NE(j1.find("\"node\":\"7\""), std::string::npos);
+}
+
+TEST(HealthToJson, FleetTotalSumsCountersAndMaxesClocks) {
+  HealthSnapshot a = sample_snapshot();
+  HealthSnapshot b = sample_snapshot();
+  b.now_us = a.now_us + 1;
+  b.metrics = {{"a.count", 5.0}, {"c.only_b", 1.0}};
+  const HealthSnapshot sum = fleet_total({a, b});
+  EXPECT_EQ(sum.now_us, b.now_us);
+  EXPECT_EQ(sum.wcl_backlog, a.wcl_backlog + b.wcl_backlog);
+  EXPECT_EQ(sum.rss_kb, a.rss_kb + b.rss_kb);
+  EXPECT_EQ(sum.seq, 0u);
+  const std::vector<std::pair<std::string, double>> want = {
+      {"a.count", 15.0}, {"b.depth{node=n7}", 2.5}, {"c.only_b", 1.0}};
+  EXPECT_EQ(sum.metrics, want);
 }
 
 TEST(AdminRequest, RoundTrip) {

@@ -19,11 +19,12 @@
 // heartbeat file) and folds the fleet into DIR/fleet.jsonl: one JSON line
 // per node per new record, ascending node id, followed by one summed
 // "fleet" line per scrape round — a merged time series that shows kill /
-// recovery dips. Every child shares one CLOCK_MONOTONIC epoch (--epoch)
-// so timestamps are directly comparable. --scrape-admin additionally
-// queries every node's admin UDP socket mid-run and gates the replies
-// against the rendezvous delivery receipts. --trace-wire passes the
-// cross-process flight tracing opt-in through (implies --flight).
+// recovery dips. Every record is whole, so each line needs only the
+// record it was read from. Every child shares one CLOCK_MONOTONIC epoch
+// (--epoch) so timestamps are directly comparable. --scrape-admin
+// additionally queries every node's admin UDP socket mid-run and gates the
+// replies against the rendezvous delivery receipts. --trace-wire passes
+// the cross-process flight tracing opt-in through (implies --flight).
 //
 // --chaos turns the launcher into a crash supervisor (DESIGN.md §14.4).
 // Victim selection is deterministic from --seed; each spec value is a
@@ -74,7 +75,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -90,6 +91,7 @@
 #include <unistd.h>
 
 #include "common/bytes.hpp"
+#include "common/file.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "nat/rules.hpp"
@@ -149,20 +151,19 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string out((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  return out;
+/// The decimal port in an admin.I file; 0 when absent.
+std::uint16_t read_port(const std::string& path) {
+  const auto text = whisper::read_file(path);
+  if (!text) return 0;
+  return static_cast<std::uint16_t>(
+      std::strtoul(whisper::to_string(*text).c_str(), nullptr, 10));
 }
 
-whisper::Bytes read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::string s((std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-  return whisper::Bytes(s.begin(), s.end());
+/// A node's latest stats.I record, if it has published a readable one.
+std::optional<tel::HealthSnapshot> read_stats(const std::string& path) {
+  const auto bytes = whisper::read_file(path);
+  if (!bytes) return std::nullopt;
+  return tel::decode_health_record(*bytes);
 }
 
 /// Default noded binary: next to this one.
@@ -274,35 +275,6 @@ bool parse_nat_mix(const std::string& spec, std::vector<NatMixItem>* out) {
   return !out->empty();
 }
 
-double metric_or(const std::map<std::string, double>& m, const std::string& key,
-                 double fallback = 0) {
-  const auto it = m.find(key);
-  return it == m.end() ? fallback : it->second;
-}
-
-/// Liveness probe read off a node's binary stats.I health record: the
-/// fixed header fields work from any record, keyframe or delta, even
-/// when the metric delta chain is broken (health.hpp).
-struct Probe {
-  long pid = 0;
-  unsigned incarnation = 0;
-  unsigned long long seq = 0;
-  bool ok = false;
-};
-
-Probe read_stats_probe(const std::string& path) {
-  Probe p;
-  const whisper::Bytes bytes = read_bytes(path);
-  if (bytes.empty()) return p;
-  const auto snap = tel::decode_health_record(bytes);
-  if (!snap) return p;
-  p.pid = static_cast<long>(snap->pid);
-  p.incarnation = snap->incarnation;
-  p.seq = snap->seq;
-  p.ok = true;
-  return p;
-}
-
 /// Everything the supervisor tracks about one node process.
 struct Child {
   pid_t pid = -1;
@@ -313,13 +285,13 @@ struct Child {
   bool expected_dead = false; // we sent SIGKILL; next reap is ours
   int restarts = 0;
   double restart_at = 0.0;    // 0 = no restart scheduled
-  std::string card_before;    // rendezvous card bytes before the kill
+  std::optional<whisper::Bytes> card_before;  // rendezvous card before the kill
   unsigned inc_before = 0;    // health-record incarnation before the kill
   bool recovered = false;
   bool hung_seen = false;     // liveness probe flagged frozen stats records
   bool resumed_seen = false;  // ...and saw them advance again after SIGCONT
   bool natreboot_victim = false;
-  bool reboot_acked = false;     // admin kNatReboot got its keyframe reply
+  bool reboot_acked = false;     // admin kNatReboot got its reply
   bool nat_recovered = false;    // delivery re-confirmed post NAT reboot
   /// Liveness probe state.
   unsigned long long last_seq = 0;
@@ -328,8 +300,8 @@ struct Child {
 };
 
 /// One admin query: 4-byte request to 127.0.0.1:port, one health record
-/// back (every op replies with a keyframe — for kNatReboot that reply IS
-/// the delivery confirmation). Retries a few times with a poll() timeout —
+/// back (every op replies with one — for kNatReboot that reply IS the
+/// delivery confirmation). Retries a few times with a poll() timeout —
 /// the node services its admin socket off a 50 ms timer.
 std::optional<tel::HealthSnapshot> query_admin(
     std::uint16_t port, tel::AdminOp op = tel::AdminOp::kStats) {
@@ -521,14 +493,13 @@ int main(int argc, char** argv) {
 
   bool failed = false;
 
-  // Fleet time series: per-node HealthAccumulators fold each node's
-  // keyframe/delta stream; every new record becomes one JSON line in
-  // DIR/fleet.jsonl (ascending node id), and each scrape round that saw
-  // news appends one summed "fleet" line. Deterministic ordering makes the
-  // file diffable in CI.
-  std::vector<tel::HealthAccumulator> accs(nodes + 1);
-  std::vector<std::pair<unsigned long long, unsigned>> last_emitted(
-      nodes + 1, {0, 0});  // (seq, incarnation) per node
+  // Fleet time series: the latest record read from each node; every new
+  // record becomes one JSON line in DIR/fleet.jsonl (ascending node id),
+  // and each scrape round that saw news appends one summed "fleet" line.
+  // Deterministic ordering makes the file diffable in CI. A node with no
+  // record yet holds seq 0 (published records start at 1) and adds nothing
+  // to the sum.
+  std::vector<tel::HealthSnapshot> latest(nodes + 1);
   std::uint64_t fleet_rounds = 0;
   std::FILE* fleet = std::fopen((dir + "/fleet.jsonl").c_str(), "w");
   if (fleet == nullptr) {
@@ -539,43 +510,20 @@ int main(int argc, char** argv) {
   const auto scrape_fleet = [&] {
     bool any = false;
     for (std::uint64_t i = 1; i <= nodes; ++i) {
-      const whisper::Bytes bytes = read_bytes(dir + "/stats." + std::to_string(i));
-      if (bytes.empty()) continue;
-      if (!accs[i].apply(whisper::BytesView(bytes))) continue;
-      const auto key = std::make_pair(
-          (unsigned long long)accs[i].last().seq, accs[i].last().incarnation);
-      if (key == last_emitted[i]) continue;  // no new record since last round
-      last_emitted[i] = key;
-      std::fputs(tel::health_to_json(accs[i].last(), accs[i].metrics(),
-                                     std::to_string(i))
-                     .c_str(),
-                 fleet);
+      auto snap = read_stats(dir + "/stats." + std::to_string(i));
+      if (!snap) continue;
+      if (snap->seq == latest[i].seq && snap->incarnation == latest[i].incarnation) {
+        continue;  // no new record since last round
+      }
+      latest[i] = std::move(*snap);
+      std::fputs(tel::health_to_json(latest[i], std::to_string(i)).c_str(), fleet);
       std::fputc('\n', fleet);
       any = true;
     }
     if (!any) return;
-    tel::HealthSnapshot sum;
-    std::map<std::string, double> msum;
+    tel::HealthSnapshot sum = tel::fleet_total(latest);
     sum.seq = ++fleet_rounds;
-    for (std::uint64_t i = 1; i <= nodes; ++i) {
-      if (!accs[i].valid()) continue;
-      const tel::HealthSnapshot& s = accs[i].last();
-      if (s.now_us > sum.now_us) sum.now_us = s.now_us;
-      if (s.uptime_us > sum.uptime_us) sum.uptime_us = s.uptime_us;
-      sum.groups += s.groups;
-      sum.wcl_backlog += s.wcl_backlog;
-      sum.pending_forwards += s.pending_forwards;
-      sum.pss_view += s.pss_view;
-      sum.pss_reserve += s.pss_reserve;
-      sum.quarantined += s.quarantined;
-      sum.peer_restarts += s.peer_restarts;
-      sum.decode_rejects += s.decode_rejects;
-      sum.rate_limited += s.rate_limited;
-      sum.rss_kb += s.rss_kb;
-      sum.cpu_us += s.cpu_us;
-      for (const auto& [k, v] : accs[i].metrics()) msum[k] += v;
-    }
-    std::fputs(tel::health_to_json(sum, msum, "fleet").c_str(), fleet);
+    std::fputs(tel::health_to_json(sum, "fleet").c_str(), fleet);
     std::fputc('\n', fleet);
     std::fflush(fleet);
   };
@@ -653,20 +601,17 @@ int main(int argc, char** argv) {
       // Traversal diagnostics off the node's last scraped stats record:
       // a node that never registered with its relay, or that registered but
       // punched/relayed nothing, names its failure stage directly.
-      if (accs[i].valid()) {
-        const auto& m = accs[i].metrics();
+      if (latest[i].seq != 0) {
+        const tel::HealthSnapshot& s = latest[i];
         std::fprintf(
             stderr,
             "    nat=%s registered=%s sends(direct/punched/relayed)="
             "%.0f/%.0f/%.0f probes=%.0f mappings=%.0f rx_kernel_drops=%.0f\n",
             nat::nat_type_name(nat_of[i]),
-            metric_or(m, "nylon.registered") > 0 ? "yes" : "NO",
-            metric_or(m, "nylon.sends.direct"),
-            metric_or(m, "nylon.sends.punched"),
-            metric_or(m, "nylon.sends.relayed"),
-            metric_or(m, "nylon.probes.sent"),
-            metric_or(m, "shim.nat.active"),
-            metric_or(m, "udp.rx_kernel_drops"));
+            s.metric("nylon.registered") > 0 ? "yes" : "NO",
+            s.metric("nylon.sends.direct"), s.metric("nylon.sends.punched"),
+            s.metric("nylon.sends.relayed"), s.metric("nylon.probes.sent"),
+            s.metric("shim.nat.active"), s.metric("udp.rx_kernel_drops"));
       } else {
         std::fprintf(stderr,
                      "    nat=%s — no stats record ever scraped (process "
@@ -682,24 +627,20 @@ int main(int argc, char** argv) {
     double fleet_delivered = 0;
     std::uint64_t replies = 0;
     for (std::uint64_t i = 1; i <= nodes; ++i) {
-      const std::uint16_t port = static_cast<std::uint16_t>(
-          std::strtoul(read_file(dir + "/admin." + std::to_string(i)).c_str(),
-                       nullptr, 10));
+      const std::uint16_t port = read_port(dir + "/admin." + std::to_string(i));
       if (port == 0) {
         std::fprintf(stderr, "admin FAIL: node %llu published no admin port\n",
                      (unsigned long long)i);
         continue;
       }
       const auto snap = query_admin(port);
-      if (!snap || snap->node != i || !snap->keyframe || snap->pid == 0) {
+      if (!snap || snap->node != i || snap->pid == 0) {
         std::fprintf(stderr, "admin FAIL: node %llu gave no valid reply\n",
                      (unsigned long long)i);
         continue;
       }
       ++replies;
-      for (const auto& [k, v] : snap->metrics) {
-        if (k == "wcl.onions.delivered") fleet_delivered += v;
-      }
+      fleet_delivered += snap->metric("wcl.onions.delivered");
     }
     std::uint64_t receipts = 0;
     for (std::uint64_t i = 1; i <= nodes; ++i) {
@@ -746,9 +687,9 @@ int main(int argc, char** argv) {
       const std::uint64_t v = ids[k];
       Child& c = children[v];
       c.kill_victim = true;
-      c.card_before = read_file(dir + "/card." + std::to_string(v));
-      c.inc_before =
-          read_stats_probe(dir + "/stats." + std::to_string(v)).incarnation;
+      c.card_before = whisper::read_file(dir + "/card." + std::to_string(v));
+      const auto before = read_stats(dir + "/stats." + std::to_string(v));
+      c.inc_before = before ? before->incarnation : 0;
       c.expected_dead = true;
       ::kill(c.pid, SIGKILL);
       // The receipt must be re-earned by the restarted incarnation.
@@ -780,9 +721,7 @@ int main(int argc, char** argv) {
       const std::uint64_t v = ids[k];
       if (nat_of[v] == nat::NatType::kNone) continue;
       Child& c = children[v];
-      const std::uint16_t port = static_cast<std::uint16_t>(
-          std::strtoul(read_file(dir + "/admin." + std::to_string(v)).c_str(),
-                       nullptr, 10));
+      const std::uint16_t port = read_port(dir + "/admin." + std::to_string(v));
       c.natreboot_victim = true;
       std::optional<tel::HealthSnapshot> snap;
       if (port != 0) snap = query_admin(port, tel::AdminOp::kNatReboot);
@@ -842,15 +781,15 @@ int main(int argc, char** argv) {
       for (std::uint64_t i = 1; i <= nodes; ++i) {
         Child& c = children[i];
         if (c.pid < 0) continue;
-        const Probe hb = read_stats_probe(dir + "/stats." + std::to_string(i));
-        if (!hb.ok) continue;
-        if (hb.seq != c.last_seq) {
+        const auto hb = read_stats(dir + "/stats." + std::to_string(i));
+        if (!hb) continue;
+        if (hb->seq != c.last_seq) {
           if (c.stop_victim && c.hung_seen && !c.resumed_seen) {
             c.resumed_seen = true;
             std::printf("chaos: node %llu stats resumed after SIGCONT\n",
                         (unsigned long long)i);
           }
-          c.last_seq = hb.seq;
+          c.last_seq = hb->seq;
           c.seq_changed_at = t;
           continue;
         }
@@ -873,26 +812,26 @@ int main(int argc, char** argv) {
             all_recovered = false;
             continue;
           }
-          const std::string card_now = read_file(dir + "/card." + std::to_string(i));
-          const Probe hb = read_stats_probe(dir + "/stats." + std::to_string(i));
+          const auto card_now = whisper::read_file(dir + "/card." + std::to_string(i));
+          const auto hb = read_stats(dir + "/stats." + std::to_string(i));
           if (card_now != c.card_before) {
             std::fprintf(stderr,
                          "chaos FAIL: node %llu came back with a different "
                          "identity card\n",
                          (unsigned long long)i);
             failed = true;
-          } else if (!hb.ok || hb.incarnation <= c.inc_before) {
+          } else if (!hb || hb->incarnation <= c.inc_before) {
             std::fprintf(stderr,
                          "chaos FAIL: node %llu did not bump its incarnation "
                          "(%u -> %u)\n",
                          (unsigned long long)i, c.inc_before,
-                         hb.ok ? hb.incarnation : 0);
+                         hb ? hb->incarnation : 0);
             failed = true;
           } else {
             c.recovered = true;
             std::printf("chaos: node %llu recovered — identity intact, "
                         "incarnation %u -> %u, delivery re-confirmed\n",
-                        (unsigned long long)i, c.inc_before, hb.incarnation);
+                        (unsigned long long)i, c.inc_before, hb->incarnation);
           }
         }
         if (c.kill_victim && !c.recovered) all_recovered = false;

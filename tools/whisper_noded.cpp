@@ -17,13 +17,14 @@
 //                members after receiving the leader's onion-routed pong,
 //                the leader after ponging every member
 //   stats.I      binary health record (telemetry/health.hpp), rewritten
-//                atomically every --stats-interval: registry delta/keyframe
-//                plus the fixed health header. Doubles as the chaos
-//                supervisor's liveness probe (pid / incarnation / seq) and
-//                as the scrape source for whisper_localnet / whisper_top.
+//                atomically every --stats-interval: the fixed health header
+//                plus the full registry, whole in every record. Doubles as
+//                the chaos supervisor's liveness probe (pid / incarnation /
+//                seq) and as the scrape source for whisper_localnet /
+//                whisper_top.
 //   admin.I      decimal UDP port of the node's loopback admin socket;
-//                a 4-byte stats request (health.hpp) gets one keyframe
-//                health record back.
+//                a 4-byte stats request (health.hpp) gets the same record
+//                back, built fresh.
 //
 // The run: everyone boots and gossips; the leader founds the group and
 // writes invitations; members join and send an onion-routed "ping I" to
@@ -32,9 +33,9 @@
 // runs on backend timers — the same queue the protocol stack uses.
 //
 // Crash recovery (DESIGN.md §14): with --state-dir the node persists its
-// identity keys, bound endpoint, incarnation and group membership through
-// a snapshot+journal store. A restart after kill -9 restores the same node
-// id, keys and port, bumps the incarnation (journaled before the first
+// identity keys, bound endpoint, incarnation and group membership in one
+// atomically rewritten snapshot. A restart after kill -9 restores the same
+// node id, keys and port, bumps the incarnation (committed before the first
 // frame goes out), resumes its groups from the store, and — as a member —
 // re-sends its join request to re-validate its passport with the group.
 // --linger keeps the node serving after its own delivery succeeded, so a
@@ -63,10 +64,10 @@
 #include <unistd.h>
 
 #include "common/bytes.hpp"
+#include "common/file.hpp"
 #include "common/serialize.hpp"
 #include "nat/rules.hpp"
 #include "net/shim.hpp"
-#include "store/journal.hpp"
 #include "store/state.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight.hpp"
@@ -140,18 +141,8 @@ std::optional<Bytes> read_hex_file(const std::string& path) {
 }
 
 /// Atomic publish: peers only ever observe complete files.
-bool write_text_file_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return false;
-    out << text;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
 bool write_hex_file(const std::string& path, BytesView bytes) {
-  return write_text_file_atomic(path, to_hex(bytes) + "\n");
+  return atomic_publish_file(path, to_bytes(to_hex(bytes) + "\n"));
 }
 
 /// Resident set from /proc/self/statm, in KiB (0 when unreadable).
@@ -259,7 +250,7 @@ struct Orchestrator {
   bool persisted_membership = false;
   bool done = false;
   int exit_code = 1;
-  telemetry::HealthExporter exporter = telemetry::HealthExporter{};
+  std::uint64_t stats_seq = 0;  // records published so far
   net::Time boot_at = 0;
   int admin_fd = -1;
 
@@ -319,14 +310,16 @@ struct Orchestrator {
     }
   }
 
-  /// The fixed health header: what the supervisor's hung-vs-dead probe and
-  /// the fleet aggregator read from every record, keyframe or delta.
+  /// One whole record: the fixed health header the supervisor's
+  /// hung-vs-dead probe reads, plus every registry value. Carries the seq of
+  /// the last published record.
   telemetry::HealthSnapshot snapshot() {
     refresh_net_metrics();
     telemetry::HealthSnapshot s;
     s.node = opt.id;
     s.pid = static_cast<std::uint32_t>(::getpid());
     s.incarnation = node.transport().incarnation();
+    s.seq = stats_seq;
     s.now_us = static_cast<std::uint64_t>(backend.now());
     s.uptime_us = static_cast<std::uint64_t>(backend.now() - boot_at);
     s.groups = static_cast<std::uint32_t>(node.group_count());
@@ -344,26 +337,26 @@ struct Orchestrator {
                                                 node.wcl().stats().rate_limited);
     s.rss_kb = read_rss_kb();
     s.cpu_us = static_cast<std::uint64_t>(node.cpu().total());
+    s.metrics = telemetry::registry_values(registry);
     return s;
   }
 
-  /// Stats publisher: the versioned delta/keyframe record replaces the old
-  /// "pid inc seq" heartbeat text file wholesale — same cadence contract
-  /// (supervisor treats a stale seq from a live pid as hung), richer body.
+  /// Stats publisher: one whole record every --stats-interval, each with the
+  /// next seq. The supervisor treats a seq that stops advancing under a
+  /// live pid as hung.
   void publish_stats() {
-    const Bytes rec = exporter.next(snapshot());
+    ++stats_seq;
+    const Bytes rec = telemetry::encode_health_record(snapshot());
     std::string err;
-    if (!store::atomic_publish_file(path("stats." + std::to_string(opt.id)), rec,
-                                  &err)) {
+    if (!atomic_publish_file(path("stats." + std::to_string(opt.id)), rec, &err)) {
       log.warn("stats_write_failed", {{"error", err}});
     }
     backend.schedule_after(opt.stats_interval, [this] { publish_stats(); });
   }
 
-  /// Admin endpoint: drain pending requests, answer each with one keyframe
-  /// record (full registry — an admin scrape must not depend on the file
-  /// stream's delta chain). Served off the tick timer; sub-50 ms latency is
-  /// plenty for an operator tool.
+  /// Admin endpoint: drain pending requests, answer each with one fresh
+  /// record. Served off the tick timer; sub-50 ms latency is plenty for an
+  /// operator tool.
   void admin_poll() {
     for (;;) {
       std::uint8_t buf[64];
@@ -383,18 +376,14 @@ struct Orchestrator {
         const std::size_t dropped = shim != nullptr ? shim->nat_reboot() : 0;
         log.warn("nat_reboot", {{"mappings_dropped", (unsigned long long)dropped}});
       }
-      telemetry::HealthSnapshot snap = snapshot();
-      snap.seq = exporter.seq();
-      snap.keyframe = true;
-      snap.metrics = telemetry::registry_values(registry);
-      const Bytes reply = telemetry::encode_health_record(snap);
+      const Bytes reply = telemetry::encode_health_record(snapshot());
       (void)::sendto(admin_fd, reply.data(), reply.size(), 0,
                      reinterpret_cast<sockaddr*>(&from), from_len);
     }
     backend.schedule_after(50 * net::kMillisecond, [this] { admin_poll(); });
   }
 
-  /// Journal the current group membership (leader secret included).
+  /// Commit the current group membership (leader secret included).
   void persist_group() {
     if (store == nullptr || group == nullptr) return;
     store::StoredGroup sg;
@@ -405,7 +394,8 @@ struct Orchestrator {
     if (is_leader) sg.group_key = group_secret;
     sg.accreditation = accreditation;
     sg.entry_point = leader_peer;
-    store->record_group(sg);
+    store->state().upsert_group(std::move(sg));
+    store->commit();
   }
 
   /// Boot-from-state: re-instantiate persisted group membership. Leaders
@@ -508,7 +498,7 @@ struct Orchestrator {
     group->on_app_message = [this](const wcl::RemotePeer&, BytesView p) {
       member_on_pong(p);
     };
-    // Journal the invitation immediately: a crash between here and the join
+    // Commit the invitation immediately: a crash between here and the join
     // response must not lose the ability to rejoin.
     persist_group();
   }
@@ -621,7 +611,7 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_term);
 
   // Durable state: open before anything touches the network. A boot from
-  // existing state bumps the incarnation and journals the bump (fsync'd)
+  // existing state bumps the incarnation and commits the bump (fsync'd)
   // BEFORE the first frame goes out — peers must never see two lives of
   // this node under one epoch.
   store::NodeStateStore store;
@@ -660,8 +650,8 @@ int main(int argc, char** argv) {
     if (restored) {
       store::NodeState& st = store.state();
       st.incarnation += 1;
-      if (!store.record_incarnation(st.incarnation)) {
-        logger.error("incarnation_journal", {{"error", store.last_error()}});
+      if (!store.commit()) {
+        logger.error("incarnation_commit", {{"error", store.last_error()}});
         return 1;
       }
       logger.info("restart_from_state",
@@ -673,7 +663,7 @@ int main(int argc, char** argv) {
       st.endpoint = ep;
       st.incarnation = 1;
       st.identity = pooled_keypair(opt.id, realtime_node_config().rsa_bits);
-      if (!store.commit_snapshot()) {
+      if (!store.commit()) {
         logger.error("snapshot", {{"error", store.last_error()}});
         return 1;
       }
@@ -681,8 +671,8 @@ int main(int argc, char** argv) {
   } else if (restored) {
     store::NodeState& st = store.state();
     st.incarnation += 1;
-    if (!store.record_incarnation(st.incarnation)) {
-      logger.error("incarnation_journal", {{"error", store.last_error()}});
+    if (!store.commit()) {
+      logger.error("incarnation_commit", {{"error", store.last_error()}});
       return 1;
     }
     // Re-bind the persisted port so peers' contact cards stay valid. The
@@ -700,7 +690,7 @@ int main(int argc, char** argv) {
       }
       ep = *fresh;
       st.endpoint = ep;
-      store.commit_snapshot();
+      store.commit();
       logger.warn("port_rebound", {{"ep", ep.str()}});
     }
     logger.info("restart_from_state",
@@ -719,7 +709,7 @@ int main(int argc, char** argv) {
       st.endpoint = ep;
       st.incarnation = 1;
       st.identity = pooled_keypair(opt.id, realtime_node_config().rsa_bits);
-      if (!store.commit_snapshot()) {
+      if (!store.commit()) {
         logger.error("snapshot", {{"error", store.last_error()}});
         return 1;
       }
@@ -775,7 +765,6 @@ int main(int argc, char** argv) {
   Orchestrator orch{opt,    backend, node, /*is_leader=*/opt.id == 1,
                     storep, logger,  registry};
   orch.shim = shim.get();
-  orch.exporter = telemetry::HealthExporter(&registry);
   orch.boot_at = backend.now();
   orch.publish_stats();
 
@@ -784,8 +773,8 @@ int main(int argc, char** argv) {
   std::uint16_t admin_port = 0;
   orch.admin_fd = open_admin_socket(&admin_port);
   if (orch.admin_fd >= 0) {
-    write_text_file_atomic(orch.path("admin." + std::to_string(opt.id)),
-                           std::to_string(admin_port) + "\n");
+    atomic_publish_file(orch.path("admin." + std::to_string(opt.id)),
+                        to_bytes(std::to_string(admin_port) + "\n"));
     orch.admin_poll();
   } else {
     logger.warn("admin_socket_failed");
@@ -818,7 +807,10 @@ int main(int argc, char** argv) {
     if (bootstrap.size() == opt.nodes - 1) {
       node.start(bootstrap);
       started = true;
-      if (storep != nullptr) store.record_peer_hints(bootstrap);
+      if (storep != nullptr) {
+        store.state().peer_hints = bootstrap;
+        store.commit();
+      }
       // Re-announce into PSS happened via start(); now resurrect group
       // membership and (members) kick off the passport re-validation.
       orch.resume_from_store();

@@ -4,12 +4,13 @@
 //   whisper_top --dir=DIR [--nodes=N] [--interval=1] [--once] [--json]
 //               [--admin]
 //
-// Scrapes each node's binary stats.I health record (the same versioned
-// keyframe/delta stream the chaos supervisor probes) through a per-node
-// HealthAccumulator and renders a refreshing table: delivery counters and
-// rate, PSS exchange RTT p95, quarantines, peer restarts, incarnation,
-// rss/cpu. A node whose record stops advancing is flagged stale — exactly
-// the supervisor's hung-vs-dead signal, read by an operator.
+// Reads each node's binary stats.I health record (the same versioned
+// record the chaos supervisor probes; every record is whole, so one read
+// gives a node's full metrics) and renders a refreshing table: delivery
+// counters and rate, PSS exchange RTT p95, quarantines, peer restarts,
+// incarnation, rss/cpu. A node whose record stops advancing is flagged
+// stale — exactly the supervisor's hung-vs-dead signal, read by an
+// operator.
 //
 //   --nodes=N    probe ids 1..N (default: every stats.* file in DIR)
 //   --interval   refresh period in seconds (default 1)
@@ -19,7 +20,8 @@
 //                table; with --once this is the CI dump format
 //   --admin      scrape via each node's admin UDP socket (admin.I ports)
 //                instead of the stats files: exercises the request/reply
-//                path and always yields fresh keyframes
+//                path and always yields a freshly built record
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +37,7 @@
 #include <unistd.h>
 
 #include "common/bytes.hpp"
+#include "common/file.hpp"
 #include "telemetry/health.hpp"
 
 namespace tel = whisper::telemetry;
@@ -59,19 +62,6 @@ bool arg_flag(int argc, char** argv, const std::string& key) {
   return false;
 }
 
-whisper::Bytes read_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  whisper::Bytes out;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 /// Node ids found as stats.I files in the rendezvous dir, ascending.
 std::vector<std::uint64_t> discover_nodes(const std::string& dir) {
   std::vector<std::uint64_t> ids;
@@ -88,8 +78,8 @@ std::vector<std::uint64_t> discover_nodes(const std::string& dir) {
   return ids;
 }
 
-/// One admin stats query (see whisper_noded: 4-byte request, one keyframe
-/// health record back).
+/// One admin stats query (see whisper_noded: 4-byte request, one health
+/// record back).
 std::optional<tel::HealthSnapshot> query_admin(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) return std::nullopt;
@@ -125,11 +115,6 @@ std::uint16_t read_port(const std::string& path) {
   return rc == 1 ? static_cast<std::uint16_t>(port) : 0;
 }
 
-double metric_or(const std::map<std::string, double>& m, const std::string& key) {
-  const auto it = m.find(key);
-  return it == m.end() ? 0.0 : it->second;
-}
-
 /// Short NAT-type label off the nylon.nat_type gauge (nat/rules.hpp order).
 const char* nat_label(double type) {
   switch (static_cast<int>(type)) {
@@ -143,20 +128,16 @@ const char* nat_label(double type) {
 
 /// Traversal split "direct/punched/relayed" — how this node's outbound
 /// data actually reached peers (nylon path counters).
-std::string traversal_cell(const std::map<std::string, double>& m) {
+std::string traversal_cell(const tel::HealthSnapshot& s) {
   char buf[48];
-  std::snprintf(buf, sizeof buf, "%.0f/%.0f/%.0f",
-                metric_or(m, "nylon.sends.direct"),
-                metric_or(m, "nylon.sends.punched"),
-                metric_or(m, "nylon.sends.relayed"));
+  std::snprintf(buf, sizeof buf, "%.0f/%.0f/%.0f", s.metric("nylon.sends.direct"),
+                s.metric("nylon.sends.punched"), s.metric("nylon.sends.relayed"));
   return buf;
 }
 
 /// Rolling per-node view state across refreshes.
 struct NodeView {
-  tel::HealthAccumulator acc;
-  std::uint64_t last_seq = 0;
-  unsigned last_inc = 0;
+  std::optional<tel::HealthSnapshot> snap;  // latest record read
   int frozen_rounds = 0;      // refreshes without a new record
   double prev_delivered = 0;  // for the delivery-rate column
   std::uint64_t prev_now_us = 0;
@@ -194,73 +175,32 @@ int main(int argc, char** argv) {
     // Scrape every node; track freshness by (incarnation, seq) movement.
     for (const std::uint64_t id : ids) {
       NodeView& v = views[id];
-      bool applied = false;
+      std::optional<tel::HealthSnapshot> snap;
       if (admin) {
-        const std::uint16_t port =
-            read_port(dir + "/admin." + std::to_string(id));
-        if (port != 0) {
-          if (const auto snap = query_admin(port)) {
-            v.acc.apply(*snap);
-            applied = true;
-          }
-        }
-      } else {
-        const whisper::Bytes bytes =
-            read_bytes(dir + "/stats." + std::to_string(id));
-        if (!bytes.empty()) applied = v.acc.apply(whisper::BytesView(bytes));
-        // A cold start mid-stream lands on a delta record and cannot
-        // resync until the next keyframe; a live node's admin socket can
-        // hand us one right now.
-        if (v.acc.valid() && !v.acc.synced()) {
-          const std::uint16_t port =
-              read_port(dir + "/admin." + std::to_string(id));
-          if (port != 0) {
-            if (const auto snap = query_admin(port)) {
-              v.acc.apply(*snap);
-              applied = true;
-            }
-          }
-        }
+        const std::uint16_t port = read_port(dir + "/admin." + std::to_string(id));
+        if (port != 0) snap = query_admin(port);
+      } else if (const auto bytes =
+                     whisper::read_file(dir + "/stats." + std::to_string(id))) {
+        snap = tel::decode_health_record(*bytes);
       }
-      if (!applied || !v.acc.valid()) {
+      if (!snap) {
         ++v.frozen_rounds;
         continue;
       }
-      const tel::HealthSnapshot& s = v.acc.last();
-      if (s.seq != v.last_seq || s.incarnation != v.last_inc) {
-        v.last_seq = s.seq;
-        v.last_inc = s.incarnation;
-        v.frozen_rounds = 0;
-      } else {
-        ++v.frozen_rounds;
-      }
+      const bool advanced = !v.snap || snap->seq != v.snap->seq ||
+                            snap->incarnation != v.snap->incarnation;
+      v.frozen_rounds = advanced ? 0 : v.frozen_rounds + 1;
+      v.snap = std::move(snap);
     }
 
     if (json) {
-      tel::HealthSnapshot sum;
-      std::map<std::string, double> msum;
+      std::vector<tel::HealthSnapshot> seen;
       for (auto& [id, v] : views) {
-        if (!v.acc.valid()) continue;
-        std::printf("%s\n",
-                    tel::health_to_json(v.acc.last(), v.acc.metrics(),
-                                        std::to_string(id))
-                        .c_str());
-        const tel::HealthSnapshot& s = v.acc.last();
-        if (s.now_us > sum.now_us) sum.now_us = s.now_us;
-        sum.groups += s.groups;
-        sum.wcl_backlog += s.wcl_backlog;
-        sum.pending_forwards += s.pending_forwards;
-        sum.pss_view += s.pss_view;
-        sum.pss_reserve += s.pss_reserve;
-        sum.quarantined += s.quarantined;
-        sum.peer_restarts += s.peer_restarts;
-        sum.decode_rejects += s.decode_rejects;
-        sum.rate_limited += s.rate_limited;
-        sum.rss_kb += s.rss_kb;
-        sum.cpu_us += s.cpu_us;
-        for (const auto& [k, val] : v.acc.metrics()) msum[k] += val;
+        if (!v.snap) continue;
+        std::printf("%s\n", tel::health_to_json(*v.snap, std::to_string(id)).c_str());
+        seen.push_back(*v.snap);
       }
-      std::printf("%s\n", tel::health_to_json(sum, msum, "fleet").c_str());
+      std::printf("%s\n", tel::health_to_json(tel::fleet_total(seen), "fleet").c_str());
       std::fflush(stdout);
     } else {
       if (tty && !once) std::printf("\033[H\033[2J");
@@ -273,13 +213,12 @@ int main(int argc, char** argv) {
           "state");
       double fleet_delivered = 0, fleet_rate = 0;
       for (auto& [id, v] : views) {
-        if (!v.acc.valid()) {
+        if (!v.snap) {
           std::printf("%4llu %*s no data\n", (unsigned long long)id, 5, "-");
           continue;
         }
-        const tel::HealthSnapshot& s = v.acc.last();
-        const auto& m = v.acc.metrics();
-        const double delivered = metric_or(m, "wcl.onions.delivered");
+        const tel::HealthSnapshot& s = *v.snap;
+        const double delivered = s.metric("wcl.onions.delivered");
         double rate = 0;
         if (v.prev_now_us != 0 && s.now_us > v.prev_now_us) {
           rate = (delivered - v.prev_delivered) /
@@ -289,19 +228,16 @@ int main(int argc, char** argv) {
         v.prev_now_us = s.now_us;
         fleet_delivered += delivered;
         fleet_rate += rate;
-        const double rtt_p95_ms = metric_or(m, "pss.exchange.rtt_us#p95") / 1e3;
+        const double rtt_p95_ms = s.metric("pss.exchange.rtt_us#p95") / 1e3;
         // Stale = no new record for ~3 refreshes: the supervisor's
         // hung-vs-dead threshold, at operator granularity.
-        const char* state =
-            v.frozen_rounds >= 3
-                ? "STALE"
-                : (v.acc.synced() ? "live" : "live (resyncing)");
+        const char* state = v.frozen_rounds >= 3 ? "STALE" : "live";
         std::printf("%4llu %5u %4u %6llu %9.0f %8.1f %9.1f %4s %13s %6u %6u "
                     "%8u %8.1f %7.1f  %s\n",
                     (unsigned long long)id, s.pid, s.incarnation,
                     (unsigned long long)s.seq, delivered, rate, rtt_p95_ms,
-                    nat_label(metric_or(m, "nylon.nat_type")),
-                    traversal_cell(m).c_str(), s.quarantined, s.peer_restarts,
+                    nat_label(s.metric("nylon.nat_type")),
+                    traversal_cell(s).c_str(), s.quarantined, s.peer_restarts,
                     s.wcl_backlog, static_cast<double>(s.rss_kb) / 1024.0,
                     static_cast<double>(s.cpu_us) / 1e6, state);
       }
