@@ -2,11 +2,12 @@
 //
 // The paper's Table II reports average CPU time per PPSS cycle spent in AES
 // vs RSA, split by node class. Because our AES/RSA are real implementations,
-// we measure actual wall-clock time per operation, accumulate it per node
-// and category, and also charge it to the backend clock so that latency
-// distributions (Fig. 7) include processing time. Backend-agnostic: under
-// the simulator the charge extends virtual time, under the UDP backend the
-// work already took that long on the real clock.
+// we measure actual wall-clock time per operation and accumulate it per node
+// and category. charge() also returns the measurement: on a wall clock WCL
+// puts it in its flight `crypto` slices, so the live Fig. 7 split is
+// measured. The simulator's virtual clock never sees it; there WCL uses
+// fixed modeled costs, because measured time would make runs irreproducible
+// (DESIGN.md §6.6).
 #pragma once
 
 #include <chrono>

@@ -44,6 +44,11 @@ class Clock {
 
   /// Current time in microseconds on this backend's clock.
   virtual Time now() const = 0;
+  /// Whether time passes while code runs. False on the simulator's virtual
+  /// clock, which moves only between events: work there takes the modeled
+  /// cost a layer schedules for it. True on a wall clock, where the work
+  /// already took its real time and a modeled cost would count it twice.
+  virtual bool wall_clock() const = 0;
 
   /// Schedule `fn` to run at absolute time `at` (>= now). Returns a
   /// non-zero id usable with cancel().

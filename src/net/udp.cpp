@@ -95,7 +95,7 @@ Endpoint from_sockaddr(const sockaddr_in& sa) {
 
 }  // namespace
 
-UdpBackend::UdpBackend(Config config) : config_(config) {
+UdpBackend::UdpBackend(Config config) : config_(config), rx_buf_(kMaxDatagram) {
   epoch_ns_ = config_.epoch_ns >= 0 ? static_cast<std::uint64_t>(config_.epoch_ns)
                                     : monotonic_ns();
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
@@ -350,7 +350,8 @@ void UdpBackend::deliver(SocketState& sock, Datagram dgram) {
 }
 
 void UdpBackend::drain_socket(int fd) {
-  std::vector<std::uint8_t> buf(kMaxDatagram);
+  // Reused for every datagram: each is copied out before its handler runs.
+  std::uint8_t* const buf = rx_buf_.data();
   for (;;) {
     // The socket may have been detached by a handler run earlier in this
     // drain; stop touching the fd the moment it leaves the table.
@@ -359,7 +360,7 @@ void UdpBackend::drain_socket(int fd) {
     const Endpoint ep = eit->second;
 
     sockaddr_in from{};
-    iovec iov{buf.data(), buf.size()};
+    iovec iov{buf, rx_buf_.size()};
     alignas(cmsghdr) char cmsg_buf[CMSG_SPACE(sizeof(std::uint32_t))];
     msghdr msg{};
     msg.msg_name = &from;
@@ -405,7 +406,7 @@ void UdpBackend::drain_socket(int fd) {
     auto sit = sockets_.find(ep);
     if (sit == sockets_.end()) return;
     if (config_.frame_tap) {
-      config_.frame_tap(BytesView(buf.data(), static_cast<std::size_t>(n)),
+      config_.frame_tap(BytesView(buf, static_cast<std::size_t>(n)),
                         /*outbound=*/false);
     }
     Datagram dgram;
@@ -413,10 +414,9 @@ void UdpBackend::drain_socket(int fd) {
     dgram.dst = ep;
     dgram.proto = static_cast<Proto>(buf[3]);
     if (buf[2] == kVersionTraced) {
-      dgram.trace = parse_trace_ctx(buf.data() + kHeaderLen);
+      dgram.trace = parse_trace_ctx(buf + kHeaderLen);
     }
-    dgram.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(payload_off),
-                         buf.begin() + n);
+    dgram.payload.assign(buf + payload_off, buf + n);
     deliver(sit->second, std::move(dgram));
   }
 }

@@ -31,6 +31,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "net/spi.hpp"
@@ -77,6 +78,7 @@ class UdpBackend final : public Clock, public Stack {
 
   // --- Clock (monotonic, microseconds since backend construction). ---
   Time now() const override;
+  bool wall_clock() const override { return true; }
   TimerId schedule_at(Time at, std::function<void()> fn) override;
   TimerId schedule_after(Time delay, std::function<void()> fn) override;
   void cancel(TimerId id) override;
@@ -178,6 +180,8 @@ class UdpBackend final : public Clock, public Stack {
   TimerQueue timers_;
   std::unordered_map<Endpoint, SocketState> sockets_;
   std::unordered_map<int, Endpoint> fd_to_ep_;
+  /// drain_socket()'s receive buffer, one per backend.
+  std::vector<std::uint8_t> rx_buf_;
   FaultInterposer* faults_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
   std::atomic<bool> stop_requested_{false};

@@ -25,6 +25,7 @@ class Simulator : public net::Clock {
   Simulator();
 
   net::Time now() const override { return now_; }
+  bool wall_clock() const override { return false; }
 
   /// Schedule `fn` to run at absolute virtual time `at` (>= now).
   net::TimerId schedule_at(net::Time at, std::function<void()> fn) override;

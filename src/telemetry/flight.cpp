@@ -340,13 +340,20 @@ std::vector<FlightRecord> assemble_flight_events(
     // Decomposition over the final attempt's causal chain (attempt 0 events
     // come from layers that do not track attempts — count them when the
     // trace never retried).
+    // When each node's crypto at each hop depth ended, for the chain search
+    // below.
+    std::map<std::pair<std::uint64_t, std::uint32_t>, std::uint64_t> crypto_end;
     ended = false;
     for (const FlightEventRec* ev : evs) {
       if (ev->kind == FlightKind::kEnd) ended = true;
       if (ended) continue;
       const bool in_final = final_attempt == 0 || ev->attempt == final_attempt ||
                             (ev->attempt == 0 && final_attempt <= 1);
-      if (ev->kind == FlightKind::kCrypto && in_final) rec.crypto_us += ev->dur;
+      if (ev->kind == FlightKind::kCrypto && in_final) {
+        rec.crypto_us += ev->dur;
+        std::uint64_t& end = crypto_end[{ev->node, ev->hop}];
+        end = std::max(end, ev->ts + ev->dur);
+      }
     }
     std::vector<const FlightHop*> final_ok;
     for (const auto& [key, hop] : hops) {
@@ -375,12 +382,20 @@ std::vector<FlightRecord> assemble_flight_events(
       // handler, microseconds *after* the final wire_in, so a second pass
       // relaxes the close to recv_ts <= end_ts (still through dst, still
       // ending at src). The exact pass always runs first, so sim behavior
-      // is unchanged.
+      // is unchanged. The relaxed pass also lets a hop leave a node only
+      // once that node's crypto at the same depth has ended: the onion
+      // moves on after its peel, the ACK after the open. Otherwise a route
+      // probe the transport sends beside the onion, with its reply, forms a
+      // shortcut whose flight overlaps the crypto.
       auto dfs = [&](auto&& self, std::uint64_t node, std::uint32_t depth,
                      std::uint64_t t, bool seen_dst, bool exact) -> bool {
+        std::uint64_t leave = t;
+        if (auto c = crypto_end.find({node, depth}); !exact && c != crypto_end.end()) {
+          leave = std::max(leave, c->second);
+        }
         for (std::size_t i = 0; i < final_ok.size(); ++i) {
           const FlightHop* h = final_ok[i];
-          if (used[i] || h->hop != depth || h->from != node || h->sent_ts < t) continue;
+          if (used[i] || h->hop != depth || h->from != node || h->sent_ts < leave) continue;
           used[i] = true;
           chain.push_back(h);
           const bool arrived = seen_dst || h->to == rec.dst;

@@ -70,7 +70,8 @@ enum class FlightKind : std::uint8_t {
   kWireOut = 1,  // datagram hit the wire (dur = fault-injected extra delay)
   kWireIn = 2,   // datagram reached the destination handler
   kQueued = 3,   // held by a pause-queue fault until flushed
-  kCrypto = 4,   // virtual crypto cost charged (detail: build/peel/open)
+  kCrypto = 4,   // onion crypto: modeled cost (virtual clock) or measured
+                 // time (wall clock), from ts (detail: build/peel/open)
   kRetry = 5,    // attempt started (attempt number; 1 = first)
   kTimeout = 6,  // attempt timer expired at the source
   kDrop = 7,     // packet positively dead (detail: loss/filter/detach/fault)
@@ -194,8 +195,20 @@ class FlightRecorder {
   /// Message-level trace (one WCL send), optionally parented to a root.
   std::uint64_t new_trace(TraceLayer layer, std::uint64_t node, std::uint64_t root,
                           std::uint64_t dst_node);
+  /// Namespace this recorder's wire seqs, as set_id_base() does for trace
+  /// ids: whisper_noded passes its node id, ScaleTestbed the shard. Two
+  /// recorders then never give copies of one trace the same (attempt, hop,
+  /// seq) key, which assembly and the Chrome flows pair wire events by. A
+  /// seq is (ns << 22) | counter, so namespaces 1,024 apart coincide.
+  void set_seq_namespace(std::uint32_t ns) { seq_ns_ = ns << kSeqCounterBits; }
   /// Sequence number for one wire emission (duplication-safe hop pairing).
-  std::uint32_t next_wire_seq() { return next_seq_++; }
+  /// The counter runs 1 .. 2^22 - 1, then wraps to 1: 4,194,303 copies,
+  /// within the default capacity, so a log that dropped nothing never
+  /// reuses a seq.
+  std::uint32_t next_wire_seq() {
+    if (next_seq_ > kSeqCounterMask) next_seq_ = 1;
+    return seq_ns_ | next_seq_++;
+  }
 
   // --- Event helpers (all no-ops while disabled or for invalid contexts). ---
   void wire_out(const TraceContext& ctx, std::uint64_t src_node, std::uint64_t ts,
@@ -232,6 +245,9 @@ class FlightRecorder {
   std::vector<FlightRecord> assemble() const;
 
  private:
+  static constexpr std::uint32_t kSeqCounterBits = 22;
+  static constexpr std::uint32_t kSeqCounterMask = (1u << kSeqCounterBits) - 1;
+
   void push(FlightEventRec ev);
 
   std::function<std::uint64_t()> now_;
@@ -241,6 +257,7 @@ class FlightRecorder {
   std::vector<FlightEventRec> events_;
   std::uint64_t dropped_ = 0;
   std::uint64_t next_id_ = 1;
+  std::uint32_t seq_ns_ = 0;
   std::uint32_t next_seq_ = 1;
   TraceContext ctx_;
 };

@@ -14,13 +14,29 @@ constexpr std::uint8_t kKindNack = 3;
 /// Connection-backlog capacity (the paper's 2c).
 constexpr std::size_t kCbCapacity = 20;
 
-// Deterministic processing costs charged to the virtual clock (actual
-// wall-clock measurements still flow into the CPU meters for Table II /
-// Fig. 7, but folding *measured* time into event ordering would make runs
-// irreproducible). Calibrated from bench_crypto_micro at 512-bit keys.
+// Modeled onion-crypto costs, for a virtual clock only. Time stands still
+// there while the crypto runs, so each step's continuation waits its
+// modeled cost and its flight slice lasts that long; folding *measured*
+// time into event ordering would make runs irreproducible. Calibrated from
+// bench_crypto_micro at 512-bit keys.
 constexpr net::Time kVirtualRsaSealCost = 15;     // us per onion layer sealed
 constexpr net::Time kVirtualRsaPeelCost = 160;    // us per layer peeled
 constexpr net::Time kVirtualAesCostPerKb = 30;    // us per KB of body
+
+/// Where one crypto step's cost goes: the duration of its flight `crypto`
+/// slice and how long its continuation waits.
+struct CryptoCost {
+  net::Time slice;
+  net::Time delay;
+};
+
+/// On a virtual clock both are the modeled cost. On a wall clock the work
+/// already took `measured` (what CpuMeter::charge returned), so the slice
+/// carries that and the continuation runs at once.
+CryptoCost crypto_cost(const net::Clock& clock, net::Time modeled, net::Time measured) {
+  if (clock.wall_clock()) return CryptoCost{measured, 0};
+  return CryptoCost{modeled, modeled};
+}
 
 // Hostile-input defenses, generous enough that honest traffic never trips
 // them.
@@ -372,43 +388,43 @@ bool Wcl::attempt(std::uint64_t msg_id, PendingSend& pending) {
 
   const crypto::OnionKeys keys = crypto::onion_fresh_keys(drbg_);
   crypto::OnionPacket packet;
-  // Deterministic virtual processing cost (measured wall time is recorded
-  // separately by the CPU meter and must not perturb event ordering).
-  const net::Time crypto_time = kVirtualRsaSealCost * path.size() +
-                                kVirtualAesCostPerKb * (pending.payload.size() / 1024 + 1);
-  cpu_.charge(net::CpuCategory::kAes, [&] {
+  const net::Time work_start = clock_.now();
+  net::Time measured = cpu_.charge(net::CpuCategory::kAes, [&] {
     // The body keeps a leading cleartext byte, always 0, that the
     // destination skips.
     packet.body = crypto::onion_crypt_body(keys, pending.payload);
     packet.body.insert(packet.body.begin(), 0);
   });
-  cpu_.charge(net::CpuCategory::kRsaEncrypt, [&] {
+  measured += cpu_.charge(net::CpuCategory::kRsaEncrypt, [&] {
     packet.header = crypto::onion_build_header(path, keys, drbg_);
   });
-  // The build occupies the virtual clock for `crypto_time`: record it with
-  // that charged duration.
-  if (traced) fr->crypto(pending.trace, self.value, clock_.now(), crypto_time, "build");
+  const CryptoCost cost = crypto_cost(
+      clock_,
+      kVirtualRsaSealCost * path.size() +
+          kVirtualAesCostPerKb * (pending.payload.size() / 1024 + 1),
+      measured);
+  if (traced) fr->crypto(pending.trace, self.value, work_start, cost.slice, "build");
 
   Writer w;
   w.u8(kKindOnion);
   w.u64(msg_id);
   transport_.self_card().serialize(w);
   w.raw(packet.serialize());
-  // Charge the measured crypto time to the virtual clock: the packet leaves
-  // only after the onion has been built. The deferred lambda re-arms this
-  // message's trace context so the network stamps the outbound datagram.
+  // The packet leaves once the build's cost has passed (at once on a wall
+  // clock). The deferred lambda re-arms this message's trace context so the
+  // network stamps the outbound datagram.
   const pss::ContactCard first_hop = config_.mixes >= 2 ? a.card : b.card;
-  clock_.schedule_after(crypto_time,
+  clock_.schedule_after(cost.delay,
                       [this, card = first_hop, data = std::move(w).take(),
                        ctx = traced ? pending.trace : telemetry::TraceContext{}] {
                         telemetry::ScopedTraceContext guard(tel_.flight(), ctx);
                         transport_.send(card, nylon::kTagWcl, data, net::Proto::kWcl);
                       });
 
-  pending.sent_at = clock_.now() + crypto_time;
+  pending.sent_at = clock_.now() + cost.delay;
   if (pending.timeout_timer != 0) clock_.cancel(pending.timeout_timer);
   pending.timeout_timer =
-      clock_.schedule_after(crypto_time + attempt_timeout(pending), [this, msg_id] {
+      clock_.schedule_after(cost.delay + attempt_timeout(pending), [this, msg_id] {
         if (telemetry::FlightRecorder* rec = tel_.flight();
             rec != nullptr && rec->enabled()) {
           if (auto it = pending_sends_.find(msg_id);
@@ -560,8 +576,9 @@ void Wcl::handle_onion(NodeId from, Reader& r) {
   }
 
   std::optional<crypto::OnionPeel> peel;
-  net::Time crypto_time = kVirtualRsaPeelCost;
-  cpu_.charge(net::CpuCategory::kRsaDecrypt, [&] {
+  const net::Time work_start = clock_.now();
+  net::Time modeled = kVirtualRsaPeelCost;
+  net::Time measured = cpu_.charge(net::CpuCategory::kRsaDecrypt, [&] {
     peel = crypto::onion_peel_header(keys_.own_pair(), *packet);
   });
   if (!peel) {
@@ -578,20 +595,21 @@ void Wcl::handle_onion(NodeId from, Reader& r) {
     // Skip the body's leading byte (see attempt()).
     const BytesView body(packet->body.data() + 1, packet->body.size() - 1);
     Bytes content;
-    crypto_time += kVirtualAesCostPerKb * (body.size() / 1024 + 1);
-    cpu_.charge(net::CpuCategory::kAes,
-                [&] { content = crypto::onion_crypt_body(peel->keys, body); });
+    modeled += kVirtualAesCostPerKb * (body.size() / 1024 + 1);
+    measured += cpu_.charge(net::CpuCategory::kAes,
+                            [&] { content = crypto::onion_crypt_body(peel->keys, body); });
+    const CryptoCost cost = crypto_cost(clock_, modeled, measured);
     ++stats_.onions_delivered;
     m_delivered_.add(1);
     telemetry::FlightRecorder* fr = tel_.flight();
     const telemetry::TraceContext ctx =
         fr != nullptr && fr->enabled() ? fr->context() : telemetry::TraceContext{};
-    if (ctx.valid()) fr->crypto(ctx, transport_.self().value, clock_.now(), crypto_time, "open");
-    // Deliver (and ack) after the measured decryption time has elapsed on
-    // the virtual clock. Re-arm the inbound trace context so the ACK chain
-    // and whatever the payload triggers (a PPSS response) stay causally
-    // linked to this message.
-    clock_.schedule_after(crypto_time,
+    if (ctx.valid()) fr->crypto(ctx, transport_.self().value, work_start, cost.slice, "open");
+    // Deliver (and ack) once the open's cost has passed (at once on a wall
+    // clock). Re-arm the inbound trace context so the ACK chain and
+    // whatever the payload triggers (a PPSS response) stay causally linked
+    // to this message.
+    clock_.schedule_after(cost.delay,
                         [this, predecessor, msg_id, ctx,
                          content = std::move(content)]() mutable {
                           telemetry::ScopedTraceContext guard(tel_.flight(), ctx);
@@ -615,8 +633,8 @@ void Wcl::handle_onion(NodeId from, Reader& r) {
   transport_.self_card().serialize(w);
   w.raw(peel->next_packet.serialize());
 
-  // Resolve now, but put the packet on the wire only after the measured
-  // peel time has elapsed on the virtual clock.
+  // Resolve now, but put the packet on the wire only once the peel's cost
+  // has passed (at once on a wall clock).
   std::optional<pss::ContactCard> next_card;
   if (!peel->next_addr.is_nil()) {
     pss::ContactCard card;
@@ -632,9 +650,10 @@ void Wcl::handle_onion(NodeId from, Reader& r) {
   telemetry::FlightRecorder* fr = tel_.flight();
   const telemetry::TraceContext ctx =
       fr != nullptr && fr->enabled() ? fr->context() : telemetry::TraceContext{};
-  if (ctx.valid()) fr->crypto(ctx, transport_.self().value, clock_.now(), crypto_time, "peel");
+  const CryptoCost cost = crypto_cost(clock_, modeled, measured);
+  if (ctx.valid()) fr->crypto(ctx, transport_.self().value, work_start, cost.slice, "peel");
   clock_.schedule_after(
-      crypto_time,
+      cost.delay,
       [this, predecessor, msg_id, next_hop, next_card, ctx, data = std::move(w).take()] {
         telemetry::ScopedTraceContext guard(tel_.flight(), ctx);
         const bool sent =

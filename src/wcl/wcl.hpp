@@ -176,7 +176,7 @@ class Wcl {
     /// Causal trace of this message (invalid while tracing is off). `hop`
     /// stays 0 at the source; `attempt` tracks the current try.
     telemetry::TraceContext trace;
-    /// Virtual time of send_confidential() — the flight record's RTT is
+    /// Time of send_confidential() — the flight record's RTT is
     /// measured from here so decomposition includes the first build.
     net::Time trace_begin = 0;
   };

@@ -50,6 +50,10 @@ UdpMesh::UdpMesh(Config config)
     : config_(std::move(config)), rng_(config_.seed), backend_(config_.backend) {
   flight_.set_clock(net::clock_fn(backend_));
   flight_.set_enabled(config_.flight);
+  flight_.set_node_resolver([this](Endpoint ep) {
+    auto it = endpoint_ids_.find(ep);
+    return it != endpoint_ids_.end() ? it->second : 0ull;
+  });
   backend_.set_flight(&flight_);
 }
 
@@ -63,6 +67,7 @@ WhisperNode* UdpMesh::spawn_node() {
   const auto ep = backend_.reserve_endpoint();
   if (!ep) return nullptr;
   const NodeId id{next_node_id_++};
+  endpoint_ids_[*ep] = id.value;
 
   auto node = std::make_unique<WhisperNode>(
       backend_, backend_, id, *ep, /*is_public=*/true,

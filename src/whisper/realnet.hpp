@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "net/udp.hpp"
@@ -74,6 +75,8 @@ class UdpMesh {
   telemetry::Registry registry_;
   telemetry::FlightRecorder flight_;
   std::vector<std::unique_ptr<WhisperNode>> nodes_;
+  /// Each node's endpoint -> its id: how flight events name their nodes.
+  std::unordered_map<Endpoint, std::uint64_t> endpoint_ids_;
   std::uint64_t next_node_id_ = 1;
   std::size_t next_key_index_ = 0;
 };

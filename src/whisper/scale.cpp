@@ -34,6 +34,7 @@ ScaleTestbed::ScaleTestbed(ScaleConfig config)
     st->flight.set_clock(net::clock_fn(*st->sim));
     st->flight.set_enabled(config_.flight);
     st->flight.set_id_base(static_cast<std::uint64_t>(s) << 48);
+    st->flight.set_seq_namespace(static_cast<std::uint32_t>(s));
     st->flight.set_node_resolver([this](Endpoint ep) {
       auto it = endpoint_ids_.find(ep);
       return it != endpoint_ids_.end() ? it->second : 0ull;

@@ -3,9 +3,13 @@
 // application messages — run once on the deterministic simulator and once
 // on the real UDP/epoll backend over loopback. The protocol stack is the
 // same code against the same SPI; this test pins the observable outcome:
-// identical delivered payload bytes and identical group membership.
+// identical delivered payload bytes and identical group membership. The
+// LiveWcl test checks what differs by design: on the wall clock the flight
+// log's onion crypto slices are measured, not modeled.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
 #include "whisper/realnet.hpp"
@@ -102,6 +106,70 @@ TEST(CrossBackendEquivalence, QuickstartDeliversIdenticalBytesAndMembership) {
   EXPECT_EQ(sim.alice_got, udp.alice_got);
   EXPECT_EQ(sim.bob_got[0], to_bytes("meet at the usual place"));
   EXPECT_EQ(sim.alice_got[0], to_bytes("psst! got it."));
+}
+
+// On a wall clock WCL waits out no modeled crypto cost. Each `crypto` slice
+// of a delivered record is the onion crypto its node's CpuMeter measured
+// (AES and RSA for a build or an open, RSA for a peel), and each delivered
+// record decomposes exactly: crypto + propagation + node time == RTT.
+TEST(LiveWcl, CryptoSlicesAreMeasuredAndDeliveredRecordsDecomposeExactly) {
+  constexpr int kMessages = 12;
+  UdpMesh::Config cfg;
+  cfg.flight = true;
+  cfg.backend.trace_wire = true;  // receivers log wire_in and peel under the trace
+  UdpMesh mesh(cfg);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    ASSERT_NE(mesh.spawn_node(), nullptr) << mesh.backend().last_error();
+  }
+  // The onion crypto each node measured, keyed by the index of the flight
+  // log's next event: WCL logs a slice right after the charges it reports.
+  std::map<std::size_t, net::Time> measured;
+  for (WhisperNode* n : mesh.nodes()) {
+    n->cpu().set_probe([&](net::CpuCategory cat, net::Time t) {
+      if (cat == net::CpuCategory::kAes || cat == net::CpuCategory::kRsaEncrypt ||
+          cat == net::CpuCategory::kRsaDecrypt) {
+        measured[mesh.flight().events().size()] += t;
+      }
+    });
+  }
+  mesh.run_for(5 * net::kSecond);
+
+  auto nodes = mesh.nodes();
+  crypto::Drbg drbg(42);
+  ppss::Ppss& alice =
+      nodes[0]->create_group(GroupId{1}, crypto::RsaKeyPair::generate(512, drbg));
+  auto invitation = alice.invite(nodes[1]->id());
+  ASSERT_TRUE(invitation.has_value());
+  ppss::Ppss& bob = nodes[1]->join_group(GroupId{1}, *invitation, alice.self_descriptor());
+  for (int i = 0; i < 40 && !bob.joined(); ++i) mesh.run_for(250 * net::kMillisecond);
+  ASSERT_TRUE(bob.joined());
+
+  int got = 0;
+  bob.on_app_message = [&](const wcl::RemotePeer&, BytesView) { ++got; };
+  for (int i = 0; i < kMessages; ++i) {
+    alice.send_app_to(bob.self_descriptor(), to_bytes("ping"));
+    mesh.run_for(50 * net::kMillisecond);
+  }
+  mesh.run_for(net::kSecond);
+  EXPECT_EQ(got, kMessages);
+
+  std::set<std::uint64_t> delivered;
+  for (const telemetry::FlightRecord& rec : mesh.flight().assemble()) {
+    if (rec.layer != telemetry::TraceLayer::kWcl || rec.outcome != "delivered") continue;
+    delivered.insert(rec.trace_id);
+    EXPECT_EQ(rec.decomposed_us(), rec.rtt_us) << "trace " << rec.trace_id;
+  }
+  EXPECT_GE(delivered.size(), static_cast<std::size_t>(kMessages));
+  const auto& events = mesh.flight().events();
+  std::size_t slices = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const telemetry::FlightEventRec& ev = events[i];
+    if (ev.kind != telemetry::FlightKind::kCrypto || !delivered.contains(ev.trace)) continue;
+    ++slices;
+    EXPECT_EQ(ev.dur, measured[i]) << "wcl.onion." << ev.detail << " of trace " << ev.trace;
+  }
+  // A build, two peels and an open per delivered message.
+  EXPECT_GE(slices, 4 * delivered.size());
 }
 
 }  // namespace

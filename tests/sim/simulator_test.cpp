@@ -12,6 +12,8 @@ TEST(Simulator, StartsAtTimeZero) {
   EXPECT_EQ(s.now(), 0u);
 }
 
+TEST(Simulator, IsAVirtualClock) { EXPECT_FALSE(Simulator().wall_clock()); }
+
 TEST(Simulator, RunsEventsInTimeOrder) {
   Simulator s;
   std::vector<int> order;

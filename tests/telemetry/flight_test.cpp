@@ -124,6 +124,51 @@ TEST(FlightAssemble, CleanDeliveryDecomposesExactly) {
   EXPECT_EQ(rec.decomposed_us(), rec.rtt_us);
 }
 
+// A wall-clock flight S(1) -> M(3) -> D(2) whose mix also sends D a route
+// probe beside the onion. D answers the probe at once, opens the onion and
+// then ACKs. The probe's slow reply must not stand in for the ACK on the
+// critical path: it left D before the open ended, so following it would
+// count the open's 40 us twice.
+TEST(FlightAssemble, CriticalPathLeavesANodeAfterItsCrypto) {
+  std::uint64_t clock = 0;
+  FlightRecorder fr = make_recorder(&clock);
+  const std::uint64_t id = fr.new_trace(TraceLayer::kWcl, 1, 0, 2);
+  TraceContext ctx;
+  ctx.trace_id = id;
+  ctx.layer = TraceLayer::kWcl;
+  ctx.attempt = 1;
+  auto hop = [&](const TraceContext& c, std::uint64_t from, std::uint64_t to,
+                 std::uint64_t sent, std::uint64_t recv) {
+    TraceContext copy = c;
+    copy.seq = fr.next_wire_seq();
+    fr.wire_out(copy, from, sent, 0);
+    fr.wire_in(copy, to, recv);
+  };
+
+  fr.retry(id, 1, 0, 1);
+  fr.crypto(ctx, 1, 0, 10, "build");
+  hop(ctx, 1, 3, 10, 20);
+  ctx = ctx.next_hop();
+  fr.crypto(ctx, 3, 20, 30, "peel");
+  hop(ctx, 3, 2, 50, 55);  // the route probe
+  hop(ctx, 3, 2, 51, 60);  // the onion
+  ctx = ctx.next_hop();
+  hop(ctx, 2, 3, 55, 105);  // the probe's reply, sent on arrival
+  fr.crypto(ctx, 2, 60, 40, "open");
+  hop(ctx, 2, 3, 101, 110);  // the ACK
+  ctx = ctx.next_hop();
+  hop(ctx, 3, 1, 111, 120);
+  fr.end(id, 1, 122, "delivered", 1, 122);
+
+  const auto records = fr.assemble();
+  ASSERT_EQ(records.size(), 1u);
+  const FlightRecord& rec = records[0];
+  EXPECT_EQ(rec.crypto_us, 80u);
+  EXPECT_EQ(rec.prop_us, 10u + 5u + 9u + 9u);  // the probe's 5 us in, the ACK out
+  EXPECT_EQ(rec.proc_us, 9u);
+  EXPECT_EQ(rec.decomposed_us(), rec.rtt_us);
+}
+
 // A retransmitted send: attempt 1 is lost mid-path, attempt 2 delivers.
 // The decomposition covers the final attempt only; the lost attempt's time
 // shows up as retry_us; karn_ambiguous flags the RTT as estimator-unsafe.
@@ -379,6 +424,75 @@ TEST(FlightMerge, CrossProcessHalvesPairUp) {
   EXPECT_EQ(rec.hops[0].to, 2u);
   EXPECT_EQ(rec.hops[0].prop_us, 300u);  // wire_in ts - wire_out ts
   EXPECT_EQ(rec.rtt_us, 300u);
+}
+
+// Each whisper_noded numbers its wire copies on its own recorder. Here the
+// source S (node 1) sends hop 0 to the destination D (node 4) and to a
+// bystander X (node 6); both answer at hop 1, each with its recorder's
+// first seq. With the seqs namespaced per recorder the two hop-1 copies
+// stay separate segments and the critical path closes through D; sharing
+// one key, they would merge into one segment from X that lands at the end.
+TEST(FlightMerge, RecordersNamespaceTheirWireSeqs) {
+  std::uint64_t clock = 0;
+  FlightRecorder s = make_recorder(&clock);
+  FlightRecorder d = make_recorder(&clock);
+  FlightRecorder x = make_recorder(&clock);
+  for (auto [rec, node] : {std::pair{&s, 1u}, std::pair{&d, 4u}, std::pair{&x, 6u}}) {
+    rec->set_id_base(std::uint64_t{node} << 48);
+    rec->set_seq_namespace(node);
+  }
+
+  const std::uint64_t id = s.new_trace(TraceLayer::kWcl, 1, 0, 4);
+  TraceContext to_d;
+  to_d.trace_id = id;
+  to_d.layer = TraceLayer::kWcl;
+  to_d.attempt = 1;
+  TraceContext to_x = to_d;
+  to_d.seq = s.next_wire_seq();
+  s.wire_out(to_d, 1, 10, 0);
+  to_x.seq = s.next_wire_seq();
+  s.wire_out(to_x, 1, 10, 0);
+  x.wire_in(to_x, 6, 60);
+  d.wire_in(to_d, 4, 110);
+
+  TraceContext ack = to_d.next_hop();
+  ack.seq = d.next_wire_seq();
+  TraceContext echo = to_x.next_hop();
+  echo.seq = x.next_wire_seq();
+  EXPECT_EQ(ack.seq & 0x3fffff, echo.seq & 0x3fffff);  // both recorders' first seq
+  EXPECT_NE(ack.seq, echo.seq);
+  d.wire_out(ack, 4, 120, 0);
+  x.wire_out(echo, 6, 160, 0);
+  s.wire_in(echo, 1, 180);
+  s.wire_in(ack, 1, 200);
+  s.end(id, 1, 200, "delivered", 1, 200);
+
+  std::vector<FlightEventRec> merged;
+  for (const FlightRecorder* rec : {&s, &d, &x}) {
+    merged.insert(merged.end(), rec->events().begin(), rec->events().end());
+  }
+  const auto records = canonical_flight_records(std::move(merged));
+  ASSERT_EQ(records.size(), 1u);
+  const FlightRecord& rec = records[0];
+  ASSERT_EQ(rec.hops.size(), 4u);
+  EXPECT_EQ(rec.hops[3].from, 6u);  // X's echo, the later hop-1 copy
+  EXPECT_EQ(rec.hops[3].to, 1u);
+  // Chained S -> D -> S: 100 + 80 us on the wire, 20 us in the nodes.
+  EXPECT_EQ(rec.prop_us, 180u);
+  EXPECT_EQ(rec.proc_us, 20u);
+  EXPECT_EQ(rec.decomposed_us(), rec.rtt_us);
+}
+
+TEST(FlightRecorder, WireSeqCounterWrapsWithinItsNamespace) {
+  std::uint64_t clock = 0;
+  FlightRecorder fr = make_recorder(&clock);
+  fr.set_seq_namespace(5);
+  const std::uint32_t first = fr.next_wire_seq();
+  EXPECT_EQ(first, (5u << 22) | 1);
+  std::uint32_t last = first;
+  for (std::uint32_t i = 2; i < (1u << 22); ++i) last = fr.next_wire_seq();
+  EXPECT_EQ(last, (5u << 22) | ((1u << 22) - 1));  // 4,194,303 distinct seqs
+  EXPECT_EQ(fr.next_wire_seq(), first);             // then the counter wraps to 1
 }
 
 TEST(FlightMerge, CanonicalizeRecordsRenumbersByContentOrder) {

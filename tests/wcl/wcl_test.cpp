@@ -167,6 +167,41 @@ TEST_F(WclFixture, RetryFindsAlternativeWhenHelperDead) {
   dst->wcl().on_deliver = nullptr;
 }
 
+// On the virtual clock each onion step costs its model: 75 us to build an
+// f=2 onion around a sub-KiB body (15 per layer sealed + 30 per KiB), 160
+// per peel and 190 to open (160 + 30). A first-try delivery's record
+// therefore carries 585 us of crypto.
+TEST(WclModeledCrypto, FirstTryDeliveryChargesTheModel) {
+  ScaleConfig cfg = config(30, /*seed=*/41);
+  cfg.flight = true;
+  ScaleTestbed tb(cfg);
+  tb.run_for(6 * net::kMinute);
+
+  auto nodes = tb.alive_nodes();
+  WhisperNode* src = nodes[1];
+  WhisperNode* dst = nodes[2];
+  std::optional<SendOutcome> outcome;
+  ASSERT_TRUE(src->wcl().send_confidential(dst->wcl().self_peer(), Bytes(200, 0x5a),
+                                           [&](SendOutcome o) { outcome = o; }));
+  tb.run_for(30 * net::kSecond);
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_EQ(*outcome, SendOutcome::kSuccessFirstTry);
+
+  const auto records = tb.flight(0).assemble();
+  const telemetry::FlightRecord* rec = nullptr;
+  for (const telemetry::FlightRecord& r : records) {
+    if (r.layer == telemetry::TraceLayer::kWcl && r.src == src->id().value &&
+        r.dst == dst->id().value) {
+      rec = &r;
+    }
+  }
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->outcome, "delivered");
+  EXPECT_EQ(rec->attempts, 1u);
+  EXPECT_EQ(rec->crypto_us, 585u);
+  EXPECT_EQ(rec->decomposed_us(), rec->rtt_us);
+}
+
 // Path-length variants (f mixes tolerate f-1 colluders, paper footnote 2).
 class WclPathLength : public ::testing::TestWithParam<std::size_t> {};
 

@@ -635,9 +635,11 @@ int main(int argc, char** argv) {
   telemetry::FlightRecorder flight;
   flight.set_clock(net::clock_fn(backend));
   flight.set_enabled(!opt.flight_path.empty() || opt.trace_wire);
-  // Namespace trace ids per process so merged cross-process event streams
-  // never collide (same scheme as the sharded engine's per-shard bases).
+  // Namespace trace ids and wire seqs per process so merged cross-process
+  // event streams never collide (same scheme as the sharded engine's
+  // per-shard bases).
   flight.set_id_base(opt.id << 48);
+  flight.set_seq_namespace(static_cast<std::uint32_t>(opt.id));
   backend.set_flight(&flight);
 
   const bool natted = opt.nat != nat::NatType::kNone;

@@ -20,6 +20,11 @@
 //       sender/receiver unlinkability, group-membership leakage.
 //   whisper_trace faults out.jsonl [--fault=kind]
 //       Messages the fault fabric touched, filterable by fault kind.
+//   whisper_trace chrome out.json a.events.jsonl [more.events.jsonl ...]
+//       Concatenate raw-event exports (each whisper_noded's
+//       flight.N.events.jsonl) and render them as one Chrome trace for
+//       Perfetto: a row per node, onion crypto slices, root outcomes,
+//       marks and one arrow per delivered wire copy.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +35,7 @@
 #include <vector>
 
 #include "telemetry/audit.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/flight.hpp"
 
 using namespace whisper;
@@ -99,6 +105,20 @@ bool looks_like_events(const std::string& text) {
   return first.find("\"kind\"") != std::string::npos;
 }
 
+/// Parse one raw-event export and append its events to `out`.
+bool append_events(const std::string& path, const std::string& text,
+                   std::vector<telemetry::FlightEventRec>* out) {
+  std::vector<telemetry::FlightEventRec> chunk;
+  std::string err;
+  if (!telemetry::parse_flight_events_jsonl(text, &chunk, &err)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
+    return false;
+  }
+  out->insert(out->end(), std::make_move_iterator(chunk.begin()),
+              std::make_move_iterator(chunk.end()));
+  return true;
+}
+
 bool load_records(const std::string& path, std::vector<telemetry::FlightRecord>* out) {
   std::string text;
   if (!slurp(path, &text)) return false;
@@ -125,17 +145,11 @@ bool load_merged(const std::vector<std::string>& paths,
   for (const std::string& path : paths) {
     std::string text;
     if (!slurp(path, &text)) return false;
-    std::string err;
     if (looks_like_events(text)) {
-      std::vector<telemetry::FlightEventRec> chunk;
-      if (!telemetry::parse_flight_events_jsonl(text, &chunk, &err)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
-        return false;
-      }
-      events.insert(events.end(), std::make_move_iterator(chunk.begin()),
-                    std::make_move_iterator(chunk.end()));
+      if (!append_events(path, text, &events)) return false;
       any_events = true;
     } else {
+      std::string err;
       std::vector<telemetry::FlightRecord> chunk;
       if (!telemetry::parse_flight_jsonl(text, &chunk, &err)) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
@@ -313,6 +327,21 @@ int cmd_faults(int argc, char** argv, const std::string& path) {
   return 0;
 }
 
+int cmd_chrome(const std::string& out_path, const std::vector<std::string>& paths) {
+  std::vector<telemetry::FlightEventRec> events;
+  for (const std::string& path : paths) {
+    std::string text;
+    if (!slurp(path, &text) || !append_events(path, text, &events)) return 1;
+  }
+  if (!telemetry::write_text_file(out_path, telemetry::to_chrome_trace(events))) {
+    std::fprintf(stderr, "chrome: cannot write %s\n", out_path.c_str());
+    return 1;
+  }
+  std::printf("chrome: %zu events from %zu file(s) -> %s\n", events.size(), paths.size(),
+              out_path.c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -332,6 +361,10 @@ int main(int argc, char** argv) {
   } else if (cmd == "faults") {
     const std::string path = positional(argc, argv, 1);
     if (!path.empty()) return cmd_faults(argc, argv, path);
+  } else if (cmd == "chrome") {
+    const std::string out = positional(argc, argv, 1);
+    const std::vector<std::string> paths = positionals_from(argc, argv, 2);
+    if (!out.empty() && !paths.empty()) return cmd_chrome(out, paths);
   }
   std::fprintf(stderr,
                "usage: whisper_trace summary <flight.jsonl> [more.jsonl ...]\n"
@@ -339,6 +372,7 @@ int main(int argc, char** argv) {
                "       whisper_trace audit <flight.jsonl> [--observe-relays=a,b]\n"
                "                     [--observe-links=a-b,...] [--observe-taps=a,b]\n"
                "                     [--global] [--nodes=N] [--verbose]\n"
-               "       whisper_trace faults <flight.jsonl> [--fault=kind]\n");
+               "       whisper_trace faults <flight.jsonl> [--fault=kind]\n"
+               "       whisper_trace chrome <out.json> <a.events.jsonl> [more.events.jsonl ...]\n");
   return 1;
 }
