@@ -51,8 +51,22 @@ std::optional<crypto::RsaKeyPair> deserialize_keypair(Reader& r) {
     if (!v) return std::nullopt;
     *f = std::move(*v);
   }
-  // A zero modulus can't be a key; flag it so replay stops cleanly.
-  if (kp.pub.n.is_zero()) {
+  // snapshot.bin has no whole-file checksum, so check the key itself: a
+  // Montgomery context needs an odd modulus > 1, and one flipped bit in any
+  // field would otherwise restore a key that signs and decrypts wrongly.
+  const crypto::BigInt one{1};
+  auto odd_above_one = [&](const crypto::BigInt& v) { return v.is_odd() && v != one; };
+  bool valid = odd_above_one(kp.pub.n);
+  if (valid && (!kp.p.is_zero() || !kp.q.is_zero())) {
+    // The CRT fields must be the ones generate() derives from p, q and d.
+    valid = odd_above_one(kp.p) && odd_above_one(kp.q) && kp.p * kp.q == kp.pub.n &&
+            kp.dp == kp.d % (kp.p - one) && kp.dq == kp.d % (kp.q - one) &&
+            (kp.q * kp.qinv) % kp.p == one;
+  }
+  // e must undo the private op (c^d, or its CRT form) on a fixed value.
+  const crypto::BigInt probe{2};
+  if (valid) valid = crypto::rsa_private_op(kp, probe.modexp(kp.pub.e, kp.pub.n)) == probe;
+  if (!valid) {
     r.fail(DecodeError::kBadValue);
     return std::nullopt;
   }

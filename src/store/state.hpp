@@ -91,6 +91,9 @@ struct NodeState {
 
 /// Serialize a keypair (all 8 BigInt components) for the store.
 void serialize_keypair(Writer& w, const crypto::RsaKeyPair& kp);
+/// Fails with kBadValue unless n is odd and > 1; when the CRT primes are
+/// present, p and q are odd, > 1, multiply to n, and dp, dq and qinv are
+/// the values d, p and q give; and e inverts the private op on a probe.
 std::optional<crypto::RsaKeyPair> deserialize_keypair(Reader& r);
 
 /// Snapshot store rooted at one directory. Callers mutate state() and

@@ -167,6 +167,68 @@ TEST_F(StoreTest, NodeStateRejectsDamage) {
   EXPECT_FALSE(NodeState::deserialize(Bytes{}, &why).has_value());
 }
 
+TEST_F(StoreTest, DamagedIdentityIsRejected) {
+  // The snapshot has no whole-file checksum: a damaged keypair must fail
+  // to decode rather than restore a key that signs and decrypts wrongly.
+  const NodeState st = sample_state(404);
+  auto rejected = [](const NodeState& damaged) {
+    DecodeError why = DecodeError::kNone;
+    return !NodeState::deserialize(damaged.serialize(), &why).has_value() &&
+           why == DecodeError::kBadValue;
+  };
+  NodeState even_p = st;
+  even_p.identity.p = st.identity.p - crypto::BigInt{1};  // one flipped low bit
+  EXPECT_TRUE(rejected(even_p));
+  NodeState wrong_q = st;
+  wrong_q.identity.q = st.identity.q + crypto::BigInt{2};  // odd, but p*q != n
+  EXPECT_TRUE(rejected(wrong_q));
+  NodeState even_n = st;
+  even_n.identity.pub.n = st.identity.pub.n - crypto::BigInt{1};
+  EXPECT_TRUE(rejected(even_n));
+  NodeState unit_n = st;
+  unit_n.identity.pub.n = crypto::BigInt{1};
+  unit_n.identity.p = unit_n.identity.q = crypto::BigInt{};
+  EXPECT_TRUE(rejected(unit_n));
+  NodeState damaged_group_key = st;
+  damaged_group_key.groups[0].group_key->p = st.identity.p;  // p*q != n
+  EXPECT_TRUE(rejected(damaged_group_key));
+  // One flipped low bit in any other field (dp, dq and qinv are used by
+  // every private op; e and d are checked through them and a probe).
+  auto flip_low_bit = [](crypto::BigInt& v) {
+    v = v.is_odd() ? v - crypto::BigInt{1} : v + crypto::BigInt{1};
+  };
+  for (std::size_t f = 0; f < 5; ++f) {
+    NodeState damaged = st;
+    crypto::RsaKeyPair& k = damaged.identity;
+    crypto::BigInt* fields[] = {&k.dp, &k.dq, &k.qinv, &k.d, &k.pub.e};
+    flip_low_bit(*fields[f]);
+    EXPECT_TRUE(rejected(damaged)) << "field " << f;
+  }
+
+  // A keypair without CRT material (n, e, d only) still restores.
+  NodeState plain = st;
+  plain.identity.p = plain.identity.q = crypto::BigInt{};
+  plain.identity.dp = plain.identity.dq = plain.identity.qinv = crypto::BigInt{};
+  const auto back = NodeState::deserialize(plain.serialize());
+  ASSERT_TRUE(back.has_value());
+  const Bytes msg = to_bytes("no CRT, same signature");
+  EXPECT_EQ(crypto::rsa_sign(back->identity, msg), crypto::rsa_sign(st.identity, msg));
+  NodeState plain_bad_d = plain;
+  flip_low_bit(plain_bad_d.identity.d);
+  EXPECT_TRUE(rejected(plain_bad_d));
+
+  // And open() reports the damage instead of trusting the snapshot.
+  {
+    NodeStateStore store;
+    ASSERT_TRUE(store.open(dir));
+    store.state() = even_p;
+    ASSERT_TRUE(store.commit());
+  }
+  NodeStateStore store;
+  EXPECT_FALSE(store.open(dir));
+  EXPECT_NE(store.last_error().find("badvalue"), std::string::npos) << store.last_error();
+}
+
 // --- NodeStateStore: one snapshot file over a directory. ---
 
 TEST_F(StoreTest, FreshDirectoryHasNoState) {

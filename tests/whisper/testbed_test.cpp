@@ -9,12 +9,52 @@
 namespace whisper {
 namespace {
 
+// The pool is process-wide, so each KeyPool test holds whatever pool the
+// tests before it left and must pass in any order.
+
+bool same_key(const crypto::RsaKeyPair& a, const crypto::RsaKeyPair& b) {
+  return a.pub.n == b.pub.n && a.pub.e == b.pub.e && a.d == b.d && a.p == b.p &&
+         a.q == b.q && a.dp == b.dp && a.dq == b.dq && a.qinv == b.qinv;
+}
+
 TEST(KeyPool, DeterministicAndDistinct) {
   const auto& a = pooled_keypair(0, 512);
   const auto& b = pooled_keypair(1, 512);
   EXPECT_NE(a.pub.n, b.pub.n);
   // Same index returns the same object.
   EXPECT_EQ(&pooled_keypair(0, 512), &a);
+}
+
+TEST(KeyPool, InOrderGrowthMatchesPerIndexKeys) {
+  // In-order growth builds its batches on every usable CPU (with two or
+  // more: [16, 32), [32, 64), [64, 128), [128, 256) and one from 256 on);
+  // which batch or thread built a key must not show in it.
+  constexpr std::size_t kKeys = 300;
+  for (std::size_t i = 0; i < kKeys; ++i) pooled_keypair(i, 512);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    EXPECT_TRUE(same_key(pooled_keypair(i, 512), keypair_for_index(i, 512))) << "key " << i;
+  }
+}
+
+TEST(KeyPool, ReferencesSurviveGrowth) {
+  const crypto::RsaKeyPair* first = &pooled_keypair(0, 512);
+  const crypto::BigInt n = first->pub.n;
+  // Past every 512-bit index the other tests reach (at most 512), so the
+  // pool grows by several batches whatever ran before.
+  for (std::size_t i = 0; i < 640; ++i) pooled_keypair(i, 512);
+  EXPECT_EQ(&pooled_keypair(0, 512), first);
+  EXPECT_EQ(first->pub.n, n);
+}
+
+TEST(KeyPool, OutOfOrderRequestReturnsTheInOrderKey) {
+  // 384-bit keys: no other test touches this pool, so the first request
+  // below always lands far past its end and builds [0, 101) in one batch.
+  const crypto::RsaKeyPair& far = pooled_keypair(100, 384);
+  EXPECT_TRUE(same_key(far, keypair_for_index(100, 384)));
+  for (std::size_t i = 0; i <= 100; ++i) {
+    EXPECT_TRUE(same_key(pooled_keypair(i, 384), keypair_for_index(i, 384))) << "key " << i;
+  }
+  EXPECT_EQ(&pooled_keypair(100, 384), &far);
 }
 
 TEST(Testbed, SpawnsRequestedPopulation) {

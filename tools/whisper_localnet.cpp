@@ -22,8 +22,9 @@
 // recovery dips. Every record is whole, so each line needs only the
 // record it was read from. Every child shares one CLOCK_MONOTONIC epoch
 // (--epoch) so timestamps are directly comparable. --scrape-admin
-// additionally queries every node's admin UDP socket mid-run and gates the
-// replies against the rendezvous delivery receipts. --trace-wire passes
+// additionally queries every node's admin UDP socket once every node has
+// delivered (nodes then linger until teardown) and gates the replies
+// against the rendezvous delivery receipts. --trace-wire passes
 // the cross-process flight tracing opt-in through (implies --flight).
 //
 // --chaos turns the launcher into a crash supervisor (DESIGN.md §14.4).
@@ -464,8 +465,10 @@ int main(int argc, char** argv) {
       };
       if (chaos.enabled()) {
         args.push_back("--state-dir=" + dir + "/state." + std::to_string(i));
-        args.push_back("--linger");
       }
+      // The admin scrape runs after the last delivery; a node that did not
+      // linger stops 500 ms after its own and may be gone when queried.
+      if (chaos.enabled() || scrape_admin) args.push_back("--linger");
       if (nat_of[i] != nat::NatType::kNone) {
         args.push_back(std::string("--nat=") + nat::nat_type_name(nat_of[i]));
       }

@@ -664,7 +664,7 @@ int main(int argc, char** argv) {
       st.is_public = false;
       st.endpoint = ep;
       st.incarnation = 1;
-      st.identity = pooled_keypair(opt.id, realtime_node_config().rsa_bits);
+      st.identity = keypair_for_index(opt.id, realtime_node_config().rsa_bits);
       if (!store.commit()) {
         logger.error("snapshot", {{"error", store.last_error()}});
         return 1;
@@ -710,7 +710,7 @@ int main(int argc, char** argv) {
       st.is_public = true;
       st.endpoint = ep;
       st.incarnation = 1;
-      st.identity = pooled_keypair(opt.id, realtime_node_config().rsa_bits);
+      st.identity = keypair_for_index(opt.id, realtime_node_config().rsa_bits);
       if (!store.commit()) {
         logger.error("snapshot", {{"error", store.last_error()}});
         return 1;
@@ -751,9 +751,10 @@ int main(int argc, char** argv) {
 
   NodeConfig cfg = realtime_node_config();
   // Identity: from the store when persistent (identical keys across
-  // restarts — that IS the recovery claim), from the pool otherwise.
+  // restarts — that IS the recovery claim), otherwise the pool's key for
+  // this id, built alone rather than with the id keys before it.
   const crypto::RsaKeyPair identity =
-      storep != nullptr ? store.state().identity : pooled_keypair(opt.id, cfg.rsa_bits);
+      storep != nullptr ? store.state().identity : keypair_for_index(opt.id, cfg.rsa_bits);
   cfg.transport.incarnation = storep != nullptr ? store.state().incarnation : 0;
 
   Rng rng(opt.seed ^ (opt.id * 0x9e3779b97f4a7c15ull));
