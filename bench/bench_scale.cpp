@@ -3,7 +3,10 @@
 // to completion at S=1 and S=8, reporting aggregate sim-events per
 // wall-second, the S=8/S=1 speedup, and the probe lengths of a DenseMap
 // holding each shard's live internal endpoints (the key set of the shard's
-// Network and NatFabric tables; the worst shard is reported).
+// Network and NatFabric tables; the worst shard is reported), and the heap
+// the testbed holds per node after boot and after the run: glibc mallinfo2
+// deltas (in-use bytes of every arena plus mmapped blocks) from just before
+// the testbed is built, over the node count.
 //
 // Honest-numbers note: the speedup is whatever the hardware gives, and
 // the JSON carries "hardware_threads" so the reader can tell parallelism
@@ -18,6 +21,8 @@
 //   bench_scale [--quick] [--json=<dir>] [--nodes=100000] [--minutes=2]
 //
 // --quick shrinks to 2k nodes / 1 virtual minute for CI smoke runs.
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,6 +40,16 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Heap in use: every arena's allocated bytes plus mmapped blocks.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+double per_node(std::size_t heap, std::size_t base, std::size_t nodes) {
+  return (static_cast<double>(heap) - static_cast<double>(base)) / static_cast<double>(nodes);
 }
 
 using EndpointMap = whisper::DenseMap<whisper::Endpoint, std::size_t>;
@@ -101,13 +116,16 @@ int main(int argc, char** argv) {
       cfg.seed = 21;
       cfg.node_telemetry = false;
       cfg.key_cycle = kKeyCycle;
+      const std::size_t heap_base = heap_in_use();
       const auto boot_start = Clock::now();
       ScaleTestbed tb(cfg);
       const double boot_wall_s = seconds_since(boot_start);
+      const double heap_boot = per_node(heap_in_use(), heap_base, nodes);
 
       const auto run_start = Clock::now();
       tb.run_for(minutes * net::kMinute);
       const double run_wall_s = seconds_since(run_start);
+      const double heap_run = per_node(heap_in_use(), heap_base, nodes);
       const double events_per_wall_sec =
           static_cast<double>(tb.executed_events()) / run_wall_s;
       const auto probes = endpoint_probe_stats(tb);
@@ -124,6 +142,8 @@ int main(int argc, char** argv) {
       j.put("alive_nodes", static_cast<std::uint64_t>(tb.alive_count()));
       j.put("endpoint_probe_max", static_cast<std::uint64_t>(probes.max));
       j.put("endpoint_probe_mean", probes.mean);
+      j.put("heap_bytes_per_node_boot", heap_boot);
+      j.put("heap_bytes_per_node_run", heap_run);
       if (shards == 1) {
         s1_run_wall = run_wall_s;
       } else {
@@ -132,17 +152,19 @@ int main(int argc, char** argv) {
       sweep.put("s" + std::to_string(shards), j);
       std::printf("scale %zu nodes / S=%zu: boot %.1fs, run %.1fs "
                   "(%.0f events/s, %llu cross-shard, endpoint probe max %zu "
-                  "mean %.2f)\n",
+                  "mean %.2f, heap/node %.0f B booted, %.0f B run)\n",
                   nodes, shards, boot_wall_s, run_wall_s, events_per_wall_sec,
                   (unsigned long long)tb.cross_shard_messages(), probes.max,
-                  probes.mean);
+                  probes.mean, heap_boot, heap_run);
     }
     sweep.put("note",
               "executed-event counts are identical across S; speedup_vs_s1 "
               "is mostly thread parallelism (see hardware_threads). "
               "endpoint_probe_max/mean: the worst shard's DenseMap probe "
               "distances over its live internal endpoints, short at any S "
-              "because DenseMap mixes its hashes");
+              "because DenseMap mixes its hashes. heap_bytes_per_node_boot/"
+              "_run: glibc mallinfo2 heap held by the testbed after boot and "
+              "after the run, over the node count (per-node telemetry off)");
     out.put("scale_sweep", sweep);
   }
 

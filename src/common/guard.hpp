@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include "common/densemap.hpp"
+#include "common/fifo.hpp"
 
 #include "common/ids.hpp"
 
@@ -76,7 +76,7 @@ class ReplayWindow {
  private:
   std::size_t capacity_;
   DenseSet<std::uint64_t> seen_;
-  std::deque<std::uint64_t> order_;
+  Fifo<std::uint64_t> order_;
   std::uint64_t evictions_ = 0;
 };
 
@@ -150,7 +150,7 @@ class PeerGuard {
 
   PeerGuardConfig config_;
   DenseMap<NodeId, State> peers_;
-  std::deque<NodeId> order_;
+  Fifo<NodeId> order_;
   std::uint64_t rate_limited_ = 0;
   std::uint64_t evictions_ = 0;
 };

@@ -11,10 +11,10 @@
 // paper uses for its bandwidth accounting).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include "common/densemap.hpp"
+#include "common/fifo.hpp"
 
 #include "crypto/rsa.hpp"
 #include "nylon/transport.hpp"
@@ -65,7 +65,7 @@ class KeyService {
   const crypto::RsaKeyPair& own_;
   KeyServiceConfig config_;
   DenseMap<NodeId, crypto::RsaPublicKey> cache_;
-  std::deque<NodeId> cache_order_;  // insertion order, for FIFO eviction
+  Fifo<NodeId> cache_order_;  // insertion order, for FIFO eviction
   std::uint64_t decode_rejects_ = 0;
   std::uint64_t cache_evictions_ = 0;
 

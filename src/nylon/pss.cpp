@@ -195,7 +195,7 @@ void NylonPss::note_success(NodeId id) {
   suspicion_.erase(id);
   quarantine_.erase(id);
   // Proof of life: the peer no longer needs a healing re-probe.
-  std::erase_if(reserve_, [&](const ReserveEntry& e) { return e.card.id == id; });
+  reserve_.erase_if([&](const ReserveEntry& e) { return e.card.id == id; });
 }
 
 void NylonPss::remember(const pss::ContactCard& card, int attempts) {

@@ -13,11 +13,11 @@
 // P-node from the view.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include "common/densemap.hpp"
 
+#include "common/fifo.hpp"
 #include "common/guard.hpp"
 #include "nylon/transport.hpp"
 #include "pss/view.hpp"
@@ -160,14 +160,14 @@ class NylonPss {
     pss::ContactCard card;
     int attempts = 0;
   };
-  std::deque<ReserveEntry> reserve_;
+  Fifo<ReserveEntry> reserve_;
 
   // Failure suspicion: consecutive failed exchanges per peer, and the
   // quarantine (peer -> expiry) entered at the threshold. Both are
   // peer-driven, so both are hard-capped (suspicion evicts oldest-tracked
   // via the FIFO below; quarantine evicts the earliest expiry).
   DenseMap<NodeId, int> suspicion_;
-  std::deque<NodeId> suspicion_order_;
+  Fifo<NodeId> suspicion_order_;
   DenseMap<NodeId, net::Time> quarantine_;
 
   // Per-peer admission + decode scoring.

@@ -31,14 +31,15 @@ std::string fmt_u64(std::uint64_t v) {
   return buf;
 }
 
-void append_labels(std::string& out, const Labels& labels) {
+void append_labels(std::string& out, LabelView labels) {
   out += "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i) out += ',';
+  for (auto it = labels.begin(); it != labels.end(); ++it) {
+    if (it != labels.begin()) out += ',';
+    const auto [key, value] = *it;
     out += '"';
-    out += json_escape(labels[i].first);
+    out += json_escape(key);
     out += "\":\"";
-    out += json_escape(labels[i].second);
+    out += json_escape(value);
     out += '"';
   }
   out += "}";

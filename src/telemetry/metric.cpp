@@ -31,39 +31,50 @@ BucketSpec BucketSpec::linear(double lo, double hi, std::size_t buckets) {
   return spec;
 }
 
-Histogram::Histogram(BucketSpec spec)
-    : spec_(std::move(spec)), counts_(spec_.bounds.size() + 1, 0) {}
+Histogram::Histogram(BucketSpec spec) : s_(std::make_unique<State>()) {
+  s_->spec = std::move(spec);
+  s_->counts.assign(s_->spec.bounds.size() + 1, 0);
+}
+
+Histogram::Histogram(const Histogram& other) : s_(std::make_unique<State>(*other.s_)) {}
+
+Histogram& Histogram::operator=(const Histogram& other) {
+  *s_ = *other.s_;
+  return *this;
+}
 
 void Histogram::observe(double v) { observe_n(v, 1); }
 
 void Histogram::observe_n(double v, std::uint64_t n) {
   if (n == 0) return;
-  const auto it = std::lower_bound(spec_.bounds.begin(), spec_.bounds.end(), v);
-  counts_[static_cast<std::size_t>(it - spec_.bounds.begin())] += n;
-  count_ += n;
-  sum_ += v * static_cast<double>(n);
-  min_ = std::min(min_, v);
-  max_ = std::max(max_, v);
+  State& s = *s_;
+  const auto it = std::lower_bound(s.spec.bounds.begin(), s.spec.bounds.end(), v);
+  s.counts[static_cast<std::size_t>(it - s.spec.bounds.begin())] += n;
+  s.count += n;
+  s.sum += v * static_cast<double>(n);
+  s.min = std::min(s.min, v);
+  s.max = std::max(s.max, v);
 }
 
 double Histogram::percentile(double p) const {
-  if (count_ == 0) return 0;
+  const State& s = *s_;
+  if (s.count == 0) return 0;
   p = std::clamp(p, 0.0, 100.0);
   // Rank in [0, count-1], matching Samples' linear interpolation between
   // order statistics.
-  const double rank = p / 100.0 * static_cast<double>(count_ - 1);
+  const double rank = p / 100.0 * static_cast<double>(s.count - 1);
   std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
+  for (std::size_t b = 0; b < s.counts.size(); ++b) {
+    if (s.counts[b] == 0) continue;
     const double bucket_lo = static_cast<double>(seen);
-    seen += counts_[b];
+    seen += s.counts[b];
     if (rank >= static_cast<double>(seen)) continue;
     // The rank falls in bucket b: interpolate between its bounds.
-    const double lower = b == 0 ? min() : spec_.bounds[b - 1];
-    const double upper = b < spec_.bounds.size() ? spec_.bounds[b] : max();
-    const double frac = counts_[b] == 1
+    const double lower = b == 0 ? min() : s.spec.bounds[b - 1];
+    const double upper = b < s.spec.bounds.size() ? s.spec.bounds[b] : max();
+    const double frac = s.counts[b] == 1
                             ? 0.5
-                            : (rank - bucket_lo) / static_cast<double>(counts_[b]);
+                            : (rank - bucket_lo) / static_cast<double>(s.counts[b]);
     const double v = lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
     return std::clamp(v, min(), max());
   }
@@ -71,21 +82,24 @@ double Histogram::percentile(double p) const {
 }
 
 bool Histogram::merge(const Histogram& other) {
-  if (spec_.bounds != other.spec_.bounds) return false;
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  State& s = *s_;
+  const State& o = *other.s_;
+  if (s.spec.bounds != o.spec.bounds) return false;
+  for (std::size_t i = 0; i < s.counts.size(); ++i) s.counts[i] += o.counts[i];
+  s.count += o.count;
+  s.sum += o.sum;
+  s.min = std::min(s.min, o.min);
+  s.max = std::max(s.max, o.max);
   return true;
 }
 
 void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
+  State& s = *s_;
+  std::fill(s.counts.begin(), s.counts.end(), 0);
+  s.count = 0;
+  s.sum = 0;
+  s.min = std::numeric_limits<double>::infinity();
+  s.max = -std::numeric_limits<double>::infinity();
 }
 
 Counter& noop_counter() {

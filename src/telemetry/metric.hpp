@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace whisper::telemetry {
@@ -57,18 +58,24 @@ struct BucketSpec {
 /// Fixed-bucket histogram with percentile queries. Mergeable across
 /// instances that share the same BucketSpec (per-node histograms are merged
 /// into system-wide distributions by the exporters and benches).
+///
+/// The state lives behind one pointer, so a registry entry's metric variant
+/// is sized for a counter, not for a histogram. Copies are deep; there is no
+/// separate move, so no histogram is ever left without state.
 class Histogram {
  public:
   explicit Histogram(BucketSpec spec);
+  Histogram(const Histogram& other);
+  Histogram& operator=(const Histogram& other);
 
   void observe(double v);
   void observe_n(double v, std::uint64_t n);
 
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0; }
-  double max() const { return count_ ? max_ : 0; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
+  std::uint64_t count() const { return s_->count; }
+  double sum() const { return s_->sum; }
+  double min() const { return s_->count ? s_->min : 0; }
+  double max() const { return s_->count ? s_->max : 0; }
+  double mean() const { return s_->count ? s_->sum / static_cast<double>(s_->count) : 0; }
 
   /// p in [0, 100]. Piecewise-linear interpolation inside the bucket where
   /// the rank falls, clamped to the recorded [min, max]. Agrees with exact
@@ -79,19 +86,22 @@ class Histogram {
   /// Returns false (and leaves *this untouched) on a layout mismatch.
   bool merge(const Histogram& other);
 
-  const BucketSpec& spec() const { return spec_; }
+  const BucketSpec& spec() const { return s_->spec; }
   /// Bucket occupancy; index bounds.size() is the overflow bucket.
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
+  const std::vector<std::uint64_t>& bucket_counts() const { return s_->counts; }
 
   void reset();
 
  private:
-  BucketSpec spec_;
-  std::vector<std::uint64_t> counts_;  // bounds.size() + 1 (overflow)
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
+  struct State {
+    BucketSpec spec;
+    std::vector<std::uint64_t> counts;  // bounds.size() + 1 (overflow)
+    std::uint64_t count = 0;
+    double sum = 0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+  };
+  std::unique_ptr<State> s_;
 };
 
 /// Shared no-op sinks: returned by a disabled telemetry::Scope so call

@@ -25,7 +25,7 @@ const CbEntry* ConnectionBacklog::find(NodeId id) const {
 }
 
 void ConnectionBacklog::remove(NodeId id) {
-  std::erase_if(entries_, [&](const CbEntry& e) { return e.card.id == id; });
+  entries_.erase_if([&](const CbEntry& e) { return e.card.id == id; });
 }
 
 std::size_t ConnectionBacklog::count_public() const {

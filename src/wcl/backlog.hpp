@@ -9,10 +9,10 @@
 // entries are the helpers advertised in PPSS view entries.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "crypto/rsa.hpp"
 #include "pss/contact.hpp"
 
@@ -30,7 +30,7 @@ class ConnectionBacklog {
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-  const std::deque<CbEntry>& entries() const { return entries_; }
+  const Fifo<CbEntry>& entries() const { return entries_; }
 
   /// Insert at the head (most recent). An existing entry for the same node
   /// is refreshed and moved to the head; overflow evicts the tail. Returns
@@ -47,7 +47,7 @@ class ConnectionBacklog {
 
  private:
   std::size_t capacity_;
-  std::deque<CbEntry> entries_;  // head = freshest
+  Fifo<CbEntry> entries_;  // head = freshest
 };
 
 }  // namespace whisper::wcl

@@ -155,9 +155,8 @@ void Wcl::sweep() {
     }
   }
   // Compact the insertion-order index: drop ids whose entries were acked
-  // away or expired, so the deque cannot outgrow the map.
-  std::erase_if(forward_order_,
-                [&](std::uint64_t id) { return pending_forwards_.count(id) == 0; });
+  // away or expired, so the queue cannot outgrow the map.
+  forward_order_.erase_if([&](std::uint64_t id) { return pending_forwards_.count(id) == 0; });
   sweep_timer_ = clock_.schedule_after(config_.sweep_interval, [this] { sweep(); });
 }
 

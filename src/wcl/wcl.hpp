@@ -16,10 +16,10 @@
 // that no alternative route exists.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include "common/densemap.hpp"
 
+#include "common/fifo.hpp"
 #include "common/guard.hpp"
 #include "crypto/onion.hpp"
 #include "keysvc/keyservice.hpp"
@@ -225,13 +225,13 @@ class Wcl {
   /// time, so the front is always the earliest-expiring live entry). May
   /// hold ids already acked away — eviction skips those lazily, and the
   /// sweep compacts it.
-  std::deque<std::uint64_t> forward_order_;
+  Fifo<std::uint64_t> forward_order_;
   net::TimerId sweep_timer_ = 0;
 
   // Per-destination RTT estimators, fed by first-attempt ACK round-trips.
   // Capped: peer-driven (one estimator per destination ever talked to).
   DenseMap<NodeId, RttEstimator> rtt_;
-  std::deque<NodeId> rtt_order_;
+  Fifo<NodeId> rtt_order_;
 
   // Per-peer admission + decode scoring, and the onion replay window.
   PeerGuard guard_;

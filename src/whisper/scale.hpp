@@ -58,8 +58,10 @@ struct ScaleConfig {
   /// Record causal flight events and node-timeline marks on every shard's
   /// recorder. Opt-in because the event log grows with run length.
   bool flight = false;
-  /// Per-node byte counters and per-node protocol metrics. Off for 100k
-  /// runs: label strings would dominate memory; aggregates remain.
+  /// Per-node byte counters and per-node protocol metrics: 14 registry
+  /// entries a node, about 2.1 KB of heap. At 20k nodes and S=2, RSS after
+  /// boot is 143.5 MiB with them and 103.5 MiB without. Off for the 100k
+  /// runs; aggregates remain.
   bool node_telemetry = true;
   /// Recycle pooled RSA keypairs with this period (node i gets pooled key
   /// i % key_cycle). 0 = every node gets a distinct key. 100k distinct

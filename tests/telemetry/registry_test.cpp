@@ -84,6 +84,79 @@ TEST(Registry, EntriesIterateInCanonicalOrder) {
   EXPECT_EQ(keys, (std::vector<std::string>{"alpha{n=1}", "alpha{n=2}", "zeta"}));
 }
 
+TEST(Registry, LabelsThatWouldForgeAKeyAreRejected) {
+  Registry reg;
+  Counter& real = reg.counter("x", {{"a", "1"}, {"b", "2"}});
+  real.add(5);
+  // Unescaped, this label set spells the same key "x{a=1,b=2}". It is a
+  // naming bug: the caller gets the no-op sink, never the other counter.
+  Counter& forged = reg.counter("x", {{"a", "1,b=2"}});
+  EXPECT_NE(&forged, &real);
+  EXPECT_EQ(&forged, &noop_counter());
+  EXPECT_EQ(reg.mismatches(), 1u);
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.counter_value("x", {{"a", "1,b=2"}}), 0u);
+  EXPECT_EQ(reg.counter_value("x", {{"a", "1"}, {"b", "2"}}), 5u);
+
+  // Every separator is refused in a label key and in a label value, and a
+  // brace in a name (which would read as the start of the labels).
+  for (const std::string bad : {"{", ",", "=", "}"}) {
+    EXPECT_EQ(&reg.gauge("g", {{"k" + bad, "v"}}), &noop_gauge());
+    EXPECT_EQ(&reg.gauge("g", {{"k", bad + "v"}}), &noop_gauge());
+  }
+  EXPECT_EQ(&reg.counter("x{a=1}"), &noop_counter());
+  EXPECT_EQ(&reg.histogram("h}", BucketSpec::linear(0, 1, 1)), &noop_histogram());
+  EXPECT_EQ(reg.mismatches(), 11u);
+  EXPECT_EQ(reg.size(), 1u);
+  // Characters outside the separators are fine.
+  reg.counter("net.node.bytes", {{"node", "10.0.0.1:7000"}, {"dir", "up"}}).add(1);
+  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.mismatches(), 11u);
+}
+
+TEST(Registry, EntryNameAndLabelsViewTheKey) {
+  Registry reg;
+  reg.counter("bytes", {{"proto", "pss"}, {"dir", "up"}, {"empty", ""}});
+  reg.gauge("depth");
+  std::vector<std::string> seen;
+  for (const auto& [key, entry] : reg.entries()) {
+    std::string line{entry.name};
+    for (const auto& [k, v] : entry.labels) line += " " + std::string(k) + "=" + std::string(v);
+    seen.push_back(line);
+    EXPECT_EQ(entry.name.data(), key.data());  // one copy: the map's key
+    EXPECT_EQ(entry.labels.begin() == entry.labels.end(), key.find('{') == std::string::npos);
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"bytes dir=up empty= proto=pss", "depth"}));
+}
+
+TEST(Registry, MergeAddsUnderTheSameKeys) {
+  Registry a;
+  Registry b;
+  a.counter("c", {{"n", "1"}}).add(2);
+  b.counter("c", {{"n", "1"}}).add(3);
+  b.counter("c", {{"n", "2"}}).add(7);
+  a.gauge("g").set(1.5);
+  b.gauge("g").set(2);
+  const BucketSpec spec = BucketSpec::linear(0, 10, 10);
+  a.histogram("h", spec).observe(1);
+  b.histogram("h", spec).observe(9);
+  b.histogram("h2", BucketSpec::linear(0, 5, 5)).observe(3);
+  a.histogram("h2", spec);  // different bounds: skipped and counted
+  merge_registry_into(a, b);
+  EXPECT_EQ(a.counter_value("c", {{"n", "1"}}), 5u);
+  EXPECT_EQ(a.counter_value("c", {{"n", "2"}}), 7u);
+  EXPECT_EQ(a.gauge_value("g"), 3.5);
+  EXPECT_EQ(a.find_histogram("h")->count(), 2u);
+  EXPECT_EQ(a.find_histogram("h2")->count(), 0u);
+  EXPECT_EQ(a.mismatches(), 1u);
+  EXPECT_EQ(a.size(), 5u);
+  // The merged-in entry's views point into a's own key, not b's.
+  const auto& entry = a.entries().find("c{n=2}")->second;
+  EXPECT_EQ(entry.name, "c");
+  EXPECT_EQ((*entry.labels.begin()).second, "2");
+  EXPECT_EQ(entry.name.data(), a.entries().find("c{n=2}")->first.data());
+}
+
 TEST(Registry, ResetByPrefix) {
   Registry reg;
   reg.counter("net.bytes").add(9);
