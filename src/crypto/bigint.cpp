@@ -4,6 +4,12 @@
 #include <cassert>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
+#include "crypto/montmul.hpp"
+
 namespace whisper::crypto {
 
 using u64 = std::uint64_t;
@@ -376,77 +382,252 @@ void cios_mul(const u64* a, const u64* b, const u64* n, u64 n_prime, std::size_t
   }
 }
 
+#if defined(__x86_64__)
+// The 4-limb CIOS above in BMI2/ADX assembly. The running sum t lives in
+// six registers: t0..t4 hold t (below n + 2^256, so t4 is 0 or 1) and t5
+// takes the carries out of t4. Each row is fully unrolled and rotates the
+// register names instead of shifting t down a limb: the limb a reduction
+// zeroes becomes the next row's t5.
+//
+// t0..t5 += rdx * x[0..3]: each mulx's low half goes onto the CF chain
+// (adcx) and its high half onto the OF chain (adox), and both chains end in
+// t5. The caller clears CF and OF.
+#define WHISPER_MONT4_MULACC(X, T0, T1, T2, T3, T4, T5) \
+  "mulxq 0(%[" #X "]), %%rax, %%rcx\n\t"                \
+  "adcxq %%rax, %%" #T0 "\n\t"                          \
+  "adoxq %%rcx, %%" #T1 "\n\t"                          \
+  "mulxq 8(%[" #X "]), %%rax, %%rcx\n\t"                \
+  "adcxq %%rax, %%" #T1 "\n\t"                          \
+  "adoxq %%rcx, %%" #T2 "\n\t"                          \
+  "mulxq 16(%[" #X "]), %%rax, %%rcx\n\t"               \
+  "adcxq %%rax, %%" #T2 "\n\t"                          \
+  "adoxq %%rcx, %%" #T3 "\n\t"                          \
+  "mulxq 24(%[" #X "]), %%rax, %%rcx\n\t"               \
+  "adcxq %%rax, %%" #T3 "\n\t"                          \
+  "adoxq %%rcx, %%" #T4 "\n\t"                          \
+  "movl $0, %%eax\n\t"                                  \
+  "adcxq %%rax, %%" #T4 "\n\t"                          \
+  "adoxq %%rax, %%" #T5 "\n\t"                          \
+  "adcxq %%rax, %%" #T5 "\n\t"
+
+// m = t0 * n' mod 2^64, then t += m * n, which zeroes t0.
+#define WHISPER_MONT4_REDUCE(T0, T1, T2, T3, T4, T5) \
+  "movq %%" #T0 ", %%rdx\n\t"                        \
+  "imulq %[np], %%rdx\n\t"                           \
+  "xorl %%eax, %%eax\n\t"                            \
+  WHISPER_MONT4_MULACC(n, T0, T1, T2, T3, T4, T5)
+
+// Row i > 0: t += a[i] * b, then reduce. t5 is the limb the previous row
+// zeroed.
+#define WHISPER_MONT4_ROW(OFF, T0, T1, T2, T3, T4, T5) \
+  "movq " #OFF "(%[a]), %%rdx\n\t"                     \
+  "xorl %%eax, %%eax\n\t"                              \
+  WHISPER_MONT4_MULACC(b, T0, T1, T2, T3, T4, T5)      \
+  WHISPER_MONT4_REDUCE(T0, T1, T2, T3, T4, T5)
+
+// Every load of a and b comes before the stores to out, so out may alias
+// either. Pointers to a, b and n take three registers the compiler picks;
+// n' and out are read from memory, which leaves room for frame and base
+// pointers in unoptimized and sanitizer builds.
+__attribute__((always_inline)) inline void mul4_adx_asm(const u64* a, const u64* b,
+                                                        const u64* n, u64 n_prime, u64* out) {
+  __asm__ volatile(
+      // Row 0: t = a[0] * b on one carry chain, then reduce.
+      "xorl %%r13d, %%r13d\n\t"
+      "movq 0(%[a]), %%rdx\n\t"
+      "mulxq 0(%[b]), %%r8, %%r9\n\t"
+      "mulxq 8(%[b]), %%rax, %%r10\n\t"
+      "addq %%rax, %%r9\n\t"
+      "mulxq 16(%[b]), %%rax, %%r11\n\t"
+      "adcq %%rax, %%r10\n\t"
+      "mulxq 24(%[b]), %%rax, %%r12\n\t"
+      "adcq %%rax, %%r11\n\t"
+      "adcq $0, %%r12\n\t"
+      WHISPER_MONT4_REDUCE(r8, r9, r10, r11, r12, r13)
+      WHISPER_MONT4_ROW(8, r9, r10, r11, r12, r13, r8)
+      WHISPER_MONT4_ROW(16, r10, r11, r12, r13, r8, r9)
+      WHISPER_MONT4_ROW(24, r11, r12, r13, r8, r9, r10)
+      // t = r10:r9:r8:r13:r12. Subtract n; keep t where that borrows.
+      "movq %%r12, %%rax\n\t"
+      "subq 0(%[n]), %%rax\n\t"
+      "movq %%r13, %%rcx\n\t"
+      "sbbq 8(%[n]), %%rcx\n\t"
+      "movq %%r8, %%rdx\n\t"
+      "sbbq 16(%[n]), %%rdx\n\t"
+      "movq %%r9, %%r11\n\t"
+      "sbbq 24(%[n]), %%r11\n\t"
+      "sbbq $0, %%r10\n\t"
+      "cmovbq %%r12, %%rax\n\t"
+      "cmovbq %%r13, %%rcx\n\t"
+      "cmovbq %%r8, %%rdx\n\t"
+      "cmovbq %%r9, %%r11\n\t"
+      "movq %[out], %%r12\n\t"
+      "movq %%rax, 0(%%r12)\n\t"
+      "movq %%rcx, 8(%%r12)\n\t"
+      "movq %%rdx, 16(%%r12)\n\t"
+      "movq %%r11, 24(%%r12)\n\t"
+      :
+      : [a] "r"(a), [b] "r"(b), [n] "r"(n), [np] "m"(n_prime), [out] "m"(out)
+      : "rax", "rcx", "rdx", "r8", "r9", "r10", "r11", "r12", "r13", "cc", "memory");
+}
+
+#undef WHISPER_MONT4_ROW
+#undef WHISPER_MONT4_REDUCE
+#undef WHISPER_MONT4_MULACC
+
+// CPUID leaf 7: BMI2 is EBX bit 8, ADX EBX bit 19. Read once per process.
+bool cpu_has_bmi2_adx() {
+  static const bool has = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+    return (ebx & bit_BMI2) != 0 && (ebx & bit_ADX) != 0;
+  }();
+  return has;
+}
+#endif
+
+// The 4-limb kernel for this CPU, inlined into MontgomeryCtx::mul.
+__attribute__((always_inline)) inline void mul4_dispatch(const u64* a, const u64* b,
+                                                         const u64* n, u64 n_prime, u64* out) {
+#if defined(__x86_64__)
+  if (cpu_has_bmi2_adx()) return mul4_adx_asm(a, b, n, n_prime, out);
+#endif
+  cios_mul<4>(a, b, n, n_prime, 4, out);
+}
+
+// Exponents of at most this many bits (RSA public e = 65537) take the plain
+// binary loop: a window table's 14 extra multiplies would outweigh it.
+constexpr std::size_t kBinaryMaxBits = 20;
+
 }  // namespace
 
+namespace montmul {
+
+void mul4_portable(const u64* a, const u64* b, const u64* n, u64 n_prime, u64* out) {
+  cios_mul<4>(a, b, n, n_prime, 4, out);
+}
+
+void mul4(const u64* a, const u64* b, const u64* n, u64 n_prime, u64* out) {
+  mul4_dispatch(a, b, n, n_prime, out);
+}
+
+}  // namespace montmul
+
 void MontgomeryCtx::mul(const u64* a, const u64* b, u64* out) const {
-  // Only 4 limbs (the CRT halves of a 512-bit key) measurably gains from a
-  // fixed width; at 8 limbs and up the carry chain bounds the loop.
+  // Only 4 limbs (the CRT halves of a 512-bit key) has a kernel of its own;
+  // at 8 limbs and up the carry chain bounds the loop.
   const std::size_t k = n_.size();
-  if (k == 4) return cios_mul<4>(a, b, n_.data(), n_prime_, k, out);
+  if (k == 4) return mul4_dispatch(a, b, n_.data(), n_prime_, out);
   cios_mul<0>(a, b, n_.data(), n_prime_, k, out);
+}
+
+// One exponentiation in flight: base^exp mod n for one context, its limb
+// buffers in one allocation: the accumulator, a scratch product, then
+// base^1..base^15 in Montgomery form (base^1 alone for a short exponent).
+struct MontgomeryCtx::Chain {
+  Chain(const MontgomeryCtx& c, const BigInt& base, const BigInt& e)
+      : ctx(c),
+        exp(e),
+        k(c.n_.size()),
+        windows((e.bit_length() + 3) / 4),
+        buf((e.bit_length() > kBinaryMaxBits ? 17 : 3) * k, 0),
+        acc(buf.data()),
+        tmp(buf.data() + k) {
+    std::copy(c.one_mont_.begin(), c.one_mont_.end(), acc);  // acc = 1
+    BigInt b = base;
+    b.mod_assign(c.modulus_);
+    std::copy(b.limbs_.begin(), b.limbs_.end(), tmp);
+    c.mul(tmp, c.r2_.data(), power(1));  // base * R mod n
+  }
+
+  u64* power(std::size_t w) { return buf.data() + (w + 1) * k; }
+
+  void step(const u64* x) {
+    ctx.mul(acc, x, tmp);
+    std::swap(acc, tmp);
+  }
+
+  // The exponent's 4-bit window w, counted from the least significant.
+  unsigned window(std::size_t w) const {
+    const std::size_t bit = 4 * w;
+    const std::vector<u64>& e = exp.limbs_;
+    return bit / 64 < e.size() ? static_cast<unsigned>(e[bit / 64] >> (bit % 64)) & 0xf : 0;
+  }
+
+  // Short exponents: plain left-to-right binary.
+  void binary() {
+    for (std::size_t i = exp.bit_length(); i-- > 0;) {
+      step(acc);
+      if (exp.bit(i)) step(power(1));
+    }
+  }
+
+  // Out of Montgomery form (acc * 1 * R^-1), fully reduced.
+  BigInt finish() {
+    u64* one = power(1);
+    std::fill(one, one + k, 0);
+    one[0] = 1;
+    ctx.mul(acc, one, tmp);
+    return BigInt::from_limbs(std::vector<u64>(tmp, tmp + k));
+  }
+
+  const MontgomeryCtx& ctx;
+  const BigInt& exp;
+  const std::size_t k;
+  const std::size_t windows;
+  std::vector<u64> buf;
+  u64* acc;
+  u64* tmp;
+};
+
+// Fixed 4-bit windows for N chains at once. Every step (a table entry, a
+// squaring, a window multiply) runs once for each chain before the next
+// step, so with two chains the CPU has two independent multiplies in
+// flight instead of one chain of dependent ones. The windows line up at
+// the least significant end: a chain with fewer windows starts later.
+template <std::size_t N>
+void MontgomeryCtx::run_windows(Chain* chains) {
+  for (std::size_t w = 2; w < 16; ++w) {
+    for (std::size_t i = 0; i < N; ++i) {
+      Chain& c = chains[i];
+      c.ctx.mul(c.power(w - 1), c.power(1), c.power(w));
+    }
+  }
+  std::size_t windows = 0;
+  for (std::size_t i = 0; i < N; ++i) windows = std::max(windows, chains[i].windows);
+  for (std::size_t w = windows; w-- > 0;) {
+    for (int s = 0; s < 4; ++s) {
+      for (std::size_t i = 0; i < N; ++i) {
+        if (w + 1 < chains[i].windows) chains[i].step(chains[i].acc);
+      }
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+      if (const unsigned win = chains[i].window(w)) chains[i].step(chains[i].power(win));
+    }
+  }
 }
 
 BigInt MontgomeryCtx::modexp(const BigInt& base, const BigInt& exp) const {
   if (modulus_.is_one()) return {};
-  const std::size_t k = n_.size();
-
-  // base (reduced) in Montgomery form.
-  BigInt b = base;
-  b.mod_assign(modulus_);
-  std::vector<u64> x(k, 0);
-  {
-    std::vector<u64> breg = b.limbs_;
-    breg.resize(k, 0);
-    mul(breg.data(), r2_.data(), x.data());  // x = base * R mod n
-  }
-
-  std::vector<u64> acc = one_mont_;  // acc = 1 in Montgomery form
-  std::vector<u64> tmp(k, 0);
-  const std::size_t bits = exp.bit_length();
-
-  if (bits <= 20) {
-    // Short exponents (RSA public e = 65537): plain left-to-right binary;
-    // a window table's 14 extra multiplies would outweigh the savings.
-    for (std::size_t i = bits; i-- > 0;) {
-      mul(acc.data(), acc.data(), tmp.data());
-      std::swap(acc, tmp);
-      if (exp.bit(i)) {
-        mul(acc.data(), x.data(), tmp.data());
-        std::swap(acc, tmp);
-      }
-    }
+  Chain c(*this, base, exp);
+  if (exp.bit_length() > kBinaryMaxBits) {
+    run_windows<1>(&c);
   } else {
-    // Fixed 4-bit windows: table[w] = base^w in Montgomery form.
-    std::vector<u64> table(16 * k, 0);
-    std::copy(one_mont_.begin(), one_mont_.end(), table.begin());
-    std::copy(x.begin(), x.end(), table.begin() + static_cast<std::ptrdiff_t>(k));
-    for (std::size_t w = 2; w < 16; ++w) {
-      mul(&table[(w - 1) * k], x.data(), &table[w * k]);
-    }
-    const std::size_t windows = (bits + 3) / 4;
-    for (std::size_t w = windows; w-- > 0;) {
-      if (w + 1 != windows) {
-        for (int s = 0; s < 4; ++s) {
-          mul(acc.data(), acc.data(), tmp.data());
-          std::swap(acc, tmp);
-        }
-      }
-      unsigned win = 0;
-      for (int bit_idx = 3; bit_idx >= 0; --bit_idx) {
-        win = (win << 1) | static_cast<unsigned>(exp.bit(4 * w + static_cast<std::size_t>(bit_idx)));
-      }
-      if (win != 0) {
-        mul(acc.data(), &table[win * k], tmp.data());
-        std::swap(acc, tmp);
-      }
-    }
+    c.binary();
   }
+  return c.finish();
+}
 
-  // Convert out of Montgomery form: acc * 1 * R^{-1}.
-  std::vector<u64> one(k, 0);
-  one[0] = 1;
-  mul(acc.data(), one.data(), tmp.data());
-  return BigInt::from_limbs(std::move(tmp));
+std::pair<BigInt, BigInt> MontgomeryCtx::modexp_pair(const BigInt& base, const MontgomeryCtx& p,
+                                                     const BigInt& exp_p, const MontgomeryCtx& q,
+                                                     const BigInt& exp_q) {
+  if (p.modulus_.is_one() || q.modulus_.is_one() || exp_p.bit_length() <= kBinaryMaxBits ||
+      exp_q.bit_length() <= kBinaryMaxBits) {
+    return {p.modexp(base, exp_p), q.modexp(base, exp_q)};
+  }
+  Chain chains[2] = {Chain(p, base, exp_p), Chain(q, base, exp_q)};
+  run_windows<2>(chains);
+  return {chains[0].finish(), chains[1].finish()};
 }
 
 BigInt BigInt::modexp(const BigInt& exp, const BigInt& m) const {

@@ -98,14 +98,18 @@ class BigInt {
 /// context per modulus and reuse it; `RsaPublicKey::mont()` and
 /// `RsaKeyPair::mont_p()/mont_q()` cache exactly that.
 ///
-/// modexp() uses fixed 4-bit windows: a 16-entry power table is built per
+/// modexp() uses fixed 4-bit windows: a 15-entry power table is built per
 /// call (it depends on the base), then the main loop does 4 squarings plus
-/// at most one table multiply per window. The inner loop runs entirely on
-/// preallocated limb buffers, and the CIOS accumulator lives on the stack
-/// of each multiplication, which is compiled at a fixed width of 4 limbs
-/// (the CRT halves of a 512-bit key) and at run-time width for every other
-/// size. Results are bit-identical to the square-and-multiply path: both
-/// compute plain (base ^ exp) mod n.
+/// at most one table multiply per window. modexp_pair() runs two such
+/// exponentiations through the same loop in lockstep, one multiply of each
+/// at a time, so the CPU overlaps two independent multiply chains. Each
+/// exponentiation's limb buffers take one allocation, and the CIOS
+/// accumulator lives on the stack of each multiplication. At 4 limbs (the
+/// CRT halves of a 512-bit key) the multiply is a fixed-width kernel,
+/// BMI2/ADX assembly where the CPU has both (crypto/montmul.hpp); every
+/// other width runs a loop over the run-time width. Results are
+/// bit-identical to the square-and-multiply path: both compute plain
+/// (base ^ exp) mod n.
 ///
 /// Immutable after construction: a const context holds no mutable state,
 /// so one context may be used from any number of threads at once (copies
@@ -128,11 +132,25 @@ class MontgomeryCtx {
   /// the window table would cost more than it saves.
   BigInt modexp(const BigInt& base, const BigInt& exp) const;
 
+  /// {p.modexp(base, exp_p), q.modexp(base, exp_q)}, the two CRT halves of
+  /// an RSA private op, computed in one window loop that alternates a
+  /// multiply of each. Exponents short enough for the binary loop fall back
+  /// to two modexp() calls.
+  static std::pair<BigInt, BigInt> modexp_pair(const BigInt& base, const MontgomeryCtx& p,
+                                               const BigInt& exp_p, const MontgomeryCtx& q,
+                                               const BigInt& exp_q);
+
  private:
-  /// CIOS Montgomery multiplication: out = a*b*R^{-1} mod n on raw k-limb
+  struct Chain;  // one exponentiation in flight
+
+  /// Montgomery multiplication: out = a*b*R^{-1} mod n on raw k-limb
   /// buffers. out may alias a or b (all reads of a/b happen before out is
   /// written).
   void mul(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
+
+  /// The fixed-window loop over N chains at once.
+  template <std::size_t N>
+  static void run_windows(Chain* chains);
 
   BigInt modulus_;
   std::vector<std::uint64_t> n_;         // modulus limbs

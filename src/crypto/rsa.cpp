@@ -15,15 +15,42 @@ constexpr std::uint64_t kSmallPrimes[] = {
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233, 239,
     241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313, 317, 331, 337, 347};
 
+// kSmallPrimes in consecutive runs whose products fit in 64 bits: a
+// candidate is divided once per run, and each prime of the run is tested
+// against that one-limb residue.
+struct PrimeRun {
+  std::uint64_t product = 1;
+  std::size_t end = 0;  // one past the run's last prime in kSmallPrimes
+};
+
+constexpr auto kPrimeRuns = [] {
+  std::array<PrimeRun, 8> runs{};
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < std::size(kSmallPrimes); ++i) {
+    if (runs[r].product > UINT64_MAX / kSmallPrimes[i]) ++r;
+    runs[r].product *= kSmallPrimes[i];
+    runs[r].end = i + 1;
+  }
+  return runs;
+}();
+static_assert(kPrimeRuns.back().end == std::size(kSmallPrimes));
+
 }  // namespace
 
 bool is_probable_prime(const BigInt& n, Drbg& drbg, int rounds) {
   if (n < BigInt{2}) return false;
   if (n == BigInt{2} || n == BigInt{3}) return true;
   if (!n.is_odd()) return false;
-  for (std::uint64_t p : kSmallPrimes) {
-    if (n == BigInt{p}) return true;
-    if (n.mod_u64(p) == 0) return false;
+  std::size_t next = 0;
+  for (const PrimeRun& run : kPrimeRuns) {
+    const std::uint64_t residue = n.mod_u64(run.product);
+    for (; next < run.end; ++next) {
+      // The first small prime that divides n decides: n is prime only if it
+      // is that prime.
+      if (residue % kSmallPrimes[next] == 0) {
+        return n.limbs().size() == 1 && n.limbs()[0] == kSmallPrimes[next];
+      }
+    }
   }
 
   // Write n-1 = d * 2^r with d odd.
@@ -35,6 +62,10 @@ bool is_probable_prime(const BigInt& n, Drbg& drbg, int rounds) {
     ++r;
   }
 
+  // One context for every round (building one costs a full-width division).
+  const MontgomeryCtx mont(n);
+  const BigInt two{2};
+  const BigInt n_minus_2 = n - two;
   const std::size_t bits = n.bit_length();
   for (int round = 0; round < rounds; ++round) {
     // Random base a in [2, n-2].
@@ -42,9 +73,9 @@ bool is_probable_prime(const BigInt& n, Drbg& drbg, int rounds) {
     do {
       Bytes raw = drbg.bytes((bits + 7) / 8);
       a = BigInt::from_bytes(raw) % n;
-    } while (a < BigInt{2} || a > n - BigInt{2});
+    } while (a < two || a > n_minus_2);
 
-    BigInt x = a.modexp(d, n);
+    BigInt x = mont.modexp(a, d);
     if (x.is_one() || x == n_minus_1) continue;
     bool composite = true;
     BigInt sq;
@@ -127,9 +158,8 @@ void RsaKeyPair::warm_cache() const {
 
 BigInt rsa_private_op(const RsaKeyPair& key, const BigInt& c) {
   if (!key.has_crt()) return c.modexp(key.d, key.pub.n);
-  // Two half-size exponentiations (modexp reduces the base internally)...
-  const BigInt m1 = key.mont_p().modexp(c, key.dp);
-  const BigInt m2 = key.mont_q().modexp(c, key.dq);
+  // Two half-size exponentiations in lockstep (each reduces the base)...
+  const auto [m1, m2] = MontgomeryCtx::modexp_pair(c, key.mont_p(), key.dp, key.mont_q(), key.dq);
   // ...recombined with Garner: m = m2 + q * (qinv * (m1 - m2) mod p).
   BigInt diff = (m1 + key.p) - m2 % key.p;  // keep the subtraction non-negative
   diff.mod_assign(key.p);

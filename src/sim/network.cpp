@@ -77,17 +77,15 @@ void Network::detach(Endpoint internal_ep) { handlers_.erase(internal_ep); }
 
 bool Network::attached(Endpoint internal_ep) const { return handlers_.contains(internal_ep); }
 
-TrafficCounters& Network::counters_for(Endpoint internal_ep) {
-  auto it = counters_.find(internal_ep);
-  if (it != counters_.end()) return it->second;
-  TrafficCounters tc;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(net::Proto::kCount); ++i) {
-    const net::Proto p = static_cast<net::Proto>(i);
-    tc.up[i] = &registry_->counter("net.node.bytes", traffic_labels(internal_ep, p, "up"));
-    tc.down[i] =
-        &registry_->counter("net.node.bytes", traffic_labels(internal_ep, p, "down"));
+void Network::add_node_bytes(Endpoint internal_ep, net::Proto proto, const char* dir,
+                             std::size_t bytes) {
+  TrafficCounters& tc = counters_[internal_ep];
+  const std::size_t pi = static_cast<std::size_t>(proto);
+  telemetry::Counter*& c = dir[0] == 'u' ? tc.up[pi] : tc.down[pi];
+  if (c == nullptr) {
+    c = &registry_->counter("net.node.bytes", traffic_labels(internal_ep, proto, dir));
   }
-  return counters_.emplace(internal_ep, tc).first->second;
+  c->add(bytes);
 }
 
 bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, net::Proto proto) {
@@ -101,7 +99,7 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, ne
   // Account upload at the sender regardless of eventual delivery: bytes
   // leave the sender's uplink either way.
   const std::size_t pi = static_cast<std::size_t>(proto);
-  if (per_node_accounting_) counters_for(internal_src).up[pi]->add(payload.size());
+  if (per_node_accounting_) add_node_bytes(internal_src, proto, "up", payload.size());
   agg_up_[pi]->add(payload.size());
   packets_sent_c_->add(1);
 
@@ -234,7 +232,9 @@ void Network::finish_delivery(Endpoint internal_dst, net::Datagram dgram) {
   }
 
   const std::size_t pi = static_cast<std::size_t>(dgram.proto);
-  if (per_node_accounting_) counters_for(internal_dst).down[pi]->add(dgram.payload.size());
+  if (per_node_accounting_) {
+    add_node_bytes(internal_dst, dgram.proto, "down", dgram.payload.size());
+  }
   agg_down_[pi]->add(dgram.payload.size());
   packets_delivered_c_->add(1);
   if (!traced) {

@@ -44,8 +44,8 @@ class AddressTranslator {
 };
 
 /// Per-node traffic accounting in bytes: a view over the registry-backed
-/// "net.node.bytes" counters (labels: node, proto, dir). Null slots (node
-/// never seen) read as zero.
+/// "net.node.bytes" counters (labels: node, proto, dir). Null slots (a
+/// protocol and direction the node never used) read as zero.
 struct TrafficCounters {
   telemetry::Counter* up[static_cast<std::size_t>(net::Proto::kCount)] = {};
   telemetry::Counter* down[static_cast<std::size_t>(net::Proto::kCount)] = {};
@@ -149,8 +149,9 @@ class Network final : public net::Stack {
   /// guarantees is still in this shard's future).
   void schedule_delivery(Delivery d);
 
-  /// Per-node byte counters cost ~12 registry entries per node — fine at
-  /// 1k nodes, gigabytes of label strings at 100k. Lean mode keeps only the
+  /// Per-node byte counters cost a registry entry per protocol and
+  /// direction a node uses (up to 12) — fine at 1k nodes, gigabytes of
+  /// label strings at 100k. Lean mode keeps only the
   /// system-wide aggregates. Flip before any traffic flows.
   void set_per_node_accounting(bool enabled) { per_node_accounting_ = enabled; }
 
@@ -190,7 +191,11 @@ class Network final : public net::Stack {
   void deliver(Endpoint internal_src, net::Datagram dgram);
   void finish_delivery(Endpoint internal_dst, net::Datagram dgram);
   void count_drop(net::DropReason reason);
-  TrafficCounters& counters_for(Endpoint internal_ep);
+  /// Adds to a node's "net.node.bytes" series for one protocol and
+  /// direction (`dir` "up" or "down"), registering it on its first add:
+  /// a protocol a node never uses in a direction leaves no series.
+  void add_node_bytes(Endpoint internal_ep, net::Proto proto, const char* dir,
+                      std::size_t bytes);
   std::optional<net::Time> draw_latency(Endpoint wire_src, Endpoint public_dst,
                                         std::uint64_t kb);
 

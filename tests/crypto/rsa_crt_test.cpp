@@ -186,15 +186,18 @@ TEST(MontgomeryCtx, SharedAcrossThreads) {
   // Copies of a warmed key share its contexts, and nodes that borrow one
   // pooled key can run on different shard threads: concurrent private ops
   // through one context, via the same key object or via copies, must each
-  // get their own plaintext back.
+  // get their own plaintext and signature back. Each op runs both CRT
+  // halves in one window loop.
   Drbg d(4300);
   const RsaKeyPair key = RsaKeyPair::generate(512, d);
   key.warm_cache();
   std::vector<Bytes> msgs;
   std::vector<Bytes> cts;
+  std::vector<Bytes> sigs;
   for (std::size_t i = 0; i < 64; ++i) {
     msgs.push_back(d.bytes(8 + i % 40));
     cts.push_back(rsa_encrypt(key.pub, msgs.back(), d));
+    sigs.push_back(rsa_sign(key, msgs.back()));
   }
   for (const bool copies : {false, true}) {
     const RsaKeyPair copy_a = key;
@@ -206,6 +209,7 @@ TEST(MontgomeryCtx, SharedAcrossThreads) {
         const std::size_t j = (i + offset) % cts.size();
         const auto pt = rsa_decrypt(*k, cts[j]);
         if (!pt || *pt != msgs[j]) ++wrong;
+        if (i % 4 == 0 && rsa_sign(*k, msgs[j]) != sigs[j]) ++wrong;
       }
     };
     std::thread a(worker, copies ? &copy_a : &key, 0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace whisper::crypto {
 namespace {
 
@@ -34,6 +36,22 @@ TEST(Prime, KnownCompositesRejected) {
   // Includes Carmichael numbers 561, 1105, 6601.
   for (std::uint64_t n : {1ull, 4ull, 100ull, 561ull, 1105ull, 6601ull, 1000001ull}) {
     EXPECT_FALSE(is_probable_prime(BigInt{n}, d)) << n;
+  }
+}
+
+TEST(Prime, SmallNumbersMatchSieve) {
+  // Every composite below 349^2 has a prime factor of at most 347, so trial
+  // division alone rejects it, and a prime passes Miller-Rabin whatever the
+  // bases: the answer is exact, for the small primes themselves included.
+  constexpr std::uint64_t kLimit = 5000;
+  std::vector<bool> prime(kLimit, true);
+  prime[0] = prime[1] = false;
+  for (std::uint64_t i = 2; i * i < kLimit; ++i) {
+    for (std::uint64_t j = i * i; prime[i] && j < kLimit; j += i) prime[j] = false;
+  }
+  Drbg d(5);
+  for (std::uint64_t n = 0; n < kLimit; ++n) {
+    EXPECT_EQ(is_probable_prime(BigInt{n}, d), prime[n]) << n;
   }
 }
 
