@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "telemetry/flight.hpp"
+
 namespace whisper::net {
 
 namespace {
@@ -371,10 +373,13 @@ bool ShimStack::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
       inner_.send(wire_src, public_dst, payload, proto);
     } else {
       ++impair_delayed_;
+      const telemetry::TraceContext ctx =
+          flight_ != nullptr ? flight_->context() : telemetry::TraceContext{};
       clock_.schedule_after(hold, [this, wire_src, public_dst,
-                                   payload = payload, proto] {
+                                   payload = payload, proto, ctx] {
         // The mapping socket may be gone by now (lease expiry, reboot):
         // that loss is the real device's behavior too.
+        telemetry::ScopedTraceContext guard(flight_, ctx);
         inner_.send(wire_src, public_dst, std::move(payload), proto);
       });
     }

@@ -143,7 +143,10 @@ class ShimStack final : public Stack {
   void set_fault_interposer(FaultInterposer* faults) override {
     inner_.set_fault_interposer(faults);
   }
+  /// Keeps the recorder as well as passing it on: a held copy leaves from a
+  /// timer, which re-arms the trace context the send was made under.
   void set_flight(telemetry::FlightRecorder* flight) override {
+    flight_ = flight;
     inner_.set_flight(flight);
   }
 
@@ -206,6 +209,7 @@ class ShimStack final : public Stack {
   std::map<Endpoint, NodeState> nodes_;
   std::map<Endpoint, Endpoint> mapping_owner_;  // external -> internal
   std::function<void(const ShimEvent&)> event_sink_;
+  telemetry::FlightRecorder* flight_ = nullptr;
   std::vector<ImpairDecision> decisions_;
   std::size_t nodes_created_ = 0;
   // Scratch for the port-allocator callback (rules engine -> adopt_mapping).

@@ -116,7 +116,8 @@ class NodeStateStore {
   const NodeState& state() const { return state_; }
 
   /// Write the whole state as the new snapshot; durable when it returns.
-  bool commit();
+  /// False when it is not durable; last_error() says why.
+  [[nodiscard]] bool commit();
 
   const std::string& last_error() const { return error_; }
   std::string snapshot_path() const { return dir_ + "/snapshot.bin"; }

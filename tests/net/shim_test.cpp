@@ -16,6 +16,7 @@
 
 #include "net/udp.hpp"
 #include "nylon/transport.hpp"
+#include "telemetry/flight.hpp"
 
 namespace whisper::net {
 namespace {
@@ -354,6 +355,43 @@ TEST(ShimImpair, TotalLossDeliversNothingAndCountsDrops) {
   EXPECT_EQ(received, 0);
   EXPECT_EQ(shim.impair_dropped(), 16u);
   EXPECT_EQ(backend.packets_sent(), 0u);
+}
+
+// A held copy leaves from a timer, after the sender's handler returned.
+// The shim re-arms the trace context the send was made under, so the
+// backend's wire_out carries the sender's trace.
+TEST(ShimImpair, DelayedCopyKeepsTheSendersTrace) {
+  UdpBackend backend;
+  telemetry::FlightRecorder flight;
+  flight.set_clock(clock_fn(backend));
+  flight.set_enabled(true);
+  ShimStack shim(backend, backend, shim_config(backend, 7));
+  shim.set_flight(&flight);
+  auto a = backend.reserve_endpoint();
+  auto b = backend.reserve_endpoint();
+  ASSERT_TRUE(a && b);
+  ShimProfile profile;
+  profile.impair.delay = 5 * kMillisecond;
+  shim.set_profile(*a, profile);
+  int received = 0;
+  shim.attach(*a, [](const Datagram&) {});
+  shim.attach(*b, [&](const Datagram&) { ++received; });
+
+  telemetry::TraceContext ctx;
+  ctx.trace_id = 77;
+  ctx.layer = telemetry::TraceLayer::kApp;
+  {
+    telemetry::ScopedTraceContext armed(&flight, ctx);
+    ASSERT_TRUE(shim.send(*a, *b, bytes_of("held"), Proto::kApp));
+  }
+  poll_until(backend, 2 * kSecond, [&] { return received >= 1; });
+  ASSERT_EQ(received, 1);
+  EXPECT_EQ(shim.impair_delayed(), 1u);
+  std::vector<std::uint64_t> wire_out_traces;
+  for (const telemetry::FlightEventRec& ev : flight.events()) {
+    if (ev.kind == telemetry::FlightKind::kWireOut) wire_out_traces.push_back(ev.trace);
+  }
+  EXPECT_EQ(wire_out_traces, std::vector<std::uint64_t>{ctx.trace_id});
 }
 
 // --- Traversal over the shim: live transports ----------------------------

@@ -23,7 +23,7 @@
 // record it was read from. Every child shares one CLOCK_MONOTONIC epoch
 // (--epoch) so timestamps are directly comparable. --scrape-admin
 // additionally queries every node's admin UDP socket once every node has
-// delivered (nodes then linger until teardown) and gates the replies
+// delivered (every node serves until teardown) and gates the replies
 // against the rendezvous delivery receipts. --trace-wire passes
 // the cross-process flight tracing opt-in through (implies --flight).
 //
@@ -50,10 +50,10 @@
 //            re-registration, hole re-punching and relay fallback proven
 //            on a live process. Requires --nat.
 //
-// Chaos implies per-node state dirs (DIR/state.I) and --linger, so the
-// surviving mesh keeps serving while victims rejoin. Children that die
-// when the supervisor did not kill them fail the run, with the exit code
-// or signal named in the report.
+// Chaos implies per-node state dirs (DIR/state.I). Every node serves until
+// the supervisor's teardown, so the surviving mesh keeps serving while
+// victims rejoin. Children that die when the supervisor did not kill them
+// fail the run, with the exit code or signal named in the report.
 //
 // NAT adversity (DESIGN.md §16): --nat assigns each node a NAT type from a
 // mix spec ("TYPE:F,..." — F a count when >= 1, a fraction when < 1; the
@@ -91,6 +91,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "args.hpp"
 #include "common/bytes.hpp"
 #include "common/file.hpp"
 #include "common/rng.hpp"
@@ -107,32 +108,6 @@ namespace {
 volatile std::sig_atomic_t g_child_died = 0;
 
 void handle_sigchld(int) { g_child_died = 1; }
-
-std::string arg_string(int argc, char** argv, const std::string& key,
-                       const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return fallback;
-}
-
-bool arg_flag(int argc, char** argv, const std::string& key) {
-  const std::string flag = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
-
-std::uint64_t arg_seconds(int argc, char** argv, const std::string& key,
-                          std::uint64_t fallback) {
-  std::string s = arg_string(argc, argv, key, "");
-  if (s.empty()) return fallback;
-  if (s.back() == 's' || s.back() == 'S') s.pop_back();
-  return std::strtoull(s.c_str(), nullptr, 10);
-}
 
 double now_s() {
   timeval tv{};
@@ -427,10 +402,9 @@ int main(int argc, char** argv) {
   // counts from the same instant.
   const std::uint64_t epoch_ns = monotonic_ns();
 
-  // Children must outlive both the convergence and the recovery window;
-  // the supervisor, not the node timeout, ends a chaos run.
-  const std::uint64_t child_timeout_s =
-      chaos.enabled() ? 2 * timeout_s + 15 : timeout_s;
+  // Children outlive both the convergence and the recovery window: the
+  // supervisor's teardown, not the node timeout, ends every run.
+  const std::uint64_t child_timeout_s = 2 * timeout_s + 15;
 
   std::vector<Child> children(nodes + 1);
 
@@ -466,9 +440,6 @@ int main(int argc, char** argv) {
       if (chaos.enabled()) {
         args.push_back("--state-dir=" + dir + "/state." + std::to_string(i));
       }
-      // The admin scrape runs after the last delivery; a node that did not
-      // linger stops 500 ms after its own and may be gone when queried.
-      if (chaos.enabled() || scrape_admin) args.push_back("--linger");
       if (nat_of[i] != nat::NatType::kNone) {
         args.push_back(std::string("--nat=") + nat::nat_type_name(nat_of[i]));
       }
@@ -532,8 +503,8 @@ int main(int argc, char** argv) {
   };
 
   /// Reap every dead child. A death the supervisor caused (SIGKILL victim,
-  /// teardown) is expected; anything else fails the run unless the child
-  /// finished cleanly after delivering. Returns ids that died expectedly.
+  /// teardown) is expected; any other fails the run, since every node serves
+  /// until the teardown.
   const auto reap = [&](bool teardown) {
     g_child_died = 0;
     int status = 0;
@@ -548,23 +519,17 @@ int main(int argc, char** argv) {
           c.expected_dead = false;
           break;
         }
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        const bool had_delivered =
-            file_exists(dir + "/delivered." + std::to_string(i));
-        if (!clean || !had_delivered) {
-          std::fprintf(stderr, "node %llu died unexpectedly: %s\n",
-                       (unsigned long long)i, c.death_cause.c_str());
-          if (chaos.enabled() && c.kill_victim && c.restarts > 0 &&
-              c.restarts < 5) {
-            // A restarted victim crashed again: back off exponentially and
-            // try once more rather than giving up on first stumble.
-            const double backoff = 0.25 * static_cast<double>(1 << c.restarts);
-            c.restart_at = now_s() + (backoff > 5.0 ? 5.0 : backoff);
-            std::fprintf(stderr, "  rescheduling restart #%d of node %llu\n",
-                         c.restarts + 1, (unsigned long long)i);
-          } else {
-            failed = true;
-          }
+        std::fprintf(stderr, "node %llu died unexpectedly: %s\n",
+                     (unsigned long long)i, c.death_cause.c_str());
+        if (chaos.enabled() && c.kill_victim && c.restarts > 0 && c.restarts < 5) {
+          // A restarted victim crashed again: back off exponentially and
+          // try once more rather than giving up on first stumble.
+          const double backoff = 0.25 * static_cast<double>(1 << c.restarts);
+          c.restart_at = now_s() + (backoff > 5.0 ? 5.0 : backoff);
+          std::fprintf(stderr, "  rescheduling restart #%d of node %llu\n",
+                       c.restarts + 1, (unsigned long long)i);
+        } else {
+          failed = true;
         }
         break;
       }

@@ -3,8 +3,9 @@
 //
 //   whisper_noded --dir=RENDEZVOUS --id=I --nodes=N [--timeout=60]
 //                 [--seed=7] [--group=1] [--flight=out.jsonl]
-//                 [--state-dir=DIR] [--linger] [--stats-interval=1]
-//                 [--trace-wire] [--epoch=NS]
+//                 [--state-dir=DIR] [--stats-interval=1]
+//                 [--trace-wire] [--epoch=NS] [--nat=TYPE] [--impair=SPEC]
+//                 [--nat-lease=SECS]
 //
 // Nodes coordinate through the rendezvous directory (shared filesystem —
 // the localhost stand-in for a bootstrap service):
@@ -26,11 +27,14 @@
 //                a 4-byte stats request (health.hpp) gets the same record
 //                back, built fresh.
 //
-// The run: everyone boots and gossips; the leader founds the group and
-// writes invitations; members join and send an onion-routed "ping I" to
-// the leader, retrying until the leader's "pong I" arrives. Exit 0 iff
-// this node's delivered.I was written before the timeout. All file polling
-// runs on backend timers — the same queue the protocol stack uses.
+// The run: everyone boots through boot_live_node (whisper/realnet.hpp)
+// and gossips; the leader founds the group and writes invitations; members
+// join and send an onion-routed "ping I" to the leader, retrying until the
+// leader's "pong I" arrives. A node keeps serving after its own delivery,
+// until SIGTERM or --timeout, so peers and restarted nodes always have
+// live relays and mixes to reach it through. Exit 0 iff this node's
+// delivered.I was written by then. All file polling runs on backend
+// timers — the same queue the protocol stack uses.
 //
 // Crash recovery (DESIGN.md §14): with --state-dir the node persists its
 // identity keys, bound endpoint, incarnation and group membership in one
@@ -38,8 +42,6 @@
 // node id, keys and port, bumps the incarnation (committed before the first
 // frame goes out), resumes its groups from the store, and — as a member —
 // re-sends its join request to re-validate its passport with the group.
-// --linger keeps the node serving after its own delivery succeeded, so a
-// mesh under chaos always has live peers to rejoin through.
 //
 // Observability (DESIGN.md §15): --trace-wire opts into version-2 UDP
 // frames that carry the TraceContext, so flight events recorded here pair
@@ -63,6 +65,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "args.hpp"
 #include "common/bytes.hpp"
 #include "common/file.hpp"
 #include "common/serialize.hpp"
@@ -86,37 +89,10 @@ void handle_term(int) {
   if (g_backend != nullptr) g_backend->request_stop();
 }
 
-std::string arg_string(int argc, char** argv, const std::string& key,
-                       const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return fallback;
-}
-
-bool arg_flag(int argc, char** argv, const std::string& key) {
-  const std::string flag = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
-
 std::uint64_t arg_u64(int argc, char** argv, const std::string& key,
                       std::uint64_t fallback) {
   const std::string s = arg_string(argc, argv, key, "");
   if (s.empty()) return fallback;
-  return std::strtoull(s.c_str(), nullptr, 10);
-}
-
-/// Seconds, tolerating a trailing 's' ("60" and "60s" both work).
-std::uint64_t arg_seconds(int argc, char** argv, const std::string& key,
-                          std::uint64_t fallback) {
-  std::string s = arg_string(argc, argv, key, "");
-  if (s.empty()) return fallback;
-  if (!s.empty() && (s.back() == 's' || s.back() == 'S')) s.pop_back();
   return std::strtoull(s.c_str(), nullptr, 10);
 }
 
@@ -196,28 +172,12 @@ struct Options {
   std::uint64_t group = 1;
   std::string flight_path;
   std::string state_dir;
-  bool linger = false;
   net::Time stats_interval = net::kSecond;
   bool trace_wire = false;
   std::int64_t epoch_ns = -1;
-  nat::NatType nat = nat::NatType::kNone;
-  net::ImpairConfig impair;
+  net::ShimProfile shim;  // --nat and --impair
   net::Time nat_lease = 0;  // 0 = rules-engine default
 };
-
-/// The emulated NAT device's public IP: a distinct loopback address per
-/// node id (all of 127/8 is host-local), so restricted-cone IP filtering
-/// discriminates between peers instead of collapsing onto 127.0.0.1.
-std::uint32_t device_ip_for(std::uint64_t id) {
-  return 0x7F010000u + static_cast<std::uint32_t>(id & 0xFFFF);
-}
-
-/// A natted node's internal endpoint: never bound, never on the wire —
-/// traffic enters and leaves through the shim's per-mapping sockets. The
-/// 10/8 address keeps it visibly distinct from real loopback binds.
-Endpoint internal_ep_for(std::uint64_t id) {
-  return Endpoint{0x0A000000u + static_cast<std::uint32_t>(id & 0xFFFF), 40000};
-}
 
 /// Epoch history in the form Ppss::resume and the store share.
 std::vector<std::pair<std::uint64_t, crypto::RsaPublicKey>> collect_epochs(
@@ -248,23 +208,14 @@ struct Orchestrator {
   net::Time next_ping_at = 0;
   bool announced_join = false;
   bool persisted_membership = false;
+  /// This node's end of the exchange succeeded. It keeps serving (relay,
+  /// mix, pongs) until SIGTERM or --timeout: peers still deliver through it.
   bool done = false;
-  int exit_code = 1;
   std::uint64_t stats_seq = 0;  // records published so far
   net::Time boot_at = 0;
   int admin_fd = -1;
 
   std::string path(const std::string& base) const { return opt.dir + "/" + base; }
-
-  void finish(int code) {
-    if (done) return;
-    done = true;
-    exit_code = code;
-    if (opt.linger) return;  // keep serving: chaos peers rejoin through us
-    // Linger briefly so in-flight ACKs towards peers still flow, then stop.
-    backend.schedule_after(500 * net::kMillisecond,
-                           [this] { backend.request_stop(); });
-  }
 
   /// Fold the traversal/shim/socket counters and the process CPU time that
   /// live outside the registry into it as gauges, so every export path
@@ -277,7 +228,7 @@ struct Orchestrator {
     registry.gauge("udp.rx_kernel_drops")
         .set(static_cast<double>(backend.rx_kernel_drops()));
     registry.gauge("nylon.nat_type")
-        .set(static_cast<double>(static_cast<int>(opt.nat)));
+        .set(static_cast<double>(static_cast<int>(opt.shim.nat)));
     registry.gauge("nylon.registered").set(t.registered() ? 1 : 0);
     registry.gauge("nylon.sends.direct").set(static_cast<double>(t.sends_direct()));
     registry.gauge("nylon.sends.punched").set(static_cast<double>(t.sends_punched()));
@@ -395,7 +346,13 @@ struct Orchestrator {
     sg.accreditation = accreditation;
     sg.entry_point = leader_peer;
     store->state().upsert_group(std::move(sg));
-    store->commit();
+    commit_state();
+  }
+
+  /// A run-time commit: a failure leaves the node serving, and the log
+  /// names it.
+  void commit_state() {
+    if (!store->commit()) log.warn("state_commit_failed", {{"error", store->last_error()}});
   }
 
   /// Boot-from-state: re-instantiate persisted group membership. Leaders
@@ -475,7 +432,7 @@ struct Orchestrator {
     if (ponged.size() == opt.nodes - 1 && !done) {
       write_hex_file(path("delivered." + std::to_string(opt.id)),
                      to_bytes("pinged-by " + std::to_string(ponged.size())));
-      finish(0);
+      done = true;
     }
   }
 
@@ -516,10 +473,9 @@ struct Orchestrator {
       persisted_membership = true;
       persist_group();  // now with the granted passport + key history
     }
-    if (done && !opt.linger) return;
     if (backend.now() < next_ping_at) return;
-    // Ping until ponged; lingering nodes keep a slow liveness ping going so
-    // a restarted leader can re-collect the full roster.
+    // Ping until ponged, then keep a slow liveness ping going so a
+    // restarted leader can re-collect the full roster.
     group->send_app_to(*leader_peer,
                        to_bytes("ping " + std::to_string(opt.id)));
     next_ping_at = backend.now() + (done ? 2 * net::kSecond : net::kSecond);
@@ -529,13 +485,13 @@ struct Orchestrator {
     const std::string expected = "pong " + std::to_string(opt.id);
     if (to_string(payload) != expected) return;
     // Rewrite the receipt even after the first delivery: the natreboot
-    // chaos gate unlinks delivered.I and requires the (lingering) victim to
-    // re-earn it through the rebooted NAT's fresh mappings.
+    // chaos gate unlinks delivered.I and requires the victim to re-earn it
+    // through the rebooted NAT's fresh mappings.
     write_hex_file(path("delivered." + std::to_string(opt.id)),
                    Bytes(payload.begin(), payload.end()));
     if (done) return;
     log.info("delivered");
-    finish(0);
+    done = true;
   }
 };
 
@@ -551,7 +507,6 @@ int main(int argc, char** argv) {
   opt.group = arg_u64(argc, argv, "group", 1);
   opt.flight_path = arg_string(argc, argv, "flight", "");
   opt.state_dir = arg_string(argc, argv, "state-dir", "");
-  opt.linger = arg_flag(argc, argv, "linger");
   opt.stats_interval = arg_interval_us(argc, argv, "stats-interval", net::kSecond);
   opt.trace_wire = arg_flag(argc, argv, "trace-wire");
   const std::string epoch_s = arg_string(argc, argv, "epoch", "");
@@ -566,7 +521,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "whisper_noded: unknown NAT type '%s'\n", nat_s.c_str());
       return 2;
     }
-    opt.nat = *type;
+    opt.shim.nat = *type;
   }
   const std::string impair_s = arg_string(argc, argv, "impair", "");
   if (!impair_s.empty()) {
@@ -576,14 +531,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "whisper_noded: %s\n", err.c_str());
       return 2;
     }
-    opt.impair = *impair;
+    opt.shim.impair = *impair;
   }
   opt.nat_lease = arg_interval_us(argc, argv, "nat-lease", 0);
   if (opt.dir.empty() || opt.id == 0 || opt.nodes < 2 || opt.id > opt.nodes) {
     std::fprintf(stderr,
                  "usage: whisper_noded --dir=DIR --id=I --nodes=N "
                  "[--timeout=60] [--seed=7] [--group=1] [--flight=out.jsonl]\n"
-                 "       [--state-dir=DIR] [--linger] [--stats-interval=SECS]\n"
+                 "       [--state-dir=DIR] [--stats-interval=SECS]\n"
                  "       [--trace-wire] [--epoch=NS] [--nat=TYPE] "
                  "[--impair=SPEC] [--nat-lease=SECS]\n"
                  "ids are 1..N; id 1 is the group leader\n"
@@ -610,25 +565,17 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, handle_term);
   std::signal(SIGINT, handle_term);
 
-  // Durable state: open before anything touches the network. A boot from
-  // existing state bumps the incarnation and commits the bump (fsync'd)
-  // BEFORE the first frame goes out — peers must never see two lives of
-  // this node under one epoch.
+  // Durable state: opened before anything touches the network. The
+  // builder restores or records the node with one commit before its first
+  // frame goes out.
   store::NodeStateStore store;
   store::NodeStateStore* storep = nullptr;
-  bool restored = false;
   if (!opt.state_dir.empty()) {
     if (!store.open(opt.state_dir)) {
       logger.error("state_store", {{"error", store.last_error()}});
       return 1;
     }
     storep = &store;
-    restored = store.has_state();
-    if (restored && store.state().id != NodeId{opt.id}) {
-      logger.error("state_dir_mismatch",
-                   {{"owner", (unsigned long long)store.state().id.value}});
-      return 1;
-    }
   }
 
   telemetry::Registry registry;
@@ -642,132 +589,50 @@ int main(int argc, char** argv) {
   flight.set_seq_namespace(static_cast<std::uint32_t>(opt.id));
   backend.set_flight(&flight);
 
-  const bool natted = opt.nat != nat::NatType::kNone;
-  Endpoint ep;
-  if (natted) {
-    // The internal endpoint is synthetic and deterministic per id: it never
-    // goes on the wire (the shim's mapping sockets do), so there is nothing
-    // to bind and nothing for a restart to re-bind.
-    ep = internal_ep_for(opt.id);
-    if (restored) {
-      store::NodeState& st = store.state();
-      st.incarnation += 1;
-      if (!store.commit()) {
-        logger.error("incarnation_commit", {{"error", store.last_error()}});
-        return 1;
-      }
-      logger.info("restart_from_state",
-                  {{"incarnation", st.incarnation}, {"ep", ep.str()}});
-    } else if (storep != nullptr) {
-      store::NodeState& st = store.state();
-      st.id = NodeId{opt.id};
-      st.is_public = false;
-      st.endpoint = ep;
-      st.incarnation = 1;
-      st.identity = keypair_for_index(opt.id, realtime_node_config().rsa_bits);
-      if (!store.commit()) {
-        logger.error("snapshot", {{"error", store.last_error()}});
-        return 1;
-      }
-    }
-  } else if (restored) {
-    store::NodeState& st = store.state();
-    st.incarnation += 1;
-    if (!store.commit()) {
-      logger.error("incarnation_commit", {{"error", store.last_error()}});
-      return 1;
-    }
-    // Re-bind the persisted port so peers' contact cards stay valid. The
-    // placeholder handler is replaced when the transport attaches.
-    backend.attach(st.endpoint, [](const net::Datagram&) {});
-    if (backend.attached(st.endpoint)) {
-      ep = st.endpoint;
-    } else {
-      // Port still held (e.g. a SIGSTOP'd predecessor): take a fresh one
-      // and persist it; peers relearn the address through PSS gossip.
-      const auto fresh = backend.reserve_endpoint();
-      if (!fresh) {
-        logger.error("bind", {{"error", backend.last_error()}});
-        return 1;
-      }
-      ep = *fresh;
-      st.endpoint = ep;
-      store.commit();
-      logger.warn("port_rebound", {{"ep", ep.str()}});
-    }
-    logger.info("restart_from_state",
-                {{"incarnation", st.incarnation}, {"ep", ep.str()}});
-  } else {
-    const auto fresh = backend.reserve_endpoint();
-    if (!fresh) {
-      logger.error("bind", {{"error", backend.last_error()}});
-      return 1;
-    }
-    ep = *fresh;
-    if (storep != nullptr) {
-      store::NodeState& st = store.state();
-      st.id = NodeId{opt.id};
-      st.is_public = true;
-      st.endpoint = ep;
-      st.incarnation = 1;
-      st.identity = keypair_for_index(opt.id, realtime_node_config().rsa_bits);
-      if (!store.commit()) {
-        logger.error("snapshot", {{"error", store.last_error()}});
-        return 1;
-      }
-    }
+  LiveNodeSpec spec;
+  spec.id = NodeId{opt.id};
+  spec.profile = opt.shim;
+  spec.node = realtime_node_config();
+  spec.rng = Rng(opt.seed ^ (opt.id * 0x9e3779b97f4a7c15ull)).fork();
+  spec.seed = opt.seed;
+  spec.nat_lease = opt.nat_lease;
+  spec.store = storep;
+  spec.sinks = telemetry::Sinks{&registry, &flight};
+  // The pool's key for this id, built alone rather than with the id keys
+  // before it.
+  spec.key = [&opt] {
+    return keypair_for_index(opt.id, realtime_node_config().rsa_bits);
+  };
+  std::ofstream shim_log;  // outlives the shim that writes to it
+  std::string boot_error;
+  const std::unique_ptr<LiveNode> live =
+      boot_live_node(backend, std::move(spec), &boot_error);
+  if (live == nullptr) {
+    logger.error("boot", {{"error", boot_error}});
+    return 1;
   }
-
-  // NAT/impairment interposer (DESIGN.md §16): the protocol stack talks to
-  // the shim, the shim talks to the backend. Absent --nat/--impair the shim
-  // is not even constructed — the UDP path is byte-identical to before.
-  std::unique_ptr<net::ShimStack> shim;
-  std::ofstream shim_log;
-  net::Stack* stack = &backend;
-  if (natted || opt.impair.any()) {
-    net::ShimConfig scfg;
-    scfg.seed = opt.seed ^ (opt.id * 0x9e3779b97f4a7c15ull);
-    if (opt.nat_lease > 0) scfg.nat.lease = opt.nat_lease;
-    scfg.reserve = [&backend](std::uint32_t bind_ip) {
-      return backend.reserve_endpoint_on(bind_ip);
-    };
-    shim = std::make_unique<net::ShimStack>(backend, backend, std::move(scfg));
-    net::ShimProfile profile;
-    profile.nat = opt.nat;
-    profile.device_ip = device_ip_for(opt.id);
-    profile.impair = opt.impair;
-    shim->set_profile(ep, profile);
+  WhisperNode& node = *live->node;
+  const Endpoint ep = node.internal_endpoint();
+  if (live->rebound) logger.warn("port_rebound", {{"ep", ep.str()}});
+  if (live->restored) {
+    logger.info("restart_from_state",
+                {{"incarnation", node.transport().incarnation()}, {"ep", ep.str()}});
+  }
+  flight.set_node_resolver([&live](Endpoint e) { return live->id_of(e); });
+  if (live->shim != nullptr) {
     shim_log.open(opt.dir + "/shim." + std::to_string(opt.id) + ".jsonl",
                   std::ios::app);
     if (shim_log.is_open()) {
-      shim->set_event_sink([&shim_log](const net::ShimEvent& ev) {
+      live->shim->set_event_sink([&shim_log](const net::ShimEvent& ev) {
         shim_log << net::shim_event_json(ev) << "\n";
       });
     }
-    stack = shim.get();
-    logger.info("shim", {{"nat", nat::nat_type_name(opt.nat)},
-                         {"device_ip", Endpoint{profile.device_ip, 0}.str()}});
+    logger.info("shim", {{"nat", nat::nat_type_name(opt.shim.nat)}});
   }
-
-  NodeConfig cfg = realtime_node_config();
-  // Identity: from the store when persistent (identical keys across
-  // restarts — that IS the recovery claim), otherwise the pool's key for
-  // this id, built alone rather than with the id keys before it.
-  const crypto::RsaKeyPair identity =
-      storep != nullptr ? store.state().identity : keypair_for_index(opt.id, cfg.rsa_bits);
-  cfg.transport.incarnation = storep != nullptr ? store.state().incarnation : 0;
-
-  Rng rng(opt.seed ^ (opt.id * 0x9e3779b97f4a7c15ull));
-  WhisperNode node(backend, *stack, NodeId{opt.id}, ep, /*is_public=*/!natted,
-                   identity, cfg, rng.fork(),
-                   telemetry::Sinks{&registry, &flight});
-  flight.set_node_resolver([ep, &opt](Endpoint e) {
-    return e == ep ? opt.id : 0ull;
-  });
 
   Orchestrator orch{opt,    backend, node, /*is_leader=*/opt.id == 1,
                     storep, logger,  registry};
-  orch.shim = shim.get();
+  orch.shim = live->shim.get();
   orch.boot_at = backend.now();
   orch.publish_stats();
 
@@ -808,18 +673,18 @@ int main(int argc, char** argv) {
       bootstrap.push_back(pss::ContactCard::deserialize(r));
     }
     if (bootstrap.size() == opt.nodes - 1) {
-      node.start(bootstrap);
+      const std::size_t used = live->start(bootstrap);
       started = true;
       if (storep != nullptr) {
         store.state().peer_hints = bootstrap;
-        store.commit();
+        orch.commit_state();
       }
       // Re-announce into PSS happened via start(); now resurrect group
       // membership and (members) kick off the passport re-validation.
       orch.resume_from_store();
       logger.info("up", {{"ep", ep.str()},
-                         {"bootstrap", (unsigned long long)bootstrap.size()},
-                         {"recovered", restored}});
+                         {"bootstrap", (unsigned long long)used},
+                         {"recovered", live->restored}});
       return;
     }
     backend.schedule_after(50 * net::kMillisecond, boot_poll);
@@ -873,5 +738,5 @@ int main(int argc, char** argv) {
     logger.info("flight_export", {{"records", (unsigned long long)records.size()},
                                   {"path", opt.flight_path}});
   }
-  return orch.done ? orch.exit_code : 1;
+  return orch.done ? 0 : 1;
 }

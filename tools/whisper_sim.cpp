@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <string>
 
+#include "args.hpp"
 #include "churn/churn.hpp"
 #include "faults/script.hpp"
 #include "pss/metrics.hpp"
@@ -53,16 +54,6 @@ double arg_double(int argc, char** argv, const std::string& key, double fallback
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind(prefix, 0) == 0) return std::stod(a.substr(prefix.size()));
-  }
-  return fallback;
-}
-
-std::string arg_string(int argc, char** argv, const std::string& key,
-                       const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
   }
   return fallback;
 }

@@ -36,6 +36,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "args.hpp"
 #include "common/bytes.hpp"
 #include "common/file.hpp"
 #include "telemetry/health.hpp"
@@ -43,24 +44,6 @@
 namespace tel = whisper::telemetry;
 
 namespace {
-
-std::string arg_string(int argc, char** argv, const std::string& key,
-                       const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return fallback;
-}
-
-bool arg_flag(int argc, char** argv, const std::string& key) {
-  const std::string flag = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 /// Node ids found as stats.I files in the rendezvous dir, ascending.
 std::vector<std::uint64_t> discover_nodes(const std::string& dir) {

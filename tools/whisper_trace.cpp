@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight.hpp"
@@ -41,24 +42,6 @@
 using namespace whisper;
 
 namespace {
-
-std::string arg_string(int argc, char** argv, const std::string& key,
-                       const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return fallback;
-}
-
-bool arg_flag(int argc, char** argv, const std::string& key) {
-  const std::string flag = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 // First non-option argument after `skip` positionals (argv[0] + command...).
 std::string positional(int argc, char** argv, int index) {
