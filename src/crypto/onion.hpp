@@ -6,12 +6,14 @@
 // with the hybrid envelope. The message body is AES-CTR(k, content) and
 // travels next to the onion header unchanged; only D can read it.
 //
-// A mix that peels its layer learns only the next hop — it cannot tell
-// whether the next hop is another mix or the destination, nor whether its
-// predecessor was a mix or the source (relationship anonymity). Note that
-// headers shrink by one envelope per hop; the paper does not employ
-// fixed-size cells and neither do we (single-link observers are in scope,
-// multi-point traffic analysis is excluded by the threat model).
+// A mix that peels its layer learns the next hop's id from the layer.
+// Nothing in the layer says whether that hop is another mix or the
+// destination, but the header does: it shrinks by one envelope per hop (the
+// paper uses no fixed-size cells, and neither do we), so for a known path
+// length f its size tells a mix, and anyone watching its links, which hop
+// of the path it is: whether its predecessor was the source and whether
+// its next hop is the destination. Multi-point traffic analysis stays
+// outside the threat model.
 #pragma once
 
 #include <optional>

@@ -1,7 +1,7 @@
 // The datagram as protocol code sees it, independent of the backend that
-// carried it. Moved out of sim::Network so the same struct flows through
-// the deterministic simulator and the real UDP/epoll stack; sim:: keeps
-// aliases for source compatibility.
+// carried it: the same struct flows through the deterministic simulator and
+// the real UDP/epoll stack, and so do the protocol tags and drop reasons
+// that label their traffic metrics (net/traffic.hpp).
 #pragma once
 
 #include <cstdint>

@@ -147,8 +147,18 @@ std::string shim_event_json(const ShimEvent& ev) {
   return buf;
 }
 
-ShimStack::ShimStack(Clock& clock, Stack& inner, ShimConfig config)
-    : clock_(clock), inner_(inner), config_(std::move(config)) {}
+ShimStack::ShimStack(Clock& clock, Stack& inner, ShimConfig config,
+                     telemetry::Scope telemetry)
+    : clock_(clock), inner_(inner), config_(std::move(config)), tel_(telemetry),
+      m_impair_dropped_(tel_.counter("shim.impair.dropped")),
+      m_impair_duplicated_(tel_.counter("shim.impair.duplicated")),
+      m_impair_delayed_(tel_.counter("shim.impair.delayed")),
+      m_rate_dropped_(tel_.counter("shim.rate.dropped")),
+      m_nat_filtered_(tel_.counter("shim.nat.filtered")),
+      m_nat_mappings_(tel_.counter("shim.nat.mappings")),
+      m_nat_expired_(tel_.counter("shim.nat.expired")),
+      m_nat_reboots_(tel_.counter("shim.nat.reboots")),
+      m_nat_active_(tel_.gauge("shim.nat.active")) {}
 
 ShimStack::~ShimStack() {
   for (auto& [ep, n] : nodes_) {
@@ -184,6 +194,7 @@ void ShimStack::attach(Endpoint internal_ep, Handler handler) {
   // port numbers, so same-seed runs sample identical schedules.
   NodeState n(Rng(config_.seed + 0x9e3779b97f4a7c15ull * (nodes_created_ + 1)));
   ++nodes_created_;
+  tel_.counter("shim.nodes", {{"nat", nat::nat_type_name(profile.nat)}}).add(1);
   n.internal = internal_ep;
   n.profile = profile;
   if (profile.nat != nat::NatType::kNone) {
@@ -217,6 +228,7 @@ void ShimStack::detach(Endpoint internal_ep) {
       inner_.detach(ext);
       mapping_owner_.erase(ext);
     }
+    m_nat_active_.add(-static_cast<double>(n.mapping_eps.size()));
     nodes_.erase(it);
   }
   inner_.detach(internal_ep);
@@ -231,7 +243,8 @@ bool ShimStack::attached(Endpoint internal_ep) const {
 }
 
 void ShimStack::adopt_mapping(NodeState& n, Endpoint external) {
-  ++nat_mappings_created_;
+  count(nat_mappings_created_, m_nat_mappings_);
+  m_nat_active_.add(1);
   mapping_owner_[external] = n.internal;
   n.mapping_eps[external.port] = external;
   inner_.attach(external, [this, internal = n.internal](const Datagram& d) {
@@ -252,6 +265,7 @@ void ShimStack::close_mapping(NodeState& n, std::uint16_t port) {
   inner_.detach(eit->second);
   mapping_owner_.erase(eit->second);
   n.mapping_eps.erase(eit);
+  m_nat_active_.add(-1);
   if (const auto tit = n.mapping_timers.find(port); tit != n.mapping_timers.end()) {
     clock_.cancel(tit->second);
     n.mapping_timers.erase(tit);
@@ -276,7 +290,7 @@ void ShimStack::check_mapping_expiry(Endpoint internal_ep, std::uint16_t port) {
   const auto eit = n->mapping_eps.find(port);
   const Endpoint ext = eit != n->mapping_eps.end() ? eit->second : Endpoint{};
   close_mapping(*n, port);
-  ++nat_expired_;
+  count(nat_expired_, m_nat_expired_);
   emit_event("nat_expire", ext, internal_ep, 0, 0);
 }
 
@@ -285,7 +299,7 @@ void ShimStack::on_mapping_rx(Endpoint internal_ep, const Datagram& dgram) {
   if (n == nullptr) return;
   const auto internal = n->device->inbound(dgram.dst.port, dgram.src);
   if (!internal) {
-    ++nat_filtered_;
+    count(nat_filtered_, m_nat_filtered_);
     emit_event("nat_filter", dgram.dst, dgram.src, 0, 0);
     return;
   }
@@ -349,7 +363,7 @@ bool ShimStack::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
     const Time now = clock_.now();
     const Time start = std::max(now, n->rate_free_at);
     if (start - now > kRateHorizon) {
-      ++rate_dropped_;
+      count(rate_dropped_, m_rate_dropped_);
       emit_event("rate_drop", wire_src, public_dst, d.seq, 0);
       return true;
     }
@@ -358,7 +372,7 @@ bool ShimStack::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
     d.delay1 += start - now;
   }
   if (d.dropped) {
-    ++impair_dropped_;
+    count(impair_dropped_, m_impair_dropped_);
     emit_event("loss", wire_src, public_dst, d.seq, 0);
     return true;  // emitted, then died on the (emulated) wire
   }
@@ -366,13 +380,13 @@ bool ShimStack::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
   for (std::size_t i = 0; i < d.copies; ++i) {
     const Time hold = i == 0 ? d.delay0 : d.delay1;
     if (i > 0) {
-      ++impair_duplicated_;
+      count(impair_duplicated_, m_impair_duplicated_);
       emit_event("dup", wire_src, public_dst, d.seq, hold);
     }
     if (hold == 0) {
       inner_.send(wire_src, public_dst, payload, proto);
     } else {
-      ++impair_delayed_;
+      count(impair_delayed_, m_impair_delayed_);
       const telemetry::TraceContext ctx =
           flight_ != nullptr ? flight_->context() : telemetry::TraceContext{};
       clock_.schedule_after(hold, [this, wire_src, public_dst,
@@ -405,7 +419,7 @@ std::size_t ShimStack::nat_reboot() {
     dropped += ports.size();
     if (!ports.empty()) emit_event("nat_reboot", ep, Endpoint{}, ports.size(), 0);
   }
-  if (dropped > 0) ++nat_reboots_;
+  if (dropped > 0) count(nat_reboots_, m_nat_reboots_);
   return dropped;
 }
 

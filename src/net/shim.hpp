@@ -38,6 +38,7 @@
 #include "common/rng.hpp"
 #include "nat/rules.hpp"
 #include "net/spi.hpp"
+#include "telemetry/scope.hpp"
 
 namespace whisper::net {
 
@@ -113,7 +114,10 @@ struct ShimConfig {
 
 class ShimStack final : public Stack {
  public:
-  ShimStack(Clock& clock, Stack& inner, ShimConfig config);
+  /// `telemetry` receives the `shim.*` counters below (summed over every
+  /// shim that shares its registry); the default drops them.
+  ShimStack(Clock& clock, Stack& inner, ShimConfig config,
+            telemetry::Scope telemetry = {});
   ~ShimStack() override;
 
   ShimStack(const ShimStack&) = delete;
@@ -163,7 +167,11 @@ class ShimStack final : public Stack {
   /// Live mappings across all devices.
   std::size_t mappings_active() const;
 
-  // --- Counters (exported as node metrics by whisper_noded). ---
+  // --- Counters. Each also adds to its registry metric:
+  // shim.impair.{dropped,duplicated,delayed}, shim.rate.dropped and
+  // shim.nat.{filtered,mappings,expired,reboots}. The registry also gets
+  // the gauge shim.nat.active (mapping sockets open now) and
+  // shim.nodes{nat=TYPE} (endpoints fronted, by NAT type). ---
   std::uint64_t impair_dropped() const { return impair_dropped_; }
   std::uint64_t impair_duplicated() const { return impair_duplicated_; }
   std::uint64_t impair_delayed() const { return impair_delayed_; }
@@ -201,6 +209,11 @@ class ShimStack final : public Stack {
   void check_mapping_expiry(Endpoint internal_ep, std::uint16_t port);
   void emit_event(const char* kind, Endpoint a, Endpoint b, std::uint64_t seq,
                   Time delay);
+  /// Bump a counter and its registry metric together.
+  static void count(std::uint64_t& counter, telemetry::Counter& metric) {
+    ++counter;
+    metric.add(1);
+  }
 
   Clock& clock_;
   Stack& inner_;
@@ -223,6 +236,17 @@ class ShimStack final : public Stack {
   std::uint64_t nat_mappings_created_ = 0;
   std::uint64_t nat_expired_ = 0;
   std::uint64_t nat_reboots_ = 0;
+
+  telemetry::Scope tel_;
+  telemetry::Counter& m_impair_dropped_;
+  telemetry::Counter& m_impair_duplicated_;
+  telemetry::Counter& m_impair_delayed_;
+  telemetry::Counter& m_rate_dropped_;
+  telemetry::Counter& m_nat_filtered_;
+  telemetry::Counter& m_nat_mappings_;
+  telemetry::Counter& m_nat_expired_;
+  telemetry::Counter& m_nat_reboots_;
+  telemetry::Gauge& m_nat_active_;
 };
 
 }  // namespace whisper::net

@@ -95,7 +95,15 @@ Endpoint from_sockaddr(const sockaddr_in& sa) {
 
 }  // namespace
 
-UdpBackend::UdpBackend(Config config) : config_(config), rx_buf_(kMaxDatagram) {
+UdpBackend::UdpBackend(Config config, telemetry::Registry* registry)
+    : config_(config),
+      owned_registry_(registry == nullptr ? std::make_unique<telemetry::Registry>()
+                                          : nullptr),
+      registry_(registry != nullptr ? registry : owned_registry_.get()),
+      traffic_(*registry_),
+      frame_rejects_(&registry_->counter("udp.frame_rejects")),
+      rx_kernel_drops_(&registry_->counter("udp.rx_kernel_drops")),
+      rx_buf_(kMaxDatagram) {
   epoch_ns_ = config_.epoch_ns >= 0 ? static_cast<std::uint64_t>(config_.epoch_ns)
                                     : monotonic_ns();
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
@@ -225,7 +233,7 @@ void UdpBackend::emit(int fd, Endpoint src, Endpoint dst, const Bytes& payload,
 
   if (config_.send_error_hook) {
     if (const int injected = config_.send_error_hook(dst); injected != 0) {
-      count_drop(classify_sendto_errno(injected));
+      traffic_.dropped(classify_sendto_errno(injected));
       return;
     }
   }
@@ -242,7 +250,7 @@ void UdpBackend::emit(int fd, Endpoint src, Endpoint dst, const Bytes& payload,
     // ICMP-driven refusals (a crashed peer's port answering with
     // port-unreachable) are operationally different from random loss, and
     // none of them may kill the loop.
-    count_drop(classify_sendto_errno(errno));
+    traffic_.dropped(classify_sendto_errno(errno));
     return;
   }
   bytes_sent_ += static_cast<std::uint64_t>(n);
@@ -255,7 +263,7 @@ bool UdpBackend::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
   auto it = sockets_.find(internal_src);
   if (it == sockets_.end()) return false;
   const int fd = it->second.fd;
-  ++packets_sent_;
+  traffic_.sent(proto, payload.size());
 
   Datagram dgram{internal_src, public_dst, std::move(payload), proto, {}};
   const bool tracing_flight = flight_ != nullptr && flight_->enabled();
@@ -269,12 +277,12 @@ bool UdpBackend::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
     extra_delay = verdict.extra_delay;
   }
   if (copies == 0) {
-    count_drop(DropReason::kFault);
+    traffic_.dropped(DropReason::kFault);
     return true;  // the sender emitted it; it died on the wire
   }
 
   for (std::size_t i = 0; i < copies; ++i) {
-    if (i > 0) ++packets_duplicated_;
+    if (i > 0) traffic_.duplicated();
     if (tracing_flight && dgram.trace.valid()) {
       // Without trace_wire the context cannot travel inside the datagram
       // (zero wire bytes), so this backend records only the sender's side
@@ -297,7 +305,7 @@ bool UdpBackend::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
                                    trace = dgram.trace] {
         auto sit = sockets_.find(internal_src);
         if (sit == sockets_.end()) {
-          count_drop(DropReason::kLoss);
+          traffic_.dropped(DropReason::kLoss);
           return;
         }
         emit(sit->second.fd, internal_src, public_dst, payload, proto,
@@ -311,10 +319,10 @@ bool UdpBackend::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
 void UdpBackend::redeliver(Endpoint internal_dst, Datagram dgram) {
   auto it = sockets_.find(internal_dst);
   if (it == sockets_.end() || it->second.handler == nullptr) {
-    count_drop(DropReason::kDetach);
+    traffic_.dropped(DropReason::kDetach);
     return;
   }
-  ++packets_delivered_;
+  traffic_.delivered(dgram.proto, dgram.payload.size());
   it->second.handler(dgram);
 }
 
@@ -322,7 +330,7 @@ void UdpBackend::deliver(SocketState& sock, Datagram dgram) {
   if (faults_ != nullptr) {
     switch (faults_->on_deliver(dgram.src, sock.ep, dgram)) {
       case FaultInterposer::Gate::kDrop:
-        count_drop(DropReason::kFault);
+        traffic_.dropped(DropReason::kFault);
         return;
       case FaultInterposer::Gate::kQueue:
         return;  // interposer owns it now
@@ -331,10 +339,10 @@ void UdpBackend::deliver(SocketState& sock, Datagram dgram) {
     }
   }
   if (sock.handler == nullptr) {
-    count_drop(DropReason::kDetach);
+    traffic_.dropped(DropReason::kDetach);
     return;
   }
-  ++packets_delivered_;
+  traffic_.delivered(dgram.proto, dgram.payload.size());
   // A context parsed off a version-2 frame (trace_wire sender) pairs the
   // remote wire_out with a local wire_in and arms the ambient context —
   // exactly what the sim network does on delivery — so the causal chain
@@ -383,7 +391,7 @@ void UdpBackend::drain_socket(int fd) {
       if (auto sit = sockets_.find(ep); sit != sockets_.end()) {
         // The cmsg carries a cumulative per-socket counter; fold the delta
         // into the backend-wide total (the counter can wrap at 2^32).
-        rx_kernel_drops_ += dropped - sit->second.rxq_ovfl;
+        rx_kernel_drops_->add(dropped - sit->second.rxq_ovfl);
         sit->second.rxq_ovfl = dropped;
       }
     }
@@ -392,13 +400,13 @@ void UdpBackend::drain_socket(int fd) {
         buf[1] != kMagic1 ||
         (buf[2] != kVersion && buf[2] != kVersionTraced) ||
         buf[3] >= static_cast<std::uint8_t>(Proto::kCount)) {
-      ++frame_rejects_;  // stray or hostile datagram; not ours
+      frame_rejects_->add(1);  // stray or hostile datagram; not ours
       continue;
     }
     std::size_t payload_off = kHeaderLen;
     if (buf[2] == kVersionTraced) {
       if (static_cast<std::size_t>(n) < kHeaderLen + kTraceCtxLen) {
-        ++frame_rejects_;  // truncated trace extension
+        frame_rejects_->add(1);  // truncated trace extension
         continue;
       }
       payload_off += kTraceCtxLen;

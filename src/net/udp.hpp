@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +37,8 @@
 #include "common/bytes.hpp"
 #include "net/spi.hpp"
 #include "net/timer_queue.hpp"
+#include "net/traffic.hpp"
+#include "telemetry/registry.hpp"
 
 namespace whisper::telemetry {
 class FlightRecorder;
@@ -70,7 +73,11 @@ class UdpBackend final : public Clock, public Stack {
  public:
   using Config = UdpConfig;
 
-  explicit UdpBackend(Config config = {});
+  /// `registry` hosts the traffic metrics: the `net.*` names the simulator
+  /// exports (net::TrafficMetrics, payload bytes) plus `udp.frame_rejects`
+  /// and `udp.rx_kernel_drops`. When null the backend owns a private one,
+  /// so the counters below are always registry-backed.
+  explicit UdpBackend(Config config = {}, telemetry::Registry* registry = nullptr);
   ~UdpBackend() override;
 
   UdpBackend(const UdpBackend&) = delete;
@@ -94,8 +101,8 @@ class UdpBackend final : public Clock, public Stack {
   bool send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
             Proto proto) override;
   void redeliver(Endpoint internal_dst, Datagram dgram) override;
-  std::uint64_t packets_sent() const override { return packets_sent_; }
-  std::uint64_t packets_delivered() const override { return packets_delivered_; }
+  std::uint64_t packets_sent() const override { return traffic_.packets_sent(); }
+  std::uint64_t packets_delivered() const override { return traffic_.packets_delivered(); }
   void set_fault_interposer(FaultInterposer* faults) override { faults_ = faults; }
   void set_flight(telemetry::FlightRecorder* flight) override { flight_ = flight; }
 
@@ -135,16 +142,15 @@ class UdpBackend final : public Clock, public Stack {
   bool stop_requested() const { return stop_requested_.load(std::memory_order_relaxed); }
 
   // --- Introspection. ---
-  std::uint64_t packets_dropped(DropReason r) const {
-    return packets_dropped_[static_cast<std::size_t>(r)];
-  }
+  std::uint64_t packets_dropped(DropReason r) const { return traffic_.packets_dropped(r); }
   /// Stray/garbage datagrams rejected by the frame-header check.
-  std::uint64_t frame_rejects() const { return frame_rejects_; }
+  std::uint64_t frame_rejects() const { return frame_rejects_->value(); }
   /// Datagrams the kernel dropped on our receive queues (SO_RXQ_OVFL),
   /// summed across sockets. Distinguishes kernel overflow from shim/network
   /// loss in fleet stats: this counter moving means the event loop is not
   /// draining fast enough, not that the (emulated) network is lossy.
-  std::uint64_t rx_kernel_drops() const { return rx_kernel_drops_; }
+  std::uint64_t rx_kernel_drops() const { return rx_kernel_drops_->value(); }
+  /// Framed wire bytes: payloads plus the frame header (and trace context).
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
   std::size_t pending_timers() const { return timers_.pending(); }
@@ -170,9 +176,13 @@ class UdpBackend final : public Clock, public Stack {
   /// non-null emits a version-2 frame carrying the context (trace_wire).
   void emit(int fd, Endpoint src, Endpoint dst, const Bytes& payload, Proto proto,
             const telemetry::TraceContext* trace = nullptr);
-  void count_drop(DropReason r) { ++packets_dropped_[static_cast<std::size_t>(r)]; }
 
   Config config_;
+  std::unique_ptr<telemetry::Registry> owned_registry_;  // when none injected
+  telemetry::Registry* registry_;                        // never null
+  TrafficMetrics traffic_;
+  telemetry::Counter* frame_rejects_;
+  telemetry::Counter* rx_kernel_drops_;
   int epoll_fd_ = -1;
   int timer_fd_ = -1;  // CLOCK_MONOTONIC timerfd in the epoll set: poll()'s wake-up
   std::uint64_t armed_ns_ = 0;  // timer_fd_'s expiry (CLOCK_MONOTONIC ns); 0 = idle
@@ -185,12 +195,6 @@ class UdpBackend final : public Clock, public Stack {
   FaultInterposer* faults_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
   std::atomic<bool> stop_requested_{false};
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t packets_delivered_ = 0;
-  std::uint64_t packets_duplicated_ = 0;
-  std::uint64_t packets_dropped_[static_cast<std::size_t>(DropReason::kCount)] = {};
-  std::uint64_t frame_rejects_ = 0;
-  std::uint64_t rx_kernel_drops_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
   std::string last_error_;

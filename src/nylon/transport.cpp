@@ -65,9 +65,18 @@ std::optional<Transport::DataMsg> Transport::DataMsg::parse(Reader& r) {
 }
 
 Transport::Transport(net::Clock& clock, net::Stack& net, NodeId self, Endpoint internal_ep,
-                     bool is_public, TransportConfig config)
+                     bool is_public, TransportConfig config, telemetry::Scope telemetry)
     : clock_(clock), net_(net), self_(self), internal_ep_(internal_ep), is_public_(is_public),
-      config_(config) {
+      config_(config),
+      m_sends_direct_(telemetry.counter("nylon.sends.direct")),
+      m_sends_punched_(telemetry.counter("nylon.sends.punched")),
+      m_sends_relayed_(telemetry.counter("nylon.sends.relayed")),
+      m_probes_sent_(telemetry.counter("nylon.probes.sent")),
+      m_probe_retries_(telemetry.counter("nylon.probes.retries")),
+      m_routes_invalidated_(telemetry.counter("nylon.routes.invalidated")),
+      m_registrations_(telemetry.counter("nylon.registrations")),
+      m_peer_restarts_(telemetry.counter("nylon.peer_restarts")),
+      m_decode_rejects_(telemetry.counter("nylon.decode.rejects")) {
   net_.attach(internal_ep_, [this](const net::Datagram& d) { on_datagram(d); });
   attached_ = true;
 }
@@ -178,11 +187,13 @@ bool Transport::send(const pss::ContactCard& card, std::uint8_t tag, BytesView p
       consider_probe(card.id, it->second.endpoint);
     }
     ++sends_punched_;
+    m_sends_punched_.add(1);
     return net_.send(internal_ep_, it->second.endpoint, msg.serialize(), proto);
   }
   // 2. P-node: its address is globally reachable.
   if (card.is_public) {
     ++sends_direct_;
+    m_sends_direct_.add(1);
     return net_.send(internal_ep_, card.addr, msg.serialize(), proto);
   }
   // 3. We are the target's relay: forward from our own registration table.
@@ -192,6 +203,7 @@ bool Transport::send(const pss::ContactCard& card, std::uint8_t tag, BytesView p
     msg.relayed = true;
     msg.observed_src = internal_ep_;  // we are public; peers see this address
     ++sends_relayed_;
+    m_sends_relayed_.add(1);
     return net_.send(internal_ep_, it->second.external, msg.serialize(), proto);
   }
   // 4. Via the target's relay.
@@ -202,6 +214,7 @@ bool Transport::send(const pss::ContactCard& card, std::uint8_t tag, BytesView p
   w.node_id(card.id);
   w.bytes(msg.serialize());
   ++sends_relayed_;
+  m_sends_relayed_.add(1);
   return net_.send(internal_ep_, card.addr, std::move(w).take(), proto);
 }
 
@@ -219,6 +232,7 @@ bool Transport::send_by_id(NodeId to, std::uint8_t tag, BytesView payload, net::
       consider_probe(to, it->second.endpoint);
     }
     ++sends_punched_;
+    m_sends_punched_.add(1);
     return net_.send(internal_ep_, it->second.endpoint, msg.serialize(), proto);
   }
   if (auto it = registrations_.find(to);
@@ -226,6 +240,7 @@ bool Transport::send_by_id(NodeId to, std::uint8_t tag, BytesView payload, net::
     msg.relayed = true;
     msg.observed_src = internal_ep_;
     ++sends_relayed_;
+    m_sends_relayed_.add(1);
     return net_.send(internal_ep_, it->second.external, msg.serialize(), proto);
   }
   return false;
@@ -235,7 +250,7 @@ void Transport::on_datagram(const net::Datagram& dgram) {
   Reader r(dgram.payload);
   const auto type = static_cast<MsgType>(r.u8());
   if (!r.ok()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   switch (type) {
@@ -258,7 +273,7 @@ void Transport::on_datagram(const net::Datagram& dgram) {
       handle_probe_ack(dgram, r);
       break;
     default:
-      ++decode_rejects_;  // unknown frame type
+      reject_frame();  // unknown frame type
       break;
   }
 }
@@ -266,7 +281,7 @@ void Transport::on_datagram(const net::Datagram& dgram) {
 void Transport::handle_data(const net::Datagram& dgram, Reader& r) {
   auto msg = DataMsg::parse(r);
   if (!msg || msg->from.is_nil()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   if (!observe_incarnation(msg->from, msg->incarnation)) return;  // stale straggler
@@ -290,6 +305,7 @@ void Transport::handle_data(const net::Datagram& dgram, Reader& r) {
       // drop it and court the new candidate.
       direct_routes_.erase(it);
       ++routes_invalidated_;
+      m_routes_invalidated_.add(1);
       consider_probe(msg->from, msg->observed_src);
     }
   }
@@ -311,7 +327,7 @@ void Transport::handle_forward(const net::Datagram& dgram, Reader& r) {
   const NodeId dst = r.node_id();
   Bytes inner = r.bytes(kMaxForwardBytes);
   if (!r.expect_done()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
 
@@ -323,12 +339,12 @@ void Transport::handle_forward(const net::Datagram& dgram, Reader& r) {
   Reader ir(inner);
   const auto type = static_cast<MsgType>(ir.u8());
   if (type != MsgType::kData) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   auto msg = DataMsg::parse(ir);
   if (!msg || msg->from.is_nil()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   msg->observed_src = dgram.src;
@@ -341,7 +357,7 @@ void Transport::handle_register(const net::Datagram& dgram, Reader& r) {
   const NodeId who = r.node_id();
   const std::uint32_t incarnation = r.u32();
   if (!r.expect_done() || who.is_nil()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   if (!observe_incarnation(who, incarnation)) return;  // stale pre-crash register
@@ -369,7 +385,7 @@ void Transport::handle_register_ack(Reader& r) {
   const NodeId from = r.node_id();
   const std::uint32_t incarnation = r.u32();
   if (!r.expect_done()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   if (!observe_incarnation(from, incarnation)) return;
@@ -378,6 +394,7 @@ void Transport::handle_register_ack(Reader& r) {
   const bool first_ack = !registered_;
   unanswered_keepalives_ = 0;
   registered_ = true;
+  if (first_ack) m_registrations_.add(1);
   if (first_ack && !was_backed_off && attached_ && keepalive_timer_ != 0) {
     // The fast-retry timer is still armed at its short cadence; the relay
     // answered, so fall back to the normal keepalive rhythm.
@@ -423,6 +440,7 @@ void Transport::send_probe_frame(Endpoint target, std::uint32_t seq) {
   w.u32(seq);
   w.u32(config_.incarnation);
   ++probes_sent_;
+  m_probes_sent_.add(1);
   net_.send(internal_ep_, target, std::move(w).take(), net::Proto::kControl);
 }
 
@@ -447,6 +465,7 @@ void Transport::probe_sweep() {
       send_probe_frame(p.target, p.seq);
       ++p.retries;
       ++probe_retries_;
+      m_probe_retries_.add(1);
       p.sent_at = now;
     }
     if (p.retries < kProbeMaxRetries) pending_left = true;
@@ -459,7 +478,7 @@ void Transport::handle_probe(const net::Datagram& dgram, Reader& r) {
   const std::uint32_t seq = r.u32();
   const std::uint32_t incarnation = r.u32();
   if (!r.expect_done()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   if (!observe_incarnation(from, incarnation)) return;
@@ -478,7 +497,7 @@ void Transport::handle_probe_ack(const net::Datagram& dgram, Reader& r) {
   const std::uint32_t seq = r.u32();
   const std::uint32_t incarnation = r.u32();
   if (!r.expect_done()) {
-    ++decode_rejects_;
+    reject_frame();
     return;
   }
   if (!observe_incarnation(from, incarnation)) return;
@@ -525,6 +544,7 @@ bool Transport::observe_incarnation(NodeId peer, std::uint32_t incarnation) {
     probes_.erase(peer);
     registrations_.erase(peer);
     ++peer_restarts_;
+    m_peer_restarts_.add(1);
     if (on_peer_restart) on_peer_restart(peer);
   }
   return true;

@@ -23,6 +23,7 @@
 #include "pss/contact.hpp"
 #include "net/cpumeter.hpp"
 #include "net/spi.hpp"
+#include "telemetry/scope.hpp"
 
 namespace whisper::nylon {
 
@@ -68,8 +69,10 @@ inline constexpr int kRelayLossThreshold = 3;
 
 class Transport {
  public:
+  /// `telemetry` receives the `nylon.*` counters, summed over every node
+  /// that shares its registry; the accessors below stay per node.
   Transport(net::Clock& clock, net::Stack& net, NodeId self, Endpoint internal_ep,
-            bool is_public, TransportConfig config = {});
+            bool is_public, TransportConfig config = {}, telemetry::Scope telemetry = {});
   ~Transport();
 
   Transport(const Transport&) = delete;
@@ -105,7 +108,7 @@ class Transport {
   /// proof-of-life instead of being mis-acked against the old process.
   std::function<void(NodeId peer)> on_peer_restart;
 
-  /// Peer restarts observed (incarnation bumps).
+  /// Peer restarts observed (incarnation bumps); nylon.peer_restarts.
   std::uint64_t peer_restarts() const { return peer_restarts_; }
   /// Frames dropped for carrying an incarnation older than the peer's
   /// highest seen (pre-crash stragglers).
@@ -130,19 +133,24 @@ class Transport {
   /// True if a verified, fresh direct route to `peer` exists.
   bool can_send_direct(NodeId peer) const;
 
-  // --- Traversal stats (fed into health metrics / whisper_top). ---
+  // --- Traversal stats. Each counter also feeds the registry metric named
+  // beside it. ---
   /// True once the current relay has acked a registration (N-nodes); P-nodes
-  /// report true.
+  /// report true. nylon.registrations counts each unregistered -> registered
+  /// step of an N-node.
   bool registered() const { return is_public_ || registered_; }
   /// Sends by resolved path: a verified punched route, a directly-reachable
-  /// public address, or a relay hop (either side of it).
+  /// public address, or a relay hop (either side of it); nylon.sends.punched,
+  /// .direct and .relayed.
   std::uint64_t sends_punched() const { return sends_punched_; }
   std::uint64_t sends_direct() const { return sends_direct_; }
   std::uint64_t sends_relayed() const { return sends_relayed_; }
+  /// nylon.probes.sent and nylon.probes.retries.
   std::uint64_t probes_sent() const { return probes_sent_; }
   std::uint64_t probe_retries() const { return probe_retries_; }
   /// Punched routes dropped because the relay observed the peer at a new
-  /// external address (NAT reboot / mapping expiry on the peer's side).
+  /// external address (NAT reboot / mapping expiry on the peer's side);
+  /// nylon.routes.invalidated.
   std::uint64_t routes_invalidated() const { return routes_invalidated_; }
   /// Verified punched routes currently fresh.
   std::size_t direct_route_count() const;
@@ -161,7 +169,8 @@ class Transport {
   std::size_t relayed_registrations() const;
 
   /// Malformed frames rejected at this layer (bad type byte, truncated
-  /// fields, trailing garbage, oversized forward payloads).
+  /// fields, trailing garbage, oversized forward payloads);
+  /// nylon.decode.rejects.
   std::uint64_t decode_rejects() const { return decode_rejects_; }
   /// Entries evicted from peer-driven tables to enforce the hard caps.
   std::uint64_t cap_evictions() const { return cap_evictions_; }
@@ -200,6 +209,10 @@ class Transport {
   /// must be dropped; on a bump, purges per-peer state and fires
   /// on_peer_restart.
   bool observe_incarnation(NodeId peer, std::uint32_t incarnation);
+  void reject_frame() {
+    ++decode_rejects_;
+    m_decode_rejects_.add(1);
+  }
 
   net::Clock& clock_;
   net::Stack& net_;
@@ -261,6 +274,16 @@ class Transport {
   std::uint64_t probes_sent_ = 0;
   std::uint64_t probe_retries_ = 0;
   std::uint64_t routes_invalidated_ = 0;
+
+  telemetry::Counter& m_sends_direct_;
+  telemetry::Counter& m_sends_punched_;
+  telemetry::Counter& m_sends_relayed_;
+  telemetry::Counter& m_probes_sent_;
+  telemetry::Counter& m_probe_retries_;
+  telemetry::Counter& m_routes_invalidated_;
+  telemetry::Counter& m_registrations_;
+  telemetry::Counter& m_peer_restarts_;
+  telemetry::Counter& m_decode_rejects_;
 };
 
 }  // namespace whisper::nylon

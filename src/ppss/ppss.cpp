@@ -100,6 +100,7 @@ Ppss::Ppss(net::Clock& clock, wcl::Wcl& wcl, NodeId self, GroupId group, net::Cp
       m_passport_checks_(tel_.counter("ppss.passport.checks")),
       m_passport_bad_(tel_.counter("ppss.passport.bad")),
       m_joins_served_(tel_.counter("ppss.joins.served")),
+      m_joins_abandoned_(tel_.counter("ppss.joins.abandoned")),
       m_decode_rejects_(tel_.counter("ppss.decode.rejects")),
       m_replays_(tel_.counter("ppss.replay.suppressed")),
       m_rate_limited_(tel_.counter("ppss.rate.limited")),
@@ -161,6 +162,8 @@ void Ppss::send_join_request() {
   PendingJoin& pj = *pending_join_;
   if (pj.attempts >= kJoinMaxRetries) {
     pending_join_.reset();
+    ++stats_.joins_abandoned;
+    m_joins_abandoned_.add(1);
     return;
   }
   ++pj.attempts;

@@ -136,6 +136,8 @@ class Ppss {
     std::uint64_t exchanges_timed_out = 0;
     std::uint64_t bad_passports = 0;
     std::uint64_t joins_served = 0;
+    /// Joins given up once every retry went unanswered.
+    std::uint64_t joins_abandoned = 0;
     std::uint64_t elections_won = 0;
     std::uint64_t elections_observed = 0;
     std::uint64_t decode_rejects = 0;
@@ -267,6 +269,7 @@ class Ppss {
   telemetry::Counter& m_passport_checks_;
   telemetry::Counter& m_passport_bad_;
   telemetry::Counter& m_joins_served_;
+  telemetry::Counter& m_joins_abandoned_;
   telemetry::Counter& m_decode_rejects_;
   telemetry::Counter& m_replays_;
   telemetry::Counter& m_rate_limited_;

@@ -35,35 +35,8 @@ Network::Network(Simulator& sim, std::unique_ptr<LatencyModel> latency,
       owned_registry_(registry == nullptr ? std::make_unique<telemetry::Registry>()
                                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
-      latency_salt_(salt) {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(net::Proto::kCount); ++i) {
-    const char* proto = net::proto_name(static_cast<net::Proto>(i));
-    agg_up_[i] = &registry_->counter("net.bytes", {{"proto", proto}, {"dir", "up"}});
-    agg_down_[i] = &registry_->counter("net.bytes", {{"proto", proto}, {"dir", "down"}});
-  }
-  packets_sent_c_ = &registry_->counter("net.packets.sent");
-  packets_delivered_c_ = &registry_->counter("net.packets.delivered");
-  packets_duplicated_c_ = &registry_->counter("net.packets.duplicated");
-  for (std::size_t i = 0; i < static_cast<std::size_t>(net::DropReason::kCount); ++i) {
-    packets_dropped_c_[i] = &registry_->counter(
-        "net.packets.dropped",
-        {{"reason", net::drop_reason_name(static_cast<net::DropReason>(i))}});
-  }
-}
-
-void Network::count_drop(net::DropReason reason) {
-  packets_dropped_c_[static_cast<std::size_t>(reason)]->add(1);
-}
-
-std::uint64_t Network::packets_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto* c : packets_dropped_c_) total += c->value();
-  return total;
-}
-
-std::uint64_t Network::packets_dropped(net::DropReason reason) const {
-  return packets_dropped_c_[static_cast<std::size_t>(reason)]->value();
-}
+      traffic_(*registry_),
+      latency_salt_(salt) {}
 
 std::uint64_t Network::packets_in_flight() const {
   return packets_sent() + packets_duplicated() - packets_delivered() - packets_dropped();
@@ -98,10 +71,8 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, ne
 
   // Account upload at the sender regardless of eventual delivery: bytes
   // leave the sender's uplink either way.
-  const std::size_t pi = static_cast<std::size_t>(proto);
   if (per_node_accounting_) add_node_bytes(internal_src, proto, "up", payload.size());
-  agg_up_[pi]->add(payload.size());
-  packets_sent_c_->add(1);
+  traffic_.sent(proto, payload.size());
 
   net::Datagram dgram{wire_src, public_dst, std::move(payload), proto, {}};
   const bool tracing_flight = flight_ != nullptr && flight_->enabled();
@@ -114,7 +85,7 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, ne
     extra_delay = verdict.extra_delay;
   }
   if (copies == 0) {
-    count_drop(net::DropReason::kFault);
+    traffic_.dropped(net::DropReason::kFault);
     if (tracing_flight && dgram.trace.valid()) {
       flight_->drop(dgram.trace, flight_->node_of(internal_src), sim_.now(), "fault");
     }
@@ -126,7 +97,7 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, ne
   if (tap_) tap_(dgram);
 
   for (std::size_t i = 0; i < copies; ++i) {
-    if (i > 0) packets_duplicated_c_->add(1);
+    if (i > 0) traffic_.duplicated();
     // Copy only for fault-injected duplicates; the final copy moves.
     net::Datagram scheduled = (i + 1 == copies) ? std::move(dgram) : dgram;
     if (tracing_flight && scheduled.trace.valid()) {
@@ -143,7 +114,7 @@ bool Network::send(Endpoint internal_src, Endpoint public_dst, Bytes payload, ne
     const std::uint64_t kb = wire_seqs_[internal_src]++;
     auto delay = draw_latency(wire_src, public_dst, kb);
     if (!delay) {
-      count_drop(net::DropReason::kLoss);  // lost in transit
+      traffic_.dropped(net::DropReason::kLoss);  // lost in transit
       if (tracing_flight && scheduled.trace.valid()) {
         flight_->drop(scheduled.trace, flight_->node_of(internal_src), sim_.now(), "loss");
       }
@@ -184,7 +155,7 @@ void Network::deliver(Endpoint internal_src, net::Datagram dgram) {
   if (translator_ != nullptr) {
     auto mapped = translator_->inbound(dgram.dst, dgram.src);
     if (!mapped) {
-      count_drop(net::DropReason::kFilter);  // filtered by the destination's NAT
+      traffic_.dropped(net::DropReason::kFilter);  // filtered by the destination's NAT
       if (traced) {
         flight_->drop(dgram.trace, flight_->node_of(dgram.dst), sim_.now(), "filter");
       }
@@ -195,7 +166,7 @@ void Network::deliver(Endpoint internal_src, net::Datagram dgram) {
   if (faults_ != nullptr) {
     switch (faults_->on_deliver(internal_src, internal_dst, dgram)) {
       case net::FaultInterposer::Gate::kDrop:
-        count_drop(net::DropReason::kFault);
+        traffic_.dropped(net::DropReason::kFault);
         if (traced) {
           flight_->drop(dgram.trace, flight_->node_of(internal_dst), sim_.now(), "fault");
         }
@@ -224,19 +195,17 @@ void Network::finish_delivery(Endpoint internal_dst, net::Datagram dgram) {
       flight_ != nullptr && flight_->enabled() && dgram.trace.valid();
   auto it = handlers_.find(internal_dst);
   if (it == handlers_.end()) {
-    count_drop(net::DropReason::kDetach);  // node departed
+    traffic_.dropped(net::DropReason::kDetach);  // node departed
     if (traced) {
       flight_->drop(dgram.trace, flight_->node_of(internal_dst), sim_.now(), "detach");
     }
     return;
   }
 
-  const std::size_t pi = static_cast<std::size_t>(dgram.proto);
   if (per_node_accounting_) {
     add_node_bytes(internal_dst, dgram.proto, "down", dgram.payload.size());
   }
-  agg_down_[pi]->add(dgram.payload.size());
-  packets_delivered_c_->add(1);
+  traffic_.delivered(dgram.proto, dgram.payload.size());
   if (!traced) {
     it->second(dgram);
     return;

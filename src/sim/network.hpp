@@ -6,10 +6,11 @@
 // destination's device lets the packet in.
 //
 // Traffic accounting lives in the telemetry registry: per-node up/down byte
-// counters keyed by protocol tag ("net.node.bytes"), plus system-wide
-// aggregates ("net.bytes", "net.packets.*"). These are the data source for
-// the paper's bandwidth figures (Fig. 6 and Fig. 8); TrafficCounters is a
-// per-node view over the registry entries kept for ergonomic access.
+// counters keyed by protocol tag ("net.node.bytes", simulator only), plus
+// the system-wide net::TrafficMetrics ("net.bytes", "net.packets.*") that
+// the live backend keeps under the same names. These are the data source
+// for the paper's bandwidth figures (Fig. 6 and Fig. 8); TrafficCounters is
+// a per-node view over the registry entries kept for ergonomic access.
 #pragma once
 
 #include <functional>
@@ -21,6 +22,7 @@
 #include "common/ids.hpp"
 #include "net/datagram.hpp"
 #include "net/spi.hpp"
+#include "net/traffic.hpp"
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/flight.hpp"
@@ -162,16 +164,16 @@ class Network final : public net::Stack {
   void reset_counters();
 
   /// Total datagrams handed to the latency model / delivered to handlers.
-  std::uint64_t packets_sent() const override { return packets_sent_c_->value(); }
-  std::uint64_t packets_delivered() const override {
-    return packets_delivered_c_->value();
-  }
+  std::uint64_t packets_sent() const override { return traffic_.packets_sent(); }
+  std::uint64_t packets_delivered() const override { return traffic_.packets_delivered(); }
   /// Extra copies injected by the fault fabric (each also delivers or drops).
-  std::uint64_t packets_duplicated() const { return packets_duplicated_c_->value(); }
+  std::uint64_t packets_duplicated() const { return traffic_.packets_duplicated(); }
   /// Packets positively known to be gone, by reason — NOT sent−delivered,
   /// which would misread packets still in flight as dropped.
-  std::uint64_t packets_dropped() const;
-  std::uint64_t packets_dropped(net::DropReason reason) const;
+  std::uint64_t packets_dropped() const { return traffic_.packets_dropped(); }
+  std::uint64_t packets_dropped(net::DropReason reason) const {
+    return traffic_.packets_dropped(reason);
+  }
   /// Packets on the wire (scheduled or queued by a paused-node fault) that
   /// have neither delivered nor dropped yet.
   std::uint64_t packets_in_flight() const;
@@ -190,7 +192,6 @@ class Network final : public net::Stack {
  private:
   void deliver(Endpoint internal_src, net::Datagram dgram);
   void finish_delivery(Endpoint internal_dst, net::Datagram dgram);
-  void count_drop(net::DropReason reason);
   /// Adds to a node's "net.node.bytes" series for one protocol and
   /// direction (`dir` "up" or "down"), registering it on its first add:
   /// a protocol a node never uses in a direction leaves no series.
@@ -208,6 +209,7 @@ class Network final : public net::Stack {
   DenseMap<Endpoint, Handler> handlers_;
   std::unique_ptr<telemetry::Registry> owned_registry_;  // when none injected
   telemetry::Registry* registry_;                        // never null
+  net::TrafficMetrics traffic_;                          // in *registry_
   DenseMap<Endpoint, TrafficCounters> counters_;
   bool per_node_accounting_ = true;
   std::uint64_t latency_salt_;
@@ -215,12 +217,6 @@ class Network final : public net::Stack {
   DenseMap<Endpoint, std::uint64_t> wire_seqs_;
   std::function<bool(Endpoint)> is_remote_;
   std::function<void(Delivery)> forward_remote_;
-  telemetry::Counter* agg_up_[static_cast<std::size_t>(net::Proto::kCount)] = {};
-  telemetry::Counter* agg_down_[static_cast<std::size_t>(net::Proto::kCount)] = {};
-  telemetry::Counter* packets_sent_c_;
-  telemetry::Counter* packets_delivered_c_;
-  telemetry::Counter* packets_duplicated_c_;
-  telemetry::Counter* packets_dropped_c_[static_cast<std::size_t>(net::DropReason::kCount)] = {};
 };
 
 }  // namespace whisper::sim

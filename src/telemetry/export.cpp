@@ -11,20 +11,6 @@ namespace whisper::telemetry {
 
 namespace {
 
-/// Shortest round-trippable decimal; integral values print without ".0"
-/// noise. %.17g is deterministic for a given libc, which is all the golden
-/// tests (same binary, two runs) require.
-std::string fmt_double(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string fmt_u64(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
@@ -124,6 +110,17 @@ struct Flow {
 
 }  // namespace
 
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -159,29 +156,29 @@ std::string to_jsonl(const Registry& registry) {
       out += fmt_u64(c->value());
     } else if (const auto* g = std::get_if<Gauge>(&entry.metric)) {
       out += ",\"type\":\"gauge\",\"value\":";
-      out += fmt_double(g->value());
+      out += json_number(g->value());
     } else if (const auto* h = std::get_if<Histogram>(&entry.metric)) {
       out += ",\"type\":\"histogram\",\"count\":";
       out += fmt_u64(h->count());
       out += ",\"sum\":";
-      out += fmt_double(h->sum());
+      out += json_number(h->sum());
       out += ",\"min\":";
-      out += fmt_double(h->min());
+      out += json_number(h->min());
       out += ",\"max\":";
-      out += fmt_double(h->max());
+      out += json_number(h->max());
       out += ",\"p50\":";
-      out += fmt_double(h->percentile(50));
+      out += json_number(h->percentile(50));
       out += ",\"p90\":";
-      out += fmt_double(h->percentile(90));
+      out += json_number(h->percentile(90));
       out += ",\"p95\":";
-      out += fmt_double(h->percentile(95));
+      out += json_number(h->percentile(95));
       out += ",\"p99\":";
-      out += fmt_double(h->percentile(99));
+      out += json_number(h->percentile(99));
       out += ",\"bounds\":[";
       const auto& bounds = h->spec().bounds;
       for (std::size_t i = 0; i < bounds.size(); ++i) {
         if (i) out += ',';
-        out += fmt_double(bounds[i]);
+        out += json_number(bounds[i]);
       }
       out += "],\"buckets\":[";
       const auto& counts = h->bucket_counts();
@@ -192,24 +189,6 @@ std::string to_jsonl(const Registry& registry) {
       out += "]";
     }
     out += "}\n";
-  }
-  return out;
-}
-
-std::string to_jsonl(const TimeSeriesRecorder& recorder) {
-  std::string out;
-  for (const SamplePoint& p : recorder.series()) {
-    out += "{\"ts\":";
-    out += fmt_u64(p.ts);
-    out += ",\"values\":{";
-    for (std::size_t i = 0; i < p.values.size(); ++i) {
-      if (i) out += ',';
-      out += '"';
-      out += json_escape(p.values[i].first);
-      out += "\":";
-      out += fmt_double(p.values[i].second);
-    }
-    out += "}}\n";
   }
   return out;
 }

@@ -1,6 +1,7 @@
-// Exporters: registry and time-series state as JSONL (one JSON object per
-// line, trivially grep/jq-able), and the flight log rendered as Chrome
-// trace-event JSON loadable in Perfetto / chrome://tracing.
+// Exporters: registry state as JSONL (one JSON object per line, trivially
+// grep/jq-able), and the flight log rendered as Chrome trace-event JSON
+// loadable in Perfetto / chrome://tracing. Sampled timelines are health
+// records (telemetry/health.hpp), which print numbers with json_number too.
 //
 // Determinism contract: output depends only on registry/flight-log
 // *content* (itself deterministic under the virtual clock) — iteration is
@@ -15,7 +16,6 @@
 
 #include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace whisper::telemetry {
 
@@ -23,9 +23,6 @@ namespace whisper::telemetry {
 ///   {"name":"net.bytes","labels":{"dir":"up"},"type":"counter","value":123}
 /// Histogram lines add count/sum/min/max/p50/p90/p99 and bucket arrays.
 std::string to_jsonl(const Registry& registry);
-
-/// One line per sample point: {"ts":60000000,"values":{"key":1,...}}
-std::string to_jsonl(const TimeSeriesRecorder& recorder);
 
 /// {"displayTimeUnit":"ms","traceEvents":[...]} — the trace-event JSON
 /// object form of a flight log (one recorder's events, or several
@@ -48,6 +45,13 @@ std::string to_chrome_trace(const std::vector<FlightEventRec>& events);
 
 /// JSON string escaping for the exporters (exposed for tests).
 std::string json_escape(std::string_view s);
+
+/// A metric value as a JSON number: integral values below 1e15 print
+/// without a fraction, others as the shortest round-tripping %.17g, and a
+/// NaN or infinity, which JSON cannot spell, as null. %.17g is
+/// deterministic for a given libc, which is all the golden tests (same
+/// binary, two runs) require.
+std::string json_number(double v);
 
 /// Write `content` to `path`; false on I/O failure.
 bool write_text_file(const std::string& path, std::string_view content);

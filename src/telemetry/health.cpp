@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <variant>
@@ -18,18 +17,6 @@ void set_error(DecodeError* error, DecodeError e) {
   if (error) *error = e;
 }
 
-// Matches the registry exporter's number format: integral values print as
-// integers, everything else round-trips via %.17g.
-std::string fmt_double(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
-
 void encode_payload(Writer& w, const HealthSnapshot& s) {
   w.u64(s.node);
   w.u32(s.pid);
@@ -37,17 +24,6 @@ void encode_payload(Writer& w, const HealthSnapshot& s) {
   w.u64(s.seq);
   w.u64(s.now_us);
   w.u64(s.uptime_us);
-  w.u32(s.groups);
-  w.u32(s.wcl_backlog);
-  w.u32(s.pending_forwards);
-  w.u32(s.pss_view);
-  w.u32(s.pss_reserve);
-  w.u32(s.quarantined);
-  w.u32(s.peer_restarts);
-  w.u32(s.decode_rejects);
-  w.u32(s.rate_limited);
-  w.u64(s.rss_kb);
-  w.u64(s.cpu_us);
   w.u16(static_cast<std::uint16_t>(
       s.metrics.size() > kMaxHealthMetrics ? kMaxHealthMetrics : s.metrics.size()));
   std::size_t n = 0;
@@ -123,17 +99,6 @@ std::optional<HealthSnapshot> decode_health_record(BytesView data, DecodeError* 
   s.seq = p.u64();
   s.now_us = p.u64();
   s.uptime_us = p.u64();
-  s.groups = p.u32();
-  s.wcl_backlog = p.u32();
-  s.pending_forwards = p.u32();
-  s.pss_view = p.u32();
-  s.pss_reserve = p.u32();
-  s.quarantined = p.u32();
-  s.peer_restarts = p.u32();
-  s.decode_rejects = p.u32();
-  s.rate_limited = p.u32();
-  s.rss_kb = p.u64();
-  s.cpu_us = p.u64();
   const std::uint32_t count = p.count16(kMaxHealthMetrics);
   s.metrics.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -176,17 +141,6 @@ HealthSnapshot fleet_total(const std::vector<HealthSnapshot>& nodes) {
   for (const HealthSnapshot& s : nodes) {
     sum.now_us = std::max(sum.now_us, s.now_us);
     sum.uptime_us = std::max(sum.uptime_us, s.uptime_us);
-    sum.groups += s.groups;
-    sum.wcl_backlog += s.wcl_backlog;
-    sum.pending_forwards += s.pending_forwards;
-    sum.pss_view += s.pss_view;
-    sum.pss_reserve += s.pss_reserve;
-    sum.quarantined += s.quarantined;
-    sum.peer_restarts += s.peer_restarts;
-    sum.decode_rejects += s.decode_rejects;
-    sum.rate_limited += s.rate_limited;
-    sum.rss_kb += s.rss_kb;
-    sum.cpu_us += s.cpu_us;
     for (const auto& [k, v] : s.metrics) metrics[k] += v;
   }
   sum.metrics.assign(metrics.begin(), metrics.end());
@@ -203,18 +157,6 @@ std::string health_to_json(const HealthSnapshot& snap, std::string_view label) {
                 ",\"uptime_us\":%" PRIu64,
                 snap.now_us, snap.pid, snap.incarnation, snap.seq, snap.uptime_us);
   out += buf;
-  std::snprintf(buf, sizeof buf,
-                ",\"groups\":%u,\"wcl_backlog\":%u,\"pending_forwards\":%u"
-                ",\"pss_view\":%u,\"pss_reserve\":%u,\"quarantined\":%u",
-                snap.groups, snap.wcl_backlog, snap.pending_forwards, snap.pss_view,
-                snap.pss_reserve, snap.quarantined);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                ",\"peer_restarts\":%u,\"decode_rejects\":%u,\"rate_limited\":%u"
-                ",\"rss_kb\":%" PRIu64 ",\"cpu_us\":%" PRIu64,
-                snap.peer_restarts, snap.decode_rejects, snap.rate_limited, snap.rss_kb,
-                snap.cpu_us);
-  out += buf;
   out += ",\"metrics\":{";
   bool first = true;
   const std::map<std::string, double> metrics(snap.metrics.begin(), snap.metrics.end());
@@ -224,7 +166,7 @@ std::string health_to_json(const HealthSnapshot& snap, std::string_view label) {
     out += "\"";
     out += json_escape(k);
     out += "\":";
-    out += fmt_double(v);
+    out += json_number(v);
   }
   out += "}}";
   return out;

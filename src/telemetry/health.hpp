@@ -1,15 +1,16 @@
 // Live per-node health/stats records for the real-network backend
 // (DESIGN.md §15).
 //
-// Each whisper_noded periodically folds its telemetry registry plus a fixed
-// health summary (incarnation, membership, WCL backlog, PSS view, guard
-// counters, rss/cpu) into a versioned, CRC-framed binary record. The record
-// is published two ways: as an atomic file in the rendezvous directory
-// (scraped by whisper_localnet / whisper_top, and probed by the chaos
-// supervisor for liveness) and as the reply on a local admin UDP socket.
+// Each whisper_noded periodically folds its telemetry registry under an
+// identity header (node, pid, incarnation, seq, clocks) into a versioned,
+// CRC-framed binary record. The record is published two ways: as an atomic
+// file in the rendezvous directory (scraped by whisper_localnet /
+// whisper_top, and probed by the chaos supervisor for liveness) and as the
+// reply on a local admin UDP socket. Its JSON line (health_to_json) is also
+// the simulator's sampled timeline format (whisper_sim --sample-secs).
 //
 // Wire format (little-endian, matching common/serialize.hpp):
-//   [0x57 'W'][0x48 'H'][u8 version=2][u32 payload_len]
+//   [0x57 'W'][0x48 'H'][u8 version=3][u32 payload_len]
 //   [u32 crc32(payload)][payload]
 // Every record is whole: its payload carries the full registry value set,
 // so any one record read alone gives the node's complete metrics. Records
@@ -37,17 +38,17 @@ inline constexpr std::uint8_t kHealthMagic0 = 0x57;  // 'W'
 inline constexpr std::uint8_t kHealthMagic1 = 0x48;  // 'H'
 /// Changes with the record layout, so a reader of another layout rejects
 /// the record instead of misreading it.
-inline constexpr std::uint8_t kHealthVersion = 2;
+inline constexpr std::uint8_t kHealthVersion = 3;
 /// Hard cap on a record payload; larger on-disk/wire values are corruption
 /// (kOversized), never an allocation request.
 inline constexpr std::size_t kMaxHealthPayloadBytes = 256 * 1024;
 inline constexpr std::size_t kMaxHealthMetrics = 4096;
 inline constexpr std::size_t kMaxHealthNameBytes = 256;
 
-/// One exported snapshot. The fixed header fields are what the chaos
-/// supervisor's hung-vs-dead probe reads (pid / incarnation / seq); the
-/// metrics vector carries registry values keyed by canonical metric key
-/// (histograms flattened to "<key>#count|sum|min|max|p50|p95|p99").
+/// One exported snapshot: an identity header, which is what the chaos
+/// supervisor's hung-vs-dead probe reads (pid / incarnation / seq), plus
+/// registry values keyed by canonical metric key (histograms flattened to
+/// "<key>#count|sum|min|max|p50|p95|p99"). Every other value is a metric.
 struct HealthSnapshot {
   std::uint64_t node = 0;
   std::uint32_t pid = 0;
@@ -55,17 +56,6 @@ struct HealthSnapshot {
   std::uint64_t seq = 0;        ///< per-process export sequence, monotonic
   std::uint64_t now_us = 0;     ///< monotonic clock at snapshot time
   std::uint64_t uptime_us = 0;  ///< now - process attach
-  std::uint32_t groups = 0;
-  std::uint32_t wcl_backlog = 0;
-  std::uint32_t pending_forwards = 0;
-  std::uint32_t pss_view = 0;
-  std::uint32_t pss_reserve = 0;
-  std::uint32_t quarantined = 0;
-  std::uint32_t peer_restarts = 0;
-  std::uint32_t decode_rejects = 0;
-  std::uint32_t rate_limited = 0;
-  std::uint64_t rss_kb = 0;
-  std::uint64_t cpu_us = 0;  ///< CpuMeter::total(), wall µs in handlers
   std::vector<std::pair<std::string, double>> metrics;
 
   /// The value of metric `key`; 0 when the record does not carry it.
@@ -85,13 +75,14 @@ std::optional<HealthSnapshot> decode_health_record(BytesView data,
 /// gauges one value each, histograms as derived "<key>#stat" values.
 std::vector<std::pair<std::string, double>> registry_values(const Registry& reg);
 
-/// The fleet-wide record over `nodes`: header counters and metrics summed,
-/// clocks maxed. node, pid, incarnation and seq stay 0.
+/// The fleet-wide record over `nodes`: metrics summed, clocks maxed. node,
+/// pid, incarnation and seq stay 0.
 HealthSnapshot fleet_total(const std::vector<HealthSnapshot>& nodes);
 
-/// One JSONL object for fleet timelines: the fixed header fields plus every
-/// metric (deterministic: metrics in key order, fixed number format).
-/// `label` names the node ("3", or "fleet" for the summed line).
+/// One JSONL object for fleet timelines: the identity header plus every
+/// metric (deterministic: metrics in key order, json_number's format, so a
+/// non-finite value reads null). `label` names the node ("3", or "fleet"
+/// for a summed line).
 std::string health_to_json(const HealthSnapshot& snap, std::string_view label);
 
 // ---------------------------------------------------------------------------

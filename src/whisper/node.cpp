@@ -8,7 +8,7 @@ WhisperNode::WhisperNode(net::Clock& clock, net::Stack& net, NodeId id,
                          telemetry::Sinks sinks)
     : clock_(clock), id_(id), keypair_(keypair), config_(std::move(config)), rng_(rng),
       tel_(sinks, id.value),
-      transport_(clock, net, id, internal_ep, is_public, config_.transport),
+      transport_(clock, net, id, internal_ep, is_public, config_.transport, tel_),
       pss_(clock, transport_, config_.pss, rng_.fork(), tel_),
       keys_(clock, transport_, keypair_, config_.keys),
       wcl_(clock, transport_, keys_, pss_, cpu_, config_.wcl, rng_.fork(), tel_) {

@@ -154,7 +154,8 @@ std::unique_ptr<LiveNode> boot_live_node(net::UdpBackend& backend, LiveNodeSpec 
     scfg.seed = spec.seed ^ (spec.id.value * 0x9e3779b97f4a7c15ull);
     if (spec.nat_lease > 0) scfg.nat.lease = spec.nat_lease;
     scfg.reserve = [&backend](std::uint32_t ip) { return backend.reserve_endpoint_on(ip); };
-    live->shim = std::make_unique<net::ShimStack>(backend, backend, std::move(scfg));
+    live->shim = std::make_unique<net::ShimStack>(backend, backend, std::move(scfg),
+                                                  telemetry::Scope(spec.sinks, spec.id.value));
     live->shim->set_profile(ep, spec.profile);
     if (spec.sinks.flight != nullptr) live->shim->set_flight(spec.sinks.flight);
     stack = live->shim.get();
@@ -168,7 +169,7 @@ std::unique_ptr<LiveNode> boot_live_node(net::UdpBackend& backend, LiveNodeSpec 
 UdpMesh::Config::Config() : node(realtime_node_config()) {}
 
 UdpMesh::UdpMesh(Config config)
-    : config_(std::move(config)), rng_(config_.seed), backend_(config_.backend) {
+    : config_(std::move(config)), rng_(config_.seed), backend_(config_.backend, &registry_) {
   flight_.set_clock(net::clock_fn(backend_));
   flight_.set_enabled(config_.flight);
   flight_.set_node_resolver([this](Endpoint ep) {

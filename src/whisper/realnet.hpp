@@ -57,8 +57,8 @@ struct LiveNodeSpec {
 };
 
 /// One live node: its WhisperNode and, unless its profile is pass-through,
-/// the ShimStack in front of it (one per node, so the `shim.*` counters
-/// stay per-node). Not movable: the node refers to `identity`.
+/// the ShimStack in front of it (one per node, so the shim's counter
+/// accessors are the node's; its `shim.*` metrics go to the node's sinks). Not movable: the node refers to `identity`.
 struct LiveNode {
   LiveNode() = default;
   LiveNode(LiveNode&&) = delete;
@@ -127,8 +127,8 @@ class UdpMesh {
  private:
   Config config_;
   Rng rng_;
+  telemetry::Registry registry_;  // before backend_: it hosts its counters
   net::UdpBackend backend_;
-  telemetry::Registry registry_;
   telemetry::FlightRecorder flight_;
   std::vector<std::unique_ptr<LiveNode>> nodes_;
 };

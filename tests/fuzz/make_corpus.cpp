@@ -191,15 +191,11 @@ int main(int argc, char** argv) {
     snap.seq = 7;
     snap.now_us = 4'200'000;
     snap.uptime_us = 4'100'000;
-    snap.groups = 1;
-    snap.wcl_backlog = 4;
-    snap.pss_view = 20;
-    snap.pss_reserve = 40;
-    snap.rss_kb = 9000;
-    snap.cpu_us = 123456;
     snap.metrics = {{"wcl.onions.delivered", 11.0},
                     {"pss.exchange.rtt_us#p95", 4321.0},
-                    {"wcl.backlog.depth{node=n3}", 4.0}};
+                    {"wcl.backlog.depth{node=n3}", 4.0},
+                    {"proc.rss_kb", 9000.0},
+                    {"proc.cpu_us", 123456.0}};
     emit(admin_dir, "health_record", 0, telemetry::encode_health_record(snap));
   }
   emit(admin_dir, "admin_request", 1,

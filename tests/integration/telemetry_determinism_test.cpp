@@ -6,12 +6,13 @@
 // schedules protocol events).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <sstream>
 
 #include "telemetry/export.hpp"
-#include "telemetry/timeseries.hpp"
+#include "telemetry/health.hpp"
 #include "whisper/scale.hpp"
 
 namespace whisper {
@@ -35,13 +36,19 @@ RunOutput run_once(std::uint64_t seed, bool trace) {
   cfg.seed = seed;
   cfg.flight = trace;
   ScaleTestbed tb(cfg);
-  // With tracing on, snapshot every metric into the time series once per
-  // virtual minute, between run_for slices.
-  telemetry::TimeSeriesRecorder recorder(tb.registry(0));
+  // With tracing on, sample every metric once per virtual minute, between
+  // run_for slices, as whisper_sim --sample-secs does: one "fleet" health
+  // line of the whole registry.
+  std::string series_jsonl;
+  telemetry::HealthSnapshot sample;
   auto run_minutes = [&](int minutes) {
     for (int m = 0; m < minutes; ++m) {
       tb.run_for(net::kMinute);
-      if (trace) recorder.sample(tb.now());
+      if (!trace) continue;
+      ++sample.seq;
+      sample.now_us = sample.uptime_us = tb.now();
+      sample.metrics = telemetry::registry_values(tb.registry(0));
+      series_jsonl += telemetry::health_to_json(sample, "fleet") + "\n";
     }
   };
   run_minutes(4);
@@ -57,7 +64,7 @@ RunOutput run_once(std::uint64_t seed, bool trace) {
 
   RunOutput out;
   out.metrics_jsonl = telemetry::to_jsonl(tb.registry(0));
-  out.series_jsonl = telemetry::to_jsonl(recorder);
+  out.series_jsonl = series_jsonl;
   out.chrome_trace = telemetry::to_chrome_trace(tb.flight(0).events());
   for (WhisperNode* n : tb.alive_nodes()) {
     for (const auto& e : n->pss().view().entries()) {
@@ -80,7 +87,9 @@ TEST(TelemetryDeterminism, SameSeedExportsAreByteIdentical) {
   EXPECT_NE(a.metrics_jsonl.find("pss.exchanges.completed"), std::string::npos);
   EXPECT_NE(a.metrics_jsonl.find("net.node.bytes"), std::string::npos);
   EXPECT_NE(a.chrome_trace.find("pss.exchange"), std::string::npos);
-  EXPECT_FALSE(a.series_jsonl.empty());
+  EXPECT_EQ(std::count(a.series_jsonl.begin(), a.series_jsonl.end(), '\n'), 10);
+  EXPECT_NE(a.series_jsonl.find(R"({"node":"fleet","ts_us":600000000,)"), std::string::npos);
+  EXPECT_NE(a.series_jsonl.find("\"nylon.sends.relayed\":"), std::string::npos);
   // The rendered flight log shows onion crypto and PPSS exchanges as
   // slices, and draws each arrow with exactly one start and one finish.
   EXPECT_NE(a.chrome_trace.find(R"({"name":"wcl.onion.build","cat":"wcl","ph":"X")"),

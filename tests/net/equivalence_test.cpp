@@ -3,13 +3,19 @@
 // application messages — run once on the deterministic simulator and once
 // on the real UDP/epoll backend over loopback. The protocol stack is the
 // same code against the same SPI; this test pins the observable outcome:
-// identical delivered payload bytes and identical group membership. The
-// LiveWcl test checks what differs by design: on the wall clock the flight
-// log's onion crypto slices are measured, not modeled.
+// identical delivered payload bytes, identical group membership and the
+// same protocol metric names. The LiveWcl test checks what differs by
+// design: on the wall clock the flight log's onion crypto slices are
+// measured, not modeled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "whisper/realnet.hpp"
@@ -26,7 +32,14 @@ struct ScenarioOutcome {
   bool passport_ok = false;
   std::vector<Bytes> alice_got;
   std::vector<Bytes> bob_got;
+  std::set<std::string> metric_names;  // the backend's registry after the run
 };
+
+std::set<std::string> names_of(const telemetry::Registry& registry) {
+  std::set<std::string> out;
+  for (const auto& [key, entry] : registry.entries()) out.emplace(entry.name);
+  return out;
+}
 
 /// The quickstart exchange against any pair of booted nodes. `run`
 /// advances the backend (virtual time under sim, wall time under UDP).
@@ -70,8 +83,10 @@ ScenarioOutcome run_on_simulator() {
   ScaleTestbed tb(cfg);
   tb.run_for(5 * net::kSecond);
   auto nodes = tb.alive_nodes();
-  return run_scenario(*nodes[0], *nodes[1],
-                      [&](net::Time d) { tb.run_for(d); });
+  ScenarioOutcome out = run_scenario(*nodes[0], *nodes[1],
+                                     [&](net::Time d) { tb.run_for(d); });
+  out.metric_names = names_of(tb.registry(0));
+  return out;
 }
 
 ScenarioOutcome run_on_udp() {
@@ -83,8 +98,10 @@ ScenarioOutcome run_on_udp() {
   }
   mesh.run_for(5 * net::kSecond);
   auto nodes = mesh.nodes();
-  return run_scenario(*nodes[0], *nodes[1],
-                      [&](net::Time d) { mesh.run_for(d); });
+  ScenarioOutcome out = run_scenario(*nodes[0], *nodes[1],
+                                     [&](net::Time d) { mesh.run_for(d); });
+  out.metric_names = names_of(mesh.registry());
+  return out;
 }
 
 TEST(CrossBackendEquivalence, QuickstartDeliversIdenticalBytesAndMembership) {
@@ -106,6 +123,54 @@ TEST(CrossBackendEquivalence, QuickstartDeliversIdenticalBytesAndMembership) {
   EXPECT_EQ(sim.alice_got, udp.alice_got);
   EXPECT_EQ(sim.bob_got[0], to_bytes("meet at the usual place"));
   EXPECT_EQ(sim.alice_got[0], to_bytes("psst! got it."));
+}
+
+// Metric names are one vocabulary: every name under a protocol layer's
+// prefix exists on both backends, because each layer registers what it
+// counts whichever backend carries it. A name on one backend only must be
+// in a family listed here, with the reason it has no counterpart.
+TEST(CrossBackendEquivalence, ProtocolMetricNamesExistOnBothBackends) {
+  constexpr std::string_view kProtocolPrefixes[] = {"pss.",  "nylon.", "keysvc.", "wcl.",
+                                                    "ppss.", "chord.", "net."};
+  struct BackendOnly {
+    std::string_view family;  // a prefix ending in '.', or one whole name
+    std::string_view why;
+  };
+  constexpr BackendOnly kBackendOnly[] = {
+      {"sim.", "the simulator's event loop"},
+      {"net.node.bytes", "per-node byte series, kept only by the simulator"},
+      {"udp.", "kernel receive-queue drops and rejected frames of real sockets"},
+      {"shim.", "the live NAT and impairment emulator"},
+      {"proc.", "CPU time and resident set of a daemon process"},
+  };
+  const auto backend_only = [&](const std::string& name) {
+    for (const BackendOnly& b : kBackendOnly) {
+      if (b.family.back() == '.' ? name.starts_with(b.family) : name == b.family) return true;
+    }
+    return false;
+  };
+
+  const ScenarioOutcome sim = run_on_simulator();
+  const ScenarioOutcome udp = run_on_udp();
+  for (const auto& [mine, theirs, backend] :
+       {std::tuple{&sim.metric_names, &udp.metric_names, "simulator"},
+        std::tuple{&udp.metric_names, &sim.metric_names, "UDP backend"}}) {
+    for (const std::string& name : *mine) {
+      if (theirs->contains(name) || backend_only(name)) continue;
+      const bool protocol = std::any_of(std::begin(kProtocolPrefixes),
+                                        std::end(kProtocolPrefixes),
+                                        [&](std::string_view p) { return name.starts_with(p); });
+      ADD_FAILURE() << (protocol ? "protocol" : "unlisted") << " metric " << name
+                    << " exists on the " << backend << " only";
+    }
+  }
+  // Not vacuous: both exports carry the layers' and the shared net.* names.
+  for (const char* name : {"net.bytes", "net.packets.dropped", "nylon.sends.relayed",
+                           "pss.exchanges.completed", "wcl.onions.delivered",
+                           "ppss.joins.served"}) {
+    EXPECT_TRUE(sim.metric_names.contains(name)) << name;
+    EXPECT_TRUE(udp.metric_names.contains(name)) << name;
+  }
 }
 
 // On a wall clock WCL waits out no modeled crypto cost. Each `crypto` slice

@@ -46,6 +46,27 @@ TEST_F(EdgeFixture, JoinGivesUpAfterRetriesWhenLeaderUnreachable) {
   EXPECT_FALSE(g.joined());
 }
 
+// A join whose entry point never answers is given up after its retries,
+// and the give-up is counted once, on the node and in the registry.
+TEST_F(EdgeFixture, AbandonedJoinIsCounted) {
+  WhisperNode* joiner = tb.alive_nodes()[5];
+  wcl::RemotePeer ghost;  // an entry point that does not exist
+  ghost.card.id = NodeId{999999};
+  ghost.card.is_public = true;
+  ghost.card.addr = Endpoint{0x7f000001, 1};
+  ghost.key = joiner->keypair().pub;
+
+  Accreditation accr;
+  accr.group = kGroup;
+  accr.node = joiner->id();
+  auto& g = joiner->join_group(kGroup, accr, ghost);
+  EXPECT_EQ(tb.registry(0).counter_value("ppss.joins.abandoned"), 0u);
+  tb.run_for(5 * net::kMinute);
+  EXPECT_FALSE(g.joined());
+  EXPECT_EQ(g.stats().joins_abandoned, 1u);
+  EXPECT_EQ(tb.registry(0).counter_value("ppss.joins.abandoned"), 1u);
+}
+
 TEST_F(EdgeFixture, NonLeaderDropsJoinRequests) {
   WhisperNode* founder = tb.alive_nodes()[0];
   WhisperNode* member = tb.alive_nodes()[1];

@@ -45,15 +45,6 @@ TEST(ExportJsonl, HistogramLineCarriesDistribution) {
   EXPECT_NE(out.find("\"buckets\":[0,1,1,0]"), std::string::npos);
 }
 
-TEST(ExportJsonl, TimeSeriesRows) {
-  Registry reg;
-  reg.counter("c").add(4);
-  TimeSeriesRecorder rec(reg);
-  rec.sample(60'000'000);
-  const std::string out = to_jsonl(rec);
-  EXPECT_EQ(out, "{\"ts\":60000000,\"values\":{\"c\":4}}\n");
-}
-
 std::size_t count_of(const std::string& text, std::string_view what) {
   std::size_t n = 0;
   for (auto pos = text.find(what); pos != std::string::npos; pos = text.find(what, pos + 1)) {

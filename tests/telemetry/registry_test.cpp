@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "telemetry/timeseries.hpp"
-
 namespace whisper::telemetry {
 namespace {
 
@@ -168,44 +166,6 @@ TEST(Registry, ResetByPrefix) {
   EXPECT_EQ(reg.counter_value("pss.exchanges"), 5u);  // untouched
   reg.reset();
   EXPECT_EQ(reg.counter_value("pss.exchanges"), 0u);
-}
-
-TEST(TimeSeries, SamplesRegistryStateAtInstants) {
-  Registry reg;
-  TimeSeriesRecorder rec(reg);
-  Counter& c = reg.counter("net.bytes");
-  Gauge& g = reg.gauge("queue.depth");
-  c.add(10);
-  g.set(2);
-  rec.sample(1'000'000);
-  c.add(30);
-  g.set(5);
-  rec.sample(2'000'000);
-
-  ASSERT_EQ(rec.series().size(), 2u);
-  EXPECT_EQ(rec.series()[0].ts, 1'000'000u);
-  ASSERT_EQ(rec.series()[0].values.size(), 2u);
-  EXPECT_EQ(rec.series()[0].values[0].first, "net.bytes");
-  EXPECT_DOUBLE_EQ(rec.series()[0].values[0].second, 10.0);
-  EXPECT_DOUBLE_EQ(rec.series()[1].values[0].second, 40.0);
-  EXPECT_DOUBLE_EQ(rec.series()[1].values[1].second, 5.0);
-
-  auto deltas = rec.deltas("net.bytes");
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_EQ(deltas[0].first, 2'000'000u);
-  EXPECT_DOUBLE_EQ(deltas[0].second, 30.0);
-}
-
-TEST(TimeSeries, PrefixFilterRestrictsColumns) {
-  Registry reg;
-  reg.counter("net.bytes").add(1);
-  reg.counter("pss.exchanges").add(1);
-  TimeSeriesRecorder rec(reg);
-  rec.set_prefix_filter({"pss."});
-  rec.sample(5);
-  ASSERT_EQ(rec.series().size(), 1u);
-  ASSERT_EQ(rec.series()[0].values.size(), 1u);
-  EXPECT_EQ(rec.series()[0].values[0].first, "pss.exchanges");
 }
 
 }  // namespace

@@ -64,8 +64,8 @@
 // node; --nat-lease shortens the emulated mapping lease so expiry-driven
 // route refresh happens on localnet timescales. On a convergence failure
 // the report names each missing node's NAT type and last traversal state
-// (registered? direct/punched/relayed sends, live mappings) scraped from
-// its stats records. After a NAT-mixed run the supervisor also audits the
+// (relay registrations, direct/punched/relayed sends, live mappings)
+// scraped from its stats records. After a NAT-mixed run the supervisor also audits the
 // rendezvous surfaces for internal-endpoint leaks: a natted node's private
 // address must never appear in any contact card — the address-level
 // unlinkability claim (zero linkable pairs) the relay architecture makes.
@@ -82,15 +82,13 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "admin.hpp"
 #include "args.hpp"
 #include "common/bytes.hpp"
 #include "common/file.hpp"
@@ -125,14 +123,6 @@ std::uint64_t monotonic_ns() {
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-/// The decimal port in an admin.I file; 0 when absent.
-std::uint16_t read_port(const std::string& path) {
-  const auto text = whisper::read_file(path);
-  if (!text) return 0;
-  return static_cast<std::uint16_t>(
-      std::strtoul(whisper::to_string(*text).c_str(), nullptr, 10));
 }
 
 /// A node's latest stats.I record, if it has published a readable one.
@@ -274,37 +264,6 @@ struct Child {
   double seq_changed_at = 0.0;
   std::string death_cause;    // exit/signal description of last death
 };
-
-/// One admin query: 4-byte request to 127.0.0.1:port, one health record
-/// back (every op replies with one — for kNatReboot that reply IS the
-/// delivery confirmation). Retries a few times with a poll() timeout —
-/// the node services its admin socket off a 50 ms timer.
-std::optional<tel::HealthSnapshot> query_admin(
-    std::uint16_t port, tel::AdminOp op = tel::AdminOp::kStats) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) return std::nullopt;
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  to.sin_port = htons(port);
-  const whisper::Bytes req = tel::encode_admin_request(op);
-  std::optional<tel::HealthSnapshot> out;
-  for (int attempt = 0; attempt < 3 && !out; ++attempt) {
-    if (::sendto(fd, req.data(), req.size(), 0,
-                 reinterpret_cast<sockaddr*>(&to), sizeof to) < 0) {
-      break;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 1000) <= 0) continue;
-    std::vector<std::uint8_t> buf(tel::kMaxHealthPayloadBytes + 64);
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n <= 0) continue;
-    out = tel::decode_health_record(
-        whisper::BytesView(buf.data(), static_cast<std::size_t>(n)));
-  }
-  ::close(fd);
-  return out;
-}
 
 }  // namespace
 
@@ -573,10 +532,9 @@ int main(int argc, char** argv) {
         const tel::HealthSnapshot& s = latest[i];
         std::fprintf(
             stderr,
-            "    nat=%s registered=%s sends(direct/punched/relayed)="
+            "    nat=%s registrations=%.0f sends(direct/punched/relayed)="
             "%.0f/%.0f/%.0f probes=%.0f mappings=%.0f rx_kernel_drops=%.0f\n",
-            nat::nat_type_name(nat_of[i]),
-            s.metric("nylon.registered") > 0 ? "yes" : "NO",
+            nat::nat_type_name(nat_of[i]), s.metric("nylon.registrations"),
             s.metric("nylon.sends.direct"), s.metric("nylon.sends.punched"),
             s.metric("nylon.sends.relayed"), s.metric("nylon.probes.sent"),
             s.metric("shim.nat.active"), s.metric("udp.rx_kernel_drops"));

@@ -18,7 +18,7 @@
 //                members after receiving the leader's onion-routed pong,
 //                the leader after ponging every member
 //   stats.I      binary health record (telemetry/health.hpp), rewritten
-//                atomically every --stats-interval: the fixed health header
+//                atomically every --stats-interval: the identity header
 //                plus the full registry, whole in every record. Doubles as
 //                the chaos supervisor's liveness probe (pid / incarnation /
 //                seq) and as the scrape source for whisper_localnet /
@@ -217,55 +217,14 @@ struct Orchestrator {
 
   std::string path(const std::string& base) const { return opt.dir + "/" + base; }
 
-  /// Fold the traversal/shim/socket counters and the process CPU time that
-  /// live outside the registry into it as gauges, so every export path
-  /// (stats file, admin reply) carries them. Called from snapshot() — both
-  /// paths go through it. `proc.cpu_us` counts the event loop's waiting as
-  /// well as its handlers; the header's cpu_us is handler time only.
-  void refresh_net_metrics() {
-    const auto& t = node.transport();
-    registry.gauge("proc.cpu_us").set(static_cast<double>(read_process_cpu_us()));
-    registry.gauge("udp.rx_kernel_drops")
-        .set(static_cast<double>(backend.rx_kernel_drops()));
-    registry.gauge("nylon.nat_type")
-        .set(static_cast<double>(static_cast<int>(opt.shim.nat)));
-    registry.gauge("nylon.registered").set(t.registered() ? 1 : 0);
-    registry.gauge("nylon.sends.direct").set(static_cast<double>(t.sends_direct()));
-    registry.gauge("nylon.sends.punched").set(static_cast<double>(t.sends_punched()));
-    registry.gauge("nylon.sends.relayed").set(static_cast<double>(t.sends_relayed()));
-    registry.gauge("nylon.probes.sent").set(static_cast<double>(t.probes_sent()));
-    registry.gauge("nylon.probes.retries").set(static_cast<double>(t.probe_retries()));
-    registry.gauge("nylon.routes.direct")
-        .set(static_cast<double>(t.direct_route_count()));
-    registry.gauge("nylon.routes.invalidated")
-        .set(static_cast<double>(t.routes_invalidated()));
-    if (shim != nullptr) {
-      registry.gauge("shim.impair.dropped")
-          .set(static_cast<double>(shim->impair_dropped()));
-      registry.gauge("shim.impair.duplicated")
-          .set(static_cast<double>(shim->impair_duplicated()));
-      registry.gauge("shim.impair.delayed")
-          .set(static_cast<double>(shim->impair_delayed()));
-      registry.gauge("shim.rate.dropped")
-          .set(static_cast<double>(shim->rate_dropped()));
-      registry.gauge("shim.nat.filtered")
-          .set(static_cast<double>(shim->nat_filtered()));
-      registry.gauge("shim.nat.mappings")
-          .set(static_cast<double>(shim->nat_mappings_created()));
-      registry.gauge("shim.nat.active")
-          .set(static_cast<double>(shim->mappings_active()));
-      registry.gauge("shim.nat.expired")
-          .set(static_cast<double>(shim->nat_expired()));
-      registry.gauge("shim.nat.reboots")
-          .set(static_cast<double>(shim->nat_reboots()));
-    }
-  }
-
-  /// One whole record: the fixed health header the supervisor's
-  /// hung-vs-dead probe reads, plus every registry value. Carries the seq of
-  /// the last published record.
+  /// One whole record: the identity header the supervisor's hung-vs-dead
+  /// probe reads, plus every registry value. Carries the seq of the last
+  /// published record. Every layer registers its own metrics; the process
+  /// adds only what no layer counts: its CPU time (user + sys of every
+  /// thread, the event loop's waiting included) and resident set.
   telemetry::HealthSnapshot snapshot() {
-    refresh_net_metrics();
+    registry.gauge("proc.cpu_us").set(static_cast<double>(read_process_cpu_us()));
+    registry.gauge("proc.rss_kb").set(static_cast<double>(read_rss_kb()));
     telemetry::HealthSnapshot s;
     s.node = opt.id;
     s.pid = static_cast<std::uint32_t>(::getpid());
@@ -273,21 +232,6 @@ struct Orchestrator {
     s.seq = stats_seq;
     s.now_us = static_cast<std::uint64_t>(backend.now());
     s.uptime_us = static_cast<std::uint64_t>(backend.now() - boot_at);
-    s.groups = static_cast<std::uint32_t>(node.group_count());
-    s.wcl_backlog = static_cast<std::uint32_t>(node.wcl().backlog().size());
-    s.pending_forwards =
-        static_cast<std::uint32_t>(node.wcl().pending_forward_count());
-    s.pss_view = static_cast<std::uint32_t>(node.pss().view().size());
-    s.pss_reserve = static_cast<std::uint32_t>(node.pss().reserve_size());
-    s.quarantined = static_cast<std::uint32_t>(node.pss().peers_quarantined());
-    s.peer_restarts = static_cast<std::uint32_t>(node.transport().peer_restarts());
-    s.decode_rejects = static_cast<std::uint32_t>(
-        node.transport().decode_rejects() + node.pss().decode_rejects() +
-        node.wcl().stats().decode_rejects);
-    s.rate_limited = static_cast<std::uint32_t>(node.pss().rate_limited() +
-                                                node.wcl().stats().rate_limited);
-    s.rss_kb = read_rss_kb();
-    s.cpu_us = static_cast<std::uint64_t>(node.cpu().total());
     s.metrics = telemetry::registry_values(registry);
     return s;
   }
@@ -551,10 +495,11 @@ int main(int argc, char** argv) {
   telemetry::Logger logger;
   logger.set_node(opt.id);
 
+  telemetry::Registry registry;
   net::UdpConfig bcfg;
   bcfg.trace_wire = opt.trace_wire;
   bcfg.epoch_ns = opt.epoch_ns;
-  net::UdpBackend backend(bcfg);
+  net::UdpBackend backend(bcfg, &registry);
   if (!backend.last_error().empty()) {
     logger.error("backend", {{"error", backend.last_error()}});
     return 1;
@@ -578,7 +523,6 @@ int main(int argc, char** argv) {
     storep = &store;
   }
 
-  telemetry::Registry registry;
   telemetry::FlightRecorder flight;
   flight.set_clock(net::clock_fn(backend));
   flight.set_enabled(!opt.flight_path.empty() || opt.trace_wire);

@@ -26,7 +26,9 @@
 // file (load in Perfetto / about:tracing; one timeline row per node,
 // timestamps are virtual microseconds, an arrow per delivered wire copy).
 // --metrics dumps the final metric registry as JSONL; with --sample-secs
-// the per-interval time series of every metric is appended too.
+// one sampled line per interval is appended too: the "fleet" health record
+// of the whole registry (telemetry/health.hpp, the line whisper_localnet
+// writes to fleet.jsonl), with the virtual time as ts_us.
 //
 // --flight records per-message causal flight records (per-hop latency
 // decomposition, retries, fault attribution) and dumps them as JSONL —
@@ -42,7 +44,7 @@
 #include "pss/metrics.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/timeseries.hpp"
+#include "telemetry/health.hpp"
 #include "whisper/scale.hpp"
 
 using namespace whisper;
@@ -100,16 +102,20 @@ int main(int argc, char** argv) {
   // its registries: the sim.queue.depth gauge is per shard, so a merged
   // export would depend on the shard count.
   tb.simulator(0).attach_telemetry(tb.registry(0));
-  // Snapshot every registry metric into the time-series recorder at each
-  // multiple of sample_every, between run_for slices.
-  telemetry::TimeSeriesRecorder recorder(tb.registry(0));
+  // At each multiple of sample_every, between run_for slices, one "fleet"
+  // health line of every registry metric.
+  std::string samples;
+  telemetry::HealthSnapshot sample;
   auto advance = [&](net::Time duration) {
     const net::Time end = tb.now() + duration;
     while (sample_every > 0) {
       const net::Time tick = (tb.now() / sample_every + 1) * sample_every;
       if (tick > end) break;
       tb.run_for(tick - tb.now());
-      recorder.sample(tb.now());
+      ++sample.seq;
+      sample.now_us = sample.uptime_us = tb.now();
+      sample.metrics = telemetry::registry_values(tb.registry(0));
+      samples += telemetry::health_to_json(sample, "fleet") + "\n";
     }
     tb.run_for(end - tb.now());
   };
@@ -301,9 +307,8 @@ int main(int argc, char** argv) {
                 telemetry::format_report(report).c_str());
   }
   if (!metrics_path.empty()) {
-    std::string out = telemetry::to_jsonl(tb.registry(0));
-    if (sample_every > 0) out += telemetry::to_jsonl(recorder);
-    if (telemetry::write_text_file(metrics_path, out)) {
+    if (telemetry::write_text_file(metrics_path,
+                                   telemetry::to_jsonl(tb.registry(0)) + samples)) {
       std::printf("metrics: %zu series -> %s\n", tb.registry(0).entries().size(),
                   metrics_path.c_str());
     } else {

@@ -29,13 +29,12 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include "admin.hpp"
 #include "args.hpp"
 #include "common/bytes.hpp"
 #include "common/file.hpp"
@@ -61,52 +60,19 @@ std::vector<std::uint64_t> discover_nodes(const std::string& dir) {
   return ids;
 }
 
-/// One admin stats query (see whisper_noded: 4-byte request, one health
-/// record back).
-std::optional<tel::HealthSnapshot> query_admin(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) return std::nullopt;
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  to.sin_port = htons(port);
-  const whisper::Bytes req = tel::encode_admin_request(tel::AdminOp::kStats);
-  std::optional<tel::HealthSnapshot> out;
-  for (int attempt = 0; attempt < 2 && !out; ++attempt) {
-    if (::sendto(fd, req.data(), req.size(), 0,
-                 reinterpret_cast<sockaddr*>(&to), sizeof to) < 0) {
-      break;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 500) <= 0) continue;
-    std::vector<std::uint8_t> buf(tel::kMaxHealthPayloadBytes + 64);
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n <= 0) continue;
-    out = tel::decode_health_record(
-        whisper::BytesView(buf.data(), static_cast<std::size_t>(n)));
+/// Short NAT-type label off the shim's `shim.nodes{nat=TYPE}` counter;
+/// "pub" for a node with no NAT in front of it.
+const char* nat_label(const tel::HealthSnapshot& s) {
+  static constexpr std::pair<const char*, const char*> kTypes[] = {
+      {"shim.nodes{nat=full_cone}", "fc"},
+      {"shim.nodes{nat=restricted_cone}", "rc"},
+      {"shim.nodes{nat=port_restricted_cone}", "prc"},
+      {"shim.nodes{nat=sym}", "sym"},
+  };
+  for (const auto& [key, label] : kTypes) {
+    if (s.metric(key) > 0) return label;
   }
-  ::close(fd);
-  return out;
-}
-
-std::uint16_t read_port(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return 0;
-  unsigned long port = 0;
-  const int rc = std::fscanf(f, "%lu", &port);
-  std::fclose(f);
-  return rc == 1 ? static_cast<std::uint16_t>(port) : 0;
-}
-
-/// Short NAT-type label off the nylon.nat_type gauge (nat/rules.hpp order).
-const char* nat_label(double type) {
-  switch (static_cast<int>(type)) {
-    case 1: return "fc";    // full cone
-    case 2: return "rc";    // restricted cone
-    case 3: return "prc";   // port-restricted cone
-    case 4: return "sym";   // symmetric
-    default: return "pub";
-  }
+  return "pub";
 }
 
 /// Traversal split "direct/punched/relayed" — how this node's outbound
@@ -212,17 +178,19 @@ int main(int argc, char** argv) {
         fleet_delivered += delivered;
         fleet_rate += rate;
         const double rtt_p95_ms = s.metric("pss.exchange.rtt_us#p95") / 1e3;
+        const double backlog =
+            s.metric("wcl.backlog.depth{node=n" + std::to_string(s.node) + "}");
         // Stale = no new record for ~3 refreshes: the supervisor's
         // hung-vs-dead threshold, at operator granularity.
         const char* state = v.frozen_rounds >= 3 ? "STALE" : "live";
-        std::printf("%4llu %5u %4u %6llu %9.0f %8.1f %9.1f %4s %13s %6u %6u "
-                    "%8u %8.1f %7.1f  %s\n",
+        std::printf("%4llu %5u %4u %6llu %9.0f %8.1f %9.1f %4s %13s %6.0f %6.0f "
+                    "%8.0f %8.1f %7.1f  %s\n",
                     (unsigned long long)id, s.pid, s.incarnation,
-                    (unsigned long long)s.seq, delivered, rate, rtt_p95_ms,
-                    nat_label(s.metric("nylon.nat_type")),
-                    traversal_cell(s).c_str(), s.quarantined, s.peer_restarts,
-                    s.wcl_backlog, static_cast<double>(s.rss_kb) / 1024.0,
-                    static_cast<double>(s.cpu_us) / 1e6, state);
+                    (unsigned long long)s.seq, delivered, rate, rtt_p95_ms, nat_label(s),
+                    traversal_cell(s).c_str(), s.metric("pss.peers.quarantined"),
+                    s.metric("nylon.peer_restarts"), backlog,
+                    s.metric("proc.rss_kb") / 1024.0, s.metric("proc.cpu_us") / 1e6,
+                    state);
       }
       std::printf("fleet: %zu nodes, %.0f delivered, %.1f/s\n", views.size(),
                   fleet_delivered, fleet_rate);
