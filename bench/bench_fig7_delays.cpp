@@ -6,16 +6,42 @@
 // cluster and a 400-node PlanetLab slice. Expected shape: network delays
 // dominate; crypto is ~2 orders of magnitude below the RTT; cluster
 // exchanges < 500 ms, PlanetLab > 80% under ~2 s.
+//
+// The RTTs and the per-message split come from the flight log
+// (telemetry::exchange_delays, which `whisper_trace fig7` also runs). The
+// build and decrypt lines are per-operation means of what the CPU meters
+// measured over the window; they print apart from the records' crypto part,
+// which on the simulator's virtual clock is the modeled cost (DESIGN.md §6
+// item 6).
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "common/stats.hpp"
+#include "telemetry/figures.hpp"
 
 namespace whisper {
 namespace {
 
-void run_testbed(const std::string& latency, std::size_t n_nodes, std::size_t n_groups,
-                 std::size_t target_exchanges) {
+/// What the live nodes' meters measured for `cat` operations.
+struct OpCost {
+  double mean_ms = 0;
+  std::uint64_t ops = 0;
+};
+
+OpCost measured(ScaleTestbed& tb, net::CpuCategory cat) {
+  std::uint64_t us = 0;
+  OpCost out;
+  for (WhisperNode* node : tb.alive_nodes()) {
+    us += node->cpu().spent(cat);
+    out.ops += node->cpu().ops(cat);
+  }
+  if (out.ops > 0) out.mean_ms = static_cast<double>(us) / static_cast<double>(out.ops) / 1000.0;
+  return out;
+}
+
+int run_testbed(const std::string& latency, std::size_t n_nodes, std::size_t n_groups,
+                std::size_t target_exchanges) {
   ScaleConfig cfg;
   cfg.initial_nodes = n_nodes;
   cfg.natted_fraction = 0.7;
@@ -23,75 +49,56 @@ void run_testbed(const std::string& latency, std::size_t n_nodes, std::size_t n_
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = 1000 + n_nodes;
+  cfg.flight = true;
   ScaleTestbed tb(cfg);
   Rng rng(cfg.seed ^ 0xf16);
 
   tb.run_for(5 * net::kMinute);
-  std::vector<ppss::Ppss*> leaders;
-  std::vector<GroupId> gids;
-  auto publics = bench::alive_public_nodes(tb);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const GroupId gid{7000 + g};
-    crypto::Drbg d(cfg.seed + g);
-    leaders.push_back(
-        &publics[g % publics.size()]->create_group(gid, crypto::RsaKeyPair::generate(512, d)));
-    gids.push_back(gid);
-  }
-  for (WhisperNode* node : tb.alive_nodes()) {
-    const std::size_t g = rng.pick_index(gids);
-    if (node->id() == leaders[g]->self()) continue;
-    auto accr = leaders[g]->invite(node->id());
-    if (accr) node->join_group(gids[g], *accr, leaders[g]->self_descriptor());
-  }
+  bench::found_groups(tb, n_groups, 7000, cfg.seed, rng);
   tb.run_for(5 * net::kMinute);
 
-  // Collect: per-op crypto samples via CPU probes, RTT via PPSS callback.
-  Samples build_samples, decrypt_samples, rtt_samples;
-  for (WhisperNode* node : tb.alive_nodes()) {
-    node->cpu().set_probe([&](net::CpuCategory cat, net::Time t) {
-      const double sec = static_cast<double>(t) / net::kSecond;
-      if (cat == net::CpuCategory::kRsaEncrypt) build_samples.add(sec);
-      if (cat == net::CpuCategory::kRsaDecrypt) decrypt_samples.add(sec);
-    });
-    for (const GroupId gid : gids) {
-      if (auto* g = node->group(gid)) {
-        g->on_exchange_rtt = [&](net::Time rtt) {
-          rtt_samples.add(static_cast<double>(rtt) / net::kSecond);
-        };
-      }
-    }
-  }
-  while (rtt_samples.count() < target_exchanges) {
+  // Window: the meters restart, and it closes once the registry's RTT
+  // histogram has seen the target number of completed exchanges.
+  const telemetry::Histogram& h = tb.registry(0).histogram(
+      "ppss.exchange.rtt_us", telemetry::BucketSpec::log_spaced(1'000, 60'000'000));
+  const std::uint64_t before = h.count();
+  const net::Time opened = tb.now();
+  for (WhisperNode* node : tb.alive_nodes()) node->cpu().reset();
+  while (h.count() - before < target_exchanges) {
     tb.run_for(net::kMinute);
     if (tb.now() > 4ull * 3600 * net::kSecond) break;  // safety valve
   }
-
-  // Crypto operations are sub-millisecond: report them in ms.
-  Samples build_ms, decrypt_ms;
-  for (double v : build_samples.values()) build_ms.add(v * 1000.0);
-  for (double v : decrypt_samples.values()) decrypt_ms.add(v * 1000.0);
+  const telemetry::ExchangeDelays delays = telemetry::exchange_delays(
+      tb.flight(0).assemble(), telemetry::TimeWindow{opened, tb.now()});
+  Samples rtt_samples;
+  for (std::uint64_t rtt : delays.rtt_us) {
+    rtt_samples.add(static_cast<double>(rtt) / net::kSecond);
+  }
+  const OpCost build = measured(tb, net::CpuCategory::kRsaEncrypt);
+  const OpCost decrypt = measured(tb, net::CpuCategory::kRsaDecrypt);
 
   std::printf("\n--- %s, %zu nodes (%zu exchanges) ---\n", latency.c_str(), n_nodes,
               rtt_samples.count());
-  std::printf("  build WCL path (ms):  %s\n", format_stacked_percentiles(build_ms).c_str());
-  std::printf("  RSA decrypt/hop (ms): %s\n", format_stacked_percentiles(decrypt_ms).c_str());
+  std::printf("  build WCL path (ms):  mean=%.3f measured (%llu ops)\n", build.mean_ms,
+              static_cast<unsigned long long>(build.ops));
+  std::printf("  RSA decrypt/hop (ms): mean=%.3f measured (%llu ops)\n", decrypt.mean_ms,
+              static_cast<unsigned long long>(decrypt.ops));
+  std::printf("  message split, modeled crypto: %s\n",
+              telemetry::format_message_split(delays).c_str());
   std::printf("  total rtt (s):        %s\n", format_stacked_percentiles(rtt_samples).c_str());
 
   // Tail latency from the live registry histogram (the same p50/p95/p99 the
-  // JSONL exporter emits), cross-checking the callback-collected samples.
-  const telemetry::Histogram& h = tb.registry(0).histogram(
-      "ppss.exchange.rtt_us", telemetry::BucketSpec::log_spaced(1'000, 60'000'000));
+  // JSONL exporter emits). It holds every exchange of the run, set-up
+  // included, so its count exceeds the window's.
   std::printf("  rtt tail (s):         p50=%.3f p95=%.3f p99=%.3f (histogram, %llu obs)\n",
               h.percentile(50) / net::kSecond, h.percentile(95) / net::kSecond,
               h.percentile(99) / net::kSecond,
               static_cast<unsigned long long>(h.count()));
   std::printf("  rtt CDF:\n%s", format_cdf(rtt_samples, 12, "rtt(s)").c_str());
-  const double ratio = build_samples.mean() > 0 ? rtt_samples.mean() / build_samples.mean() : 0;
+  const double ratio = build.mean_ms > 0 ? rtt_samples.mean() * 1000.0 / build.mean_ms : 0;
   std::printf("  shape-check: rtt/build ratio = %.0fx (paper: ~2 orders of magnitude)\n",
               ratio);
-
-  // Detach probes before teardown.
-  for (WhisperNode* node : tb.alive_nodes()) node->cpu().set_probe(nullptr);
+  return bench::flight_status(tb);
 }
 
 }  // namespace
@@ -107,7 +114,7 @@ int main(int argc, char** argv) {
                 "network delay dominates; onion build and RSA decrypts ~2 orders of "
                 "magnitude below total RTT; cluster < ~0.5 s, planetlab mostly < ~2 s");
 
-  run_testbed("cluster", cluster_nodes, 8, exchanges);
-  run_testbed("planetlab", planetlab_nodes, 6, exchanges / 2);
-  return 0;
+  const int cluster = run_testbed("cluster", cluster_nodes, 8, exchanges);
+  const int planetlab = run_testbed("planetlab", planetlab_nodes, 6, exchanges / 2);
+  return std::max(cluster, planetlab);
 }

@@ -7,21 +7,27 @@
 // (Alt.), and fail with no alternative (No alt.). Expected shape: Success
 // stays >= ~90% even at 10%/min; "No alt." stays around or below ~1.5%.
 //
+// The table is a function of the flight log: recording is on, kill_node
+// marks every node it stops, and telemetry::route_availability() sorts the
+// window's WCL sends (its doc comment states the counting rule).
+//
 // Defaults: 200 nodes / 8 groups for wall-clock reasons; use --nodes=1000
 // --groups=20 for the paper-scale run.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "churn/churn.hpp"
+#include "telemetry/figures.hpp"
 
 namespace whisper {
 namespace {
 
 struct Table1Row {
-  std::string churn;
-  double success, alt, no_alt;
-  std::uint64_t total;
+  telemetry::RouteAvailability counts;
+  std::size_t events = 0;  // flight events the run recorded
+  int status = 0;          // bench::flight_status of the run
 };
 
 Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct_per_min) {
@@ -32,6 +38,7 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
   cfg.node.pss.pi_min_public = 3;
   cfg.node.wcl.pi = 3;
   cfg.seed = 700 + static_cast<std::uint64_t>(churn_pct_per_min * 10);
+  cfg.flight = true;
   ScaleTestbed tb(cfg);
   Rng rng(cfg.seed ^ 0xc0ffee);
 
@@ -39,60 +46,10 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
   // from churn so joins of replacement nodes keep working — the paper keeps
   // at least one leader reachable too).
   tb.run_for(5 * net::kMinute);
-  std::vector<ppss::Ppss*> leaders;
-  std::vector<GroupId> groups;
-  auto publics = bench::alive_public_nodes(tb);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const GroupId gid{9000 + g};
-    WhisperNode* leader = publics[g % publics.size()];
-    crypto::Drbg d(cfg.seed + g);
-    leaders.push_back(&leader->create_group(gid, crypto::RsaKeyPair::generate(512, d)));
-    groups.push_back(gid);
-  }
+  const bench::Groups groups = bench::found_groups(tb, n_groups, 9000, cfg.seed, rng);
   std::unordered_set<NodeId> protected_ids;
-  for (auto* l : leaders) protected_ids.insert(l->self());
-
-  auto subscribe = [&](WhisperNode* node) {
-    const std::size_t g = rng.pick_index(groups);
-    if (node->id() == leaders[g]->self()) return;
-    if (node->group(groups[g]) != nullptr) return;
-    auto accr = leaders[g]->invite(node->id());
-    if (accr) node->join_group(groups[g], *accr, leaders[g]->self_descriptor());
-  };
-  for (WhisperNode* node : tb.alive_nodes()) subscribe(node);
+  for (auto* l : groups.leaders) protected_ids.insert(l->self());
   tb.run_for(5 * net::kMinute);
-
-  // Count outcomes through the probe, applying the paper's accounting
-  // (footnote 3): failures whose destination is itself dead are destination
-  // failures, not WCL route failures, and are excluded.
-  struct Counts {
-    std::uint64_t first = 0, alt = 0, noalt = 0, dest_failures = 0;
-  } counts;
-  bool measuring = false;
-  auto install_probe = [&](WhisperNode* node) {
-    node->wcl().outcome_probe = [&, node](NodeId dest, wcl::SendOutcome outcome) {
-      if (!measuring || !node->running()) return;
-      WhisperNode* dest_node = tb.node_at(tb.index_of(dest));
-      const bool dest_alive = dest_node != nullptr && dest_node->running();
-      switch (outcome) {
-        case wcl::SendOutcome::kSuccessFirstTry:
-          ++counts.first;
-          break;
-        case wcl::SendOutcome::kSuccessAlternative:
-          ++counts.alt;
-          break;
-        case wcl::SendOutcome::kNoAlternative:
-          if (dest_alive) {
-            ++counts.noalt;
-          } else {
-            ++counts.dest_failures;
-          }
-          break;
-      }
-    };
-  };
-  for (WhisperNode* node : tb.alive_nodes()) install_probe(node);
-
 
   // Churn window (the paper's 300 s -> 1200 s script, shifted after setup).
   churn::ChurnEngine engine(
@@ -113,11 +70,7 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
         return killed;
       },
       [&](std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-          WhisperNode& fresh = tb.spawn_node();
-          subscribe(&fresh);
-          install_probe(&fresh);
-        }
+        for (std::size_t i = 0; i < n; ++i) groups.subscribe(tb.spawn_node(), rng);
       },
       [&] { return tb.alive_count(); });
 
@@ -127,18 +80,11 @@ Table1Row run_config(std::size_t n_nodes, std::size_t n_groups, double churn_pct
   phase.interval = net::kMinute;
   phase.leave_fraction = churn_pct_per_min / 100.0;
   engine.schedule(phase);
-  measuring = true;
   tb.run_for(15 * net::kMinute);
-  measuring = false;
 
-  const std::uint64_t total = counts.first + counts.alt + counts.noalt;
-  char label[64];
-  std::snprintf(label, sizeof(label), "X=%.1f%%/min", churn_pct_per_min);
-  const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-  return Table1Row{churn_pct_per_min == 0 ? "No churn" : label,
-                   static_cast<double>(counts.first) / denom,
-                   static_cast<double>(counts.alt) / denom,
-                   static_cast<double>(counts.noalt) / denom, total};
+  const telemetry::TimeWindow window{phase.start, phase.end};
+  return Table1Row{telemetry::route_availability(tb.flight(0).events(), window),
+                   tb.flight(0).events().size(), bench::flight_status(tb)};
 }
 
 }  // namespace
@@ -154,14 +100,28 @@ int main(int argc, char** argv) {
                 "Success >= ~90% even at 10%/min churn; 'No alt.' <= ~1.5%; "
                 "Alt. grows with churn");
 
-  Table t({"Churn conditions", "Success", "Alt.", "No alt.", "paths"});
+  Table t({"Churn conditions", "Success", "Alt.", "No alt.", "No path", "paths"});
+  std::string events;
+  int status = 0;
   for (double x : {0.0, 0.2, 1.0, 5.0, 10.0}) {
-    Table1Row row = run_config(nodes, groups, x);
-    t.add_row({row.churn, Table::pct(row.success), Table::pct(row.alt),
-               Table::pct(row.no_alt), std::to_string(row.total)});
+    const Table1Row row = run_config(nodes, groups, x);
+    const telemetry::RouteAvailability& c = row.counts;
+    const double paths = c.routed() > 0 ? static_cast<double>(c.routed()) : 1.0;
+    char label[64];
+    std::snprintf(label, sizeof(label), "X=%.1f%%/min", x);
+    t.add_row({x == 0 ? "No churn" : label, Table::pct(static_cast<double>(c.first_try) / paths),
+               Table::pct(static_cast<double>(c.alternative) / paths),
+               Table::pct(static_cast<double>(c.no_alternative) / paths),
+               std::to_string(c.no_path), std::to_string(c.routed())});
+    events += " " + std::to_string(row.events);
+    status = std::max(status, row.status);
   }
   std::printf("%s", t.render().c_str());
+  std::printf("\nSuccess, Alt. and No alt. are shares of the sends that built a path "
+              "('paths'); 'No path' counts\nsends that built none. Failures at a stopped "
+              "destination are left out (footnote 3).\n");
+  std::printf("flight events per row:%s\n", events.c_str());
   std::printf("\n(paper, 1000 nodes: Success 100/98.3/96.7/96.5/90.9%%, "
               "Alt 0/1.42/2.73/2.83/7.86%%, No-alt 0/0.28/0.47/0.77/1.24%%)\n");
-  return 0;
+  return status;
 }

@@ -33,22 +33,7 @@ int main(int argc, char** argv) {
 
   tb.run_for(5 * net::kMinute);
   // Group setup: leaders on P-nodes, every node subscribes to one group.
-  std::vector<ppss::Ppss*> leaders;
-  std::vector<GroupId> gids;
-  auto publics = bench::alive_public_nodes(tb);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const GroupId gid{8000 + g};
-    crypto::Drbg d(900 + g);
-    leaders.push_back(
-        &publics[g % publics.size()]->create_group(gid, crypto::RsaKeyPair::generate(512, d)));
-    gids.push_back(gid);
-  }
-  for (WhisperNode* node : tb.alive_nodes()) {
-    const std::size_t g = rng.pick_index(gids);
-    if (node->id() == leaders[g]->self()) continue;
-    auto accr = leaders[g]->invite(node->id());
-    if (accr) node->join_group(gids[g], *accr, leaders[g]->self_descriptor());
-  }
+  bench::found_groups(tb, groups, 8000, 900, rng);
   tb.run_for(5 * net::kMinute);
 
   // Measurement window: reset meters, run whole PPSS cycles.

@@ -514,22 +514,7 @@ int main(int argc, char** argv) {
     ScaleTestbed tb(cfg);
     Rng rng(cfg.seed ^ 0x51b);
     tb.run_for(5 * net::kMinute);
-    std::vector<ppss::Ppss*> leaders;
-    std::vector<GroupId> gids;
-    auto publics = bench::alive_public_nodes(tb);
-    for (std::size_t g = 0; g < groups; ++g) {
-      crypto::Drbg d(cfg.seed + g);
-      leaders.push_back(&publics[g % publics.size()]->create_group(
-          GroupId{5000 + g}, crypto::RsaKeyPair::generate(512, d)));
-      gids.push_back(GroupId{5000 + g});
-    }
-    for (WhisperNode* node : tb.alive_nodes()) {
-      const std::size_t g = rng.pick_index(gids);
-      if (node->id() == leaders[g]->self()) continue;
-      if (auto accr = leaders[g]->invite(node->id())) {
-        node->join_group(gids[g], *accr, leaders[g]->self_descriptor());
-      }
-    }
+    bench::found_groups(tb, groups, 5000, cfg.seed, rng);
     tb.run_for(minutes * net::kMinute);
     const double wall_s = seconds_since(start);
     const double events_per_wall_sec =

@@ -23,6 +23,55 @@ inline std::vector<WhisperNode*> alive_public_nodes(ScaleTestbed& tb) {
   return out;
 }
 
+/// The paper benches' private groups: leaders[g] leads gids[g].
+struct Groups {
+  std::vector<ppss::Ppss*> leaders;
+  std::vector<GroupId> gids;
+
+  /// Join `node` to one group drawn from `rng`. The draw happens whether or
+  /// not the node joins: a node already in the drawn group (its leader)
+  /// stays as it is.
+  void subscribe(WhisperNode& node, Rng& rng) const {
+    const std::size_t g = rng.pick_index(gids);
+    if (node.group(gids[g]) != nullptr) return;
+    if (auto accr = leaders[g]->invite(node.id())) {
+      node.join_group(gids[g], *accr, leaders[g]->self_descriptor());
+    }
+  }
+};
+
+/// Found `count` groups on the live P-nodes, group g with id gid_base + g
+/// on publics[g % publics.size()] under a 512-bit key drawn from
+/// Drbg(key_seed_base + g), then subscribe every live node to one group.
+inline Groups found_groups(ScaleTestbed& tb, std::size_t count, std::uint64_t gid_base,
+                           std::uint64_t key_seed_base, Rng& rng) {
+  Groups out;
+  const std::vector<WhisperNode*> publics = alive_public_nodes(tb);
+  for (std::size_t g = 0; g < count; ++g) {
+    const GroupId gid{gid_base + g};
+    crypto::Drbg d(key_seed_base + g);
+    out.leaders.push_back(&publics[g % publics.size()]->create_group(
+        gid, crypto::RsaKeyPair::generate(512, d)));
+    out.gids.push_back(gid);
+  }
+  for (WhisperNode* node : tb.alive_nodes()) out.subscribe(*node, rng);
+  return out;
+}
+
+/// Exit status for a bench that reads its figure from flight data: 1, with
+/// a message, when a shard's recorder dropped events (the figure would be
+/// built from a truncated log).
+inline int flight_status(ScaleTestbed& tb) {
+  for (std::size_t s = 0; s < tb.shard_count(); ++s) {
+    if (const std::uint64_t dropped = tb.flight(s).dropped(); dropped > 0) {
+      std::fprintf(stderr, "flight recorder of shard %zu dropped %llu events\n", s,
+                   static_cast<unsigned long long>(dropped));
+      return 1;
+    }
+  }
+  return 0;
+}
+
 inline void banner(const std::string& title, const std::string& paper_shape) {
   std::printf("==========================================================\n");
   std::printf("%s\n", title.c_str());

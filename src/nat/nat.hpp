@@ -53,8 +53,6 @@ class NatFabric : public sim::AddressTranslator {
   std::optional<Endpoint> outbound(Endpoint internal_src, Endpoint public_dst) override;
   std::optional<Endpoint> inbound(Endpoint public_dst, Endpoint public_src) override;
 
-  std::size_t device_count() const { return devices_.size(); }
-
  private:
   sim::Simulator& sim_;
   NatConfig config_;

@@ -3,7 +3,8 @@
 // The paper's Table II reports average CPU time per PPSS cycle spent in AES
 // vs RSA, split by node class. Because our AES/RSA are real implementations,
 // we measure actual wall-clock time per operation and accumulate it per node
-// and category. charge() also returns the measurement: on a wall clock WCL
+// and category; Table II and Fig. 7's per-operation crypto means read these
+// totals. charge() also returns the measurement: on a wall clock WCL
 // puts it in its flight `crypto` slices, so the live Fig. 7 split is
 // measured. The simulator's virtual clock never sees it; there WCL uses
 // fixed modeled costs, because measured time would make runs irreproducible
@@ -12,7 +13,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 
 #include "net/time.hpp"
 
@@ -65,14 +65,8 @@ class CpuMeter {
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count());
     spent_ns_[static_cast<std::size_t>(cat)] += ns;
     ++ops_[static_cast<std::size_t>(cat)];
-    const Time t = ns >= 1000 ? ns / 1000 : 1;
-    if (probe_) probe_(cat, t);
-    return t;
+    return ns >= 1000 ? ns / 1000 : 1;
   }
-
-  /// Optional per-operation sample sink (used by the Fig. 7 bench to build
-  /// distributions of individual crypto-operation durations).
-  void set_probe(std::function<void(CpuCategory, Time)> probe) { probe_ = std::move(probe); }
 
   /// Wall time accumulated under `cat`, in whole microseconds.
   Time spent(CpuCategory cat) const { return spent_ns_[static_cast<std::size_t>(cat)] / 1000; }
@@ -93,7 +87,6 @@ class CpuMeter {
  private:
   std::uint64_t spent_ns_[static_cast<std::size_t>(CpuCategory::kCount)] = {};
   std::uint64_t ops_[static_cast<std::size_t>(CpuCategory::kCount)] = {};
-  std::function<void(CpuCategory, Time)> probe_;
 };
 
 }  // namespace whisper::net

@@ -363,7 +363,7 @@ bool ShimStack::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
     const Time now = clock_.now();
     const Time start = std::max(now, n->rate_free_at);
     if (start - now > kRateHorizon) {
-      count(rate_dropped_, m_rate_dropped_);
+      m_rate_dropped_.add(1);
       emit_event("rate_drop", wire_src, public_dst, d.seq, 0);
       return true;
     }
@@ -380,7 +380,7 @@ bool ShimStack::send(Endpoint internal_src, Endpoint public_dst, Bytes payload,
   for (std::size_t i = 0; i < d.copies; ++i) {
     const Time hold = i == 0 ? d.delay0 : d.delay1;
     if (i > 0) {
-      count(impair_duplicated_, m_impair_duplicated_);
+      m_impair_duplicated_.add(1);
       emit_event("dup", wire_src, public_dst, d.seq, hold);
     }
     if (hold == 0) {

@@ -168,14 +168,13 @@ class ShimStack final : public Stack {
   std::size_t mappings_active() const;
 
   // --- Counters. Each also adds to its registry metric:
-  // shim.impair.{dropped,duplicated,delayed}, shim.rate.dropped and
-  // shim.nat.{filtered,mappings,expired,reboots}. The registry also gets
-  // the gauge shim.nat.active (mapping sockets open now) and
-  // shim.nodes{nat=TYPE} (endpoints fronted, by NAT type). ---
+  // shim.impair.{dropped,delayed} and
+  // shim.nat.{filtered,mappings,expired,reboots}. The registry alone keeps
+  // shim.impair.duplicated, shim.rate.dropped, the gauge shim.nat.active
+  // (mapping sockets open now) and shim.nodes{nat=TYPE} (endpoints
+  // fronted, by NAT type). ---
   std::uint64_t impair_dropped() const { return impair_dropped_; }
-  std::uint64_t impair_duplicated() const { return impair_duplicated_; }
   std::uint64_t impair_delayed() const { return impair_delayed_; }
-  std::uint64_t rate_dropped() const { return rate_dropped_; }
   std::uint64_t nat_filtered() const { return nat_filtered_; }
   std::uint64_t nat_mappings_created() const { return nat_mappings_created_; }
   std::uint64_t nat_expired() const { return nat_expired_; }
@@ -229,9 +228,7 @@ class ShimStack final : public Stack {
   std::optional<Endpoint> pending_alloc_;
 
   std::uint64_t impair_dropped_ = 0;
-  std::uint64_t impair_duplicated_ = 0;
   std::uint64_t impair_delayed_ = 0;
-  std::uint64_t rate_dropped_ = 0;
   std::uint64_t nat_filtered_ = 0;
   std::uint64_t nat_mappings_created_ = 0;
   std::uint64_t nat_expired_ = 0;

@@ -85,7 +85,6 @@ class NylonPss {
   std::uint64_t exchanges_timed_out() const { return exchanges_timed_out_; }
   std::uint64_t peers_quarantined() const { return peers_quarantined_; }
   std::uint64_t peers_rejoined() const { return peers_rejoined_; }
-  std::size_t reserve_size() const { return reserve_.size(); }
 
   /// True while `id` sits in quarantine (its descriptors are refused).
   bool quarantined(NodeId id) const;

@@ -464,7 +464,6 @@ void Transport::probe_sweep() {
       // Same seq: a late ack to any retransmission still verifies the route.
       send_probe_frame(p.target, p.seq);
       ++p.retries;
-      ++probe_retries_;
       m_probe_retries_.add(1);
       p.sent_at = now;
     }
@@ -562,14 +561,6 @@ void Transport::note_direct_route(NodeId peer, Endpoint ep) {
     ++cap_evictions_;
   }
   direct_routes_[peer] = DirectRoute{ep, clock_.now()};
-}
-
-std::size_t Transport::direct_route_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, route] : direct_routes_) {
-    if (route.verified_at + config_.route_ttl > clock_.now()) ++n;
-  }
-  return n;
 }
 
 std::size_t Transport::relayed_registrations() const {

@@ -145,15 +145,12 @@ class Transport {
   std::uint64_t sends_punched() const { return sends_punched_; }
   std::uint64_t sends_direct() const { return sends_direct_; }
   std::uint64_t sends_relayed() const { return sends_relayed_; }
-  /// nylon.probes.sent and nylon.probes.retries.
+  /// nylon.probes.sent.
   std::uint64_t probes_sent() const { return probes_sent_; }
-  std::uint64_t probe_retries() const { return probe_retries_; }
   /// Punched routes dropped because the relay observed the peer at a new
   /// external address (NAT reboot / mapping expiry on the peer's side);
   /// nylon.routes.invalidated.
   std::uint64_t routes_invalidated() const { return routes_invalidated_; }
-  /// Verified punched routes currently fresh.
-  std::size_t direct_route_count() const;
 
   /// Best-effort send using only local state — a verified punched route or
   /// our own relay registration for the peer. Used by the WCL when a mix
@@ -272,7 +269,6 @@ class Transport {
   std::uint64_t sends_direct_ = 0;
   std::uint64_t sends_relayed_ = 0;
   std::uint64_t probes_sent_ = 0;
-  std::uint64_t probe_retries_ = 0;
   std::uint64_t routes_invalidated_ = 0;
 
   telemetry::Counter& m_sends_direct_;

@@ -553,7 +553,6 @@ void Ppss::handle_gossip(std::uint8_t kind, Reader& r) {
     ++stats_.exchanges_completed;
     m_completed_.add(1);
     m_rtt_.observe(static_cast<double>(rtt));
-    if (on_exchange_rtt) on_exchange_rtt(rtt);
   }
 }
 

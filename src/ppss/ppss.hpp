@@ -146,10 +146,6 @@ class Ppss {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Callback fired when an exchange completes, with the round-trip time —
-  /// the data source for Fig. 7.
-  std::function<void(net::Time rtt)> on_exchange_rtt;
-
   /// Telemetry handle (layers stacked on PPSS — e.g. T-Chord — inherit it).
   const telemetry::Scope& telemetry() const { return tel_; }
 

@@ -429,10 +429,10 @@ std::vector<FlightRecord> assemble_flight_events(
     if (final_attempt > 1 && last_retry_ts > rec.begin_ts) {
       rec.retry_us = last_retry_ts - rec.begin_ts;
     }
-    // Critical-path residual: handler/stack time the other components can't
-    // see. Zero under the virtual clock (the exact chain already sums to
-    // the RTT); on the real backend it closes the decomposition so
-    // decomposed_us() == rtt_us exactly for every chained delivery.
+    // Critical-path residual: time the other components can't see (handler
+    // and stack time on the real backend). It closes the decomposition, so
+    // decomposed_us() == rtt_us for every chained delivery whose components
+    // sum to less than the RTT, on either clock.
     if (chained && rec.rtt_us > 0) {
       const std::uint64_t sum =
           rec.crypto_us + rec.prop_us + rec.queue_us + rec.retry_us;

@@ -135,11 +135,13 @@ struct FlightRecord {
   std::uint64_t queue_us = 0;
   /// Time burned on earlier failed attempts (begin -> final attempt start).
   std::uint64_t retry_us = 0;
-  /// Handler/stack time on the critical path not attributable to any other
-  /// component. Always 0 under the virtual clock (handlers are free there);
-  /// on the real backend it is the residual rtt - (crypto+prop+queue+retry)
-  /// whenever the critical-path chain closed, so decomposed_us() == rtt_us
-  /// exactly for delivered records on both backends.
+  /// Critical-path time no other component accounts for: the residual
+  /// rtt - (crypto+prop+queue+retry) whenever the critical-path chain
+  /// closed and covers less than the RTT, on either clock. On the real
+  /// backend it is handler and stack time. On the virtual clock, where
+  /// handlers are free, it is usually 0 but not always: the delivered WCL
+  /// records under completed exchanges in bench_fig7_delays' default
+  /// planetlab run average 14 us of it (ROADMAP item 4's inexact records).
   std::uint64_t proc_us = 0;
   std::string group;  // group label for PPSS roots ("g7000"), else empty
   std::vector<std::string> faults;  // fault kinds encountered, in order

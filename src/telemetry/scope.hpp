@@ -47,11 +47,6 @@ class Scope {
 
   // --- Causal flight recording (no-ops until the testbed enables it). ---
   bool flight_enabled() const { return flight_ != nullptr && flight_->enabled(); }
-  /// The ambient context armed by the network around the current handler
-  /// (invalid outside a traced delivery).
-  TraceContext flight_context() const {
-    return flight_ != nullptr ? flight_->context() : TraceContext{};
-  }
 
   /// Record a mark on this node's timeline (FlightRecorder::mark): a
   /// protocol event that belongs to no message. `dur` > 0 makes it a span

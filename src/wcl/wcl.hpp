@@ -113,12 +113,6 @@ class Wcl {
   /// Upcall with the decrypted payload when this node is a destination.
   std::function<void(Bytes payload)> on_deliver;
 
-  /// Observation hook: fires once per send_confidential with the final
-  /// outcome and the destination. Benches use it to apply the paper's
-  /// accounting (a path that fails because the destination itself is dead
-  /// is a destination failure, not a WCL route failure — footnote 3).
-  std::function<void(NodeId dest, SendOutcome outcome)> outcome_probe;
-
   const ConnectionBacklog& backlog() const { return cb_; }
 
   /// This node's own helpers: the Π freshest P-nodes of the CB, shipped in

@@ -6,6 +6,7 @@
 
 #include "sim/latency.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/figures.hpp"
 #include "whisper/keypool.hpp"
 
 namespace whisper {
@@ -163,8 +164,11 @@ void ScaleTestbed::kill_node(std::size_t global_index) {
   if (global_index >= nodes_.size()) return;
   WhisperNode& n = *nodes_[global_index];
   if (!n.running()) return;
+  ShardState& st = *shards_[global_index % shards_.size()];
+  // Table I's footnote-3 exclusion reads this mark (telemetry/figures.hpp).
+  st.flight.mark(n.id().value, st.sim->now(), 0, telemetry::kNodeStopMark);
   n.stop();
-  shards_[global_index % shards_.size()]->fabric->remove_node(n.internal_endpoint());
+  st.fabric->remove_node(n.internal_endpoint());
 }
 
 std::size_t ScaleTestbed::kill_random_node() {

@@ -92,7 +92,8 @@ class ScaleTestbed {
 
   /// Boot one more node at the next global index.
   WhisperNode& spawn_node();
-  /// Stop the node at global index i (no-op if already stopped).
+  /// Stop the node at global index i (no-op if already stopped). While
+  /// recording is on, its timeline first gets a `node.stop` mark.
   void kill_node(std::size_t global_index);
   /// Kill a planner-rng-chosen live node; returns its global index or
   /// SIZE_MAX when none is alive.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/figures.hpp"
 #include "whisper/scale.hpp"
 
 namespace whisper::ppss {
@@ -180,13 +181,13 @@ TEST(Ppss, PersistentPeerDroppedWhenDead) {
 
 TEST(Ppss, ExchangeRttReported) {
   GroupFixture f(25, 5);
-  std::vector<net::Time> rtts;
-  for (WhisperNode* m : f.members) {
-    m->group(kGroup)->on_exchange_rtt = [&](net::Time rtt) { rtts.push_back(rtt); };
-  }
+  f.tb.flight(0).set_enabled(true);
   f.tb.run_for(10 * net::kMinute);
+  // Completed exchange roots in the flight log carry the RTTs.
+  const std::vector<std::uint64_t> rtts =
+      telemetry::exchange_delays(f.tb.flight(0).assemble()).rtt_us;
   EXPECT_GT(rtts.size(), 3u);
-  for (net::Time rtt : rtts) {
+  for (std::uint64_t rtt : rtts) {
     EXPECT_GT(rtt, 0u);
     EXPECT_LT(rtt, 15 * net::kSecond);
   }

@@ -61,19 +61,5 @@ TEST(CpuMeter, ResetClears) {
   EXPECT_EQ(meter.ops(CpuCategory::kAes), 0u);
 }
 
-TEST(CpuMeter, ProbeObservesEveryCharge) {
-  CpuMeter meter;
-  std::vector<std::pair<CpuCategory, Time>> samples;
-  meter.set_probe([&](CpuCategory c, Time t) { samples.emplace_back(c, t); });
-  meter.charge(CpuCategory::kAes, [] {});
-  meter.charge(CpuCategory::kRsaDecrypt, [] {});
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].first, CpuCategory::kAes);
-  EXPECT_EQ(samples[1].first, CpuCategory::kRsaDecrypt);
-  meter.set_probe(nullptr);
-  meter.charge(CpuCategory::kAes, [] {});
-  EXPECT_EQ(samples.size(), 2u);  // detached probe sees nothing
-}
-
 }  // namespace
 }  // namespace whisper::net

@@ -20,6 +20,13 @@
 //       sender/receiver unlinkability, group-membership leakage.
 //   whisper_trace faults out.jsonl [--fault=kind]
 //       Messages the fault fabric touched, filterable by fault kind.
+//   whisper_trace fig7 out.jsonl [more.jsonl ...]
+//       The paper's Fig. 7 from flight data (telemetry/figures.hpp): the
+//       RTT of every completed PPSS exchange, and the crypto / network /
+//       retry / proc split of the delivered WCL messages under them.
+//       Inputs merge as for `summary`, so a live fleet's .events.jsonl
+//       files work as well as a simulator export. Crypto is the modeled
+//       cost on the simulator and the measured time on a live run.
 //   whisper_trace chrome out.json a.events.jsonl [more.events.jsonl ...]
 //       Concatenate raw-event exports (each whisper_noded's
 //       flight.N.events.jsonl) and render them as one Chrome trace for
@@ -35,8 +42,10 @@
 #include <vector>
 
 #include "args.hpp"
+#include "common/stats.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/figures.hpp"
 #include "telemetry/flight.hpp"
 
 using namespace whisper;
@@ -310,6 +319,22 @@ int cmd_faults(int argc, char** argv, const std::string& path) {
   return 0;
 }
 
+int cmd_fig7(const std::vector<std::string>& paths) {
+  std::vector<telemetry::FlightRecord> recs;
+  if (!load_merged(paths, &recs, nullptr)) return 1;
+  const telemetry::ExchangeDelays d = telemetry::exchange_delays(recs);
+  std::printf("fig7: exchanges=%zu messages=%llu zero_crypto=%llu\n", d.rtt_us.size(),
+              static_cast<unsigned long long>(d.messages),
+              static_cast<unsigned long long>(d.zero_crypto));
+  Samples rtt_ms;
+  for (std::uint64_t us : d.rtt_us) rtt_ms.add(static_cast<double>(us) / 1000.0);
+  if (!rtt_ms.empty()) {
+    std::printf("exchange rtt (ms): %s\n", format_stacked_percentiles(rtt_ms).c_str());
+  }
+  std::printf("%s\n", telemetry::format_message_split(d).c_str());
+  return 0;
+}
+
 int cmd_chrome(const std::string& out_path, const std::vector<std::string>& paths) {
   std::vector<telemetry::FlightEventRec> events;
   for (const std::string& path : paths) {
@@ -344,6 +369,9 @@ int main(int argc, char** argv) {
   } else if (cmd == "faults") {
     const std::string path = positional(argc, argv, 1);
     if (!path.empty()) return cmd_faults(argc, argv, path);
+  } else if (cmd == "fig7") {
+    const std::vector<std::string> paths = positionals_from(argc, argv, 1);
+    if (!paths.empty()) return cmd_fig7(paths);
   } else if (cmd == "chrome") {
     const std::string out = positional(argc, argv, 1);
     const std::vector<std::string> paths = positionals_from(argc, argv, 2);
@@ -356,6 +384,7 @@ int main(int argc, char** argv) {
                "                     [--observe-links=a-b,...] [--observe-taps=a,b]\n"
                "                     [--global] [--nodes=N] [--verbose]\n"
                "       whisper_trace faults <flight.jsonl> [--fault=kind]\n"
+               "       whisper_trace fig7 <flight.jsonl> [more.jsonl ...]\n"
                "       whisper_trace chrome <out.json> <a.events.jsonl> [more.events.jsonl ...]\n");
   return 1;
 }
