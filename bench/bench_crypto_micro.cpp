@@ -3,11 +3,24 @@
 // These back the computational claims of Table II and Fig. 7: RSA private
 // operations dominate AES by orders of magnitude, and onion build/peel
 // costs are a few RSA operations plus AES over the body.
+//
+// Each dispatched kernel runs beside its fallback (CRT beside the plain
+// exponentiation, aes128_ctr beside aes128_ctr_portable, mul4 beside
+// mul4_portable), so bench/check_floors.py can hold every fast path to a
+// floor within one run, whatever the machine.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include "crypto/aes128.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/envelope.hpp"
+#include "crypto/montmul.hpp"
 #include "crypto/onion.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
@@ -45,6 +58,17 @@ void BM_Aes128Ctr(benchmark::State& state) {
 }
 BENCHMARK(BM_Aes128Ctr)->Arg(64)->Arg(1024)->Arg(20 * 1024);
 
+void BM_Aes128CtrPortable(benchmark::State& state) {
+  AesKey k{};
+  AesBlock iv{};
+  Bytes data(static_cast<std::size_t>(state.range(0)), 0x7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aes128_ctr_portable(k, iv, data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Aes128CtrPortable)->Arg(1024);
+
 void BM_RsaKeygen(benchmark::State& state) {
   Drbg d(42);
   for (auto _ : state) {
@@ -72,6 +96,19 @@ void BM_RsaDecrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaDecrypt)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
+
+// The same key with its CRT material stripped: one full-size exponentiation,
+// the path BM_RsaDecrypt's CRT halves replace.
+void BM_RsaDecryptNoCrt(benchmark::State& state) {
+  const auto& kp = key(static_cast<std::size_t>(state.range(0)));
+  const RsaKeyPair plain{kp.pub, kp.d};
+  Drbg d(2);
+  const Bytes ct = rsa_encrypt(kp.pub, Bytes(16, 0xaa), d);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa_decrypt(plain, ct));
+  }
+}
+BENCHMARK(BM_RsaDecryptNoCrt)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 void BM_RsaSign(benchmark::State& state) {
   const auto& kp = key(static_cast<std::size_t>(state.range(0)));
@@ -141,7 +178,53 @@ void BM_BigIntModExp(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntModExp)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
+// One 4-limb Montgomery multiply per iteration modulo a CRT half of a
+// 512-bit key, each squaring the last result: the dependent chain modexp
+// runs.
+using MontMul4 = void (*)(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
+                          std::uint64_t, std::uint64_t*);
+void mont_mul4_chain(benchmark::State& state, MontMul4 mul) {
+  std::uint64_t n[4] = {};
+  std::copy(key(512).p.limbs().begin(), key(512).p.limbs().end(), n);
+  std::uint64_t inv = n[0];  // Newton's iteration for n^-1 mod 2^64
+  for (int i = 0; i < 5; ++i) inv *= 2 - n[0] * inv;
+  const std::uint64_t n_prime = ~inv + 1;
+  std::uint64_t x[4] = {0x0123456789abcdef, 0xfedcba9876543210, 0x0f1e2d3c4b5a6978, 1};
+  for (auto _ : state) {
+    mul(x, x, n, n_prime, x);
+    benchmark::ClobberMemory();
+  }
+}
+void BM_MontMul4(benchmark::State& state) { mont_mul4_chain(state, montmul::mul4); }
+BENCHMARK(BM_MontMul4);
+void BM_MontMul4Portable(benchmark::State& state) {
+  mont_mul4_chain(state, montmul::mul4_portable);
+}
+BENCHMARK(BM_MontMul4Portable);
+
+/// The CPU features mul4 dispatches on ("bmi2 adx" where both are present),
+/// for the results' context: check_floors.py holds BM_MontMul4 to its floor
+/// only where they show.
+std::string cpu_flags() {
+  std::string flags;
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
+    if ((ebx & bit_BMI2) != 0) flags += "bmi2";
+    if ((ebx & bit_ADX) != 0) flags += flags.empty() ? "adx" : " adx";
+  }
+#endif
+  return flags;
+}
+
 }  // namespace
 }  // namespace whisper::crypto
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("cpu_flags", whisper::crypto::cpu_flags());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

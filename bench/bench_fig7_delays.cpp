@@ -14,7 +14,9 @@
 // which on the simulator's virtual clock is the modeled cost (DESIGN.md §6
 // item 6).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/stats.hpp"
@@ -87,13 +89,18 @@ int run_testbed(const std::string& latency, std::size_t n_nodes, std::size_t n_g
               telemetry::format_message_split(delays).c_str());
   std::printf("  total rtt (s):        %s\n", format_stacked_percentiles(rtt_samples).c_str());
 
-  // Tail latency from the live registry histogram (the same p50/p95/p99 the
-  // JSONL exporter emits). It holds every exchange of the run, set-up
-  // included, so its count exceeds the window's.
-  std::printf("  rtt tail (s):         p50=%.3f p95=%.3f p99=%.3f (histogram, %llu obs)\n",
-              h.percentile(50) / net::kSecond, h.percentile(95) / net::kSecond,
-              h.percentile(99) / net::kSecond,
-              static_cast<unsigned long long>(h.count()));
+  // The window's tail. A percentile prints only with at least ten samples
+  // beyond it, the rule perfbench's percentiles keep.
+  const std::size_t n = rtt_samples.count();
+  std::string tail;
+  for (const double p : {50.0, 95.0, 99.0}) {
+    const auto at_or_below = static_cast<std::size_t>(std::ceil(static_cast<double>(n) * p / 100));
+    if (n - at_or_below < 10) continue;
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "p%.0f=%.3f ", p, rtt_samples.percentile(p));
+    tail += buf;
+  }
+  std::printf("  rtt tail (s):         %s(%zu samples)\n", tail.c_str(), n);
   std::printf("  rtt CDF:\n%s", format_cdf(rtt_samples, 12, "rtt(s)").c_str());
   const double ratio = build.mean_ms > 0 ? rtt_samples.mean() * 1000.0 / build.mean_ms : 0;
   std::printf("  shape-check: rtt/build ratio = %.0fx (paper: ~2 orders of magnitude)\n",

@@ -1,6 +1,6 @@
 // The 4-limb Montgomery multiply kernels behind MontgomeryCtx (defined in
 // bigint.cpp). MontgomeryCtx runs mul4; the tests compare it with
-// mul4_portable here, and bench_throughput times both.
+// mul4_portable here, and bench_crypto_micro times both.
 //
 // Four limbs is 256 bits, the width of each CRT half of a 512-bit key, so
 // every private op on the simulator's keys runs on this kernel. On x86-64

@@ -12,7 +12,8 @@
 //                      non-blocking sockets) with timers on the monotonic
 //                      clock. One backend instance can host one node
 //                      (whisper_noded) or a whole in-process mesh on
-//                      loopback ports (tests, bench_throughput --backend=udp).
+//                      loopback ports (UdpMesh: tests, perfbench's
+//                      onion-live).
 //
 // The fault fabric and the observability layers plug into the same seam:
 // `FaultInterposer` is consulted by any backend that supports fault

@@ -6,7 +6,8 @@
 // One UdpBackend is one single-threaded event loop, exactly like the
 // simulator: it can host a single node (whisper_noded) or a whole
 // in-process mesh with one socket per node on distinct loopback ports
-// (the cross-backend equivalence test, bench_throughput --backend=udp).
+// (the cross-backend equivalence test, perfbench's onion-live).
+// bench_net_micro times the loop itself.
 // Handlers and timer callbacks run on the thread inside poll()/run_for()/
 // run(); the backend is not thread-safe and does not need to be.
 //

@@ -13,7 +13,7 @@
 //     emulated NATs, all hosted by one UdpBackend event loop. The
 //     real-network analogue of ScaleTestbed, minus sharding and churn
 //     scripting. Used by the cross-backend equivalence and in-process NAT
-//     mesh tests and by `bench_throughput --backend=udp`.
+//     mesh tests and by perfbench's onion-live workload.
 #pragma once
 
 #include <cstdint>

@@ -66,8 +66,8 @@
 // the report names each missing node's NAT type and last traversal state
 // (relay registrations, direct/punched/relayed sends, live mappings)
 // scraped from its stats records. After a NAT-mixed run the supervisor also audits the
-// rendezvous surfaces for internal-endpoint leaks: a natted node's private
-// address must never appear in any contact card — the address-level
+// cards every node held at exit for internal-endpoint leaks: a natted node's
+// private address must never appear in any contact card — the address-level
 // unlinkability claim (zero linkable pairs) the relay architecture makes.
 #include <cerrno>
 #include <csignal>
@@ -848,36 +848,40 @@ int main(int argc, char** argv) {
   std::fclose(fleet);
 
   // Address-level unlinkability audit (NAT runs): a natted node's internal
-  // endpoint (the shim's 10/8 synthetic address) must never reach a
-  // rendezvous surface other nodes read — its contact card must advertise
-  // its relay, not itself. One leak would let an observer link the node's
-  // group traffic to its private identity; the gate is zero such pairs.
-  if (success && !nat_mix.empty()) {
-    std::uint64_t leaks = 0, natted_cards = 0;
+  // endpoint (the shim's 10/8 synthetic address) must never reach a card
+  // other nodes read — its contact card must advertise its relay, not
+  // itself. One leak would let an observer link the node's group traffic to
+  // its private identity; the gate is zero such pairs. Each node writes the
+  // cards it holds at exit (held.I: its own, then its PSS view), so the
+  // audit sees the cards nodes hold after registering, not the boot-time
+  // card.I, which carries no address for a natted node. A node that wrote
+  // none fails the audit: the gate never passes on nothing.
+  if (!nat_mix.empty()) {
+    std::uint64_t leaks = 0, cards = 0, natted_cards = 0;
     for (std::uint64_t i = 1; i <= nodes; ++i) {
-      std::ifstream in(dir + "/card." + std::to_string(i));
-      std::string hex;
-      in >> hex;
-      if (hex.empty()) continue;
-      const whisper::Bytes bytes = whisper::from_hex(hex);
-      whisper::Reader r(bytes);
-      const auto card = whisper::pss::ContactCard::deserialize(r);
-      const bool internal_leak = (card.addr.ip >> 24) == 10;
-      if (nat_of[i] != nat::NatType::kNone) {
-        ++natted_cards;
-        if (card.is_public || internal_leak) {
+      std::ifstream in(dir + "/held." + std::to_string(i));
+      std::uint64_t held = 0;
+      for (std::string hex; in >> hex; ++held) {
+        const whisper::Bytes bytes = whisper::from_hex(hex);
+        whisper::Reader r(bytes);
+        const auto card = whisper::pss::ContactCard::deserialize(r);
+        const std::uint64_t owner = card.id.value;
+        const bool natted = owner >= 1 && owner <= nodes && nat_of[owner] != nat::NatType::kNone;
+        const bool internal_leak = (card.addr.ip >> 24) == 10;
+        natted_cards += natted ? 1 : 0;
+        if (internal_leak || (natted && card.is_public)) {
           std::fprintf(stderr,
-                       "linkability FAIL: natted node %llu advertises %s "
-                       "(public=%d) in its card\n",
-                       (unsigned long long)i, card.addr.str().c_str(),
-                       card.is_public);
+                       "linkability FAIL: node %llu holds %s node %llu's card "
+                       "advertising %s (public=%d)\n",
+                       (unsigned long long)i, natted ? "natted" : "public",
+                       (unsigned long long)owner, card.addr.str().c_str(), card.is_public);
           ++leaks;
         }
-      } else if (internal_leak) {
-        std::fprintf(stderr,
-                     "linkability FAIL: node %llu leaked an internal address "
-                     "%s\n",
-                     (unsigned long long)i, card.addr.str().c_str());
+      }
+      cards += held;
+      if (held == 0) {
+        std::fprintf(stderr, "linkability FAIL: node %llu wrote no held cards\n",
+                     (unsigned long long)i);
         ++leaks;
       }
     }
@@ -885,9 +889,9 @@ int main(int argc, char** argv) {
       success = false;
       failed = true;
     } else {
-      std::printf("linkability: 0 internal-endpoint leaks across %llu natted "
-                  "cards — zero linkable pairs\n",
-                  (unsigned long long)natted_cards);
+      std::printf("linkability: 0 internal-endpoint leaks across %llu held cards "
+                  "(%llu of natted nodes) — zero linkable pairs\n",
+                  (unsigned long long)cards, (unsigned long long)natted_cards);
     }
   }
 

@@ -26,6 +26,9 @@
 //   admin.I      decimal UDP port of the node's loopback admin socket;
 //                a 4-byte stats request (health.hpp) gets the same record
 //                back, built fresh.
+//   held.I       hex ContactCards, one a line, written by node I at exit:
+//                its own card, then every card in its PSS view. The input
+//                of whisper_localnet's linkability audit.
 //
 // The run: everyone boots through boot_live_node (whisper/realnet.hpp)
 // and gossips; the leader founds the group and writes invitations; members
@@ -659,6 +662,20 @@ int main(int argc, char** argv) {
   });
 
   backend.run();
+  {
+    std::string held;
+    auto hold = [&held](const pss::ContactCard& card) {
+      Writer w;
+      card.serialize(w);
+      held += to_hex(w.data()) + "\n";
+    };
+    hold(node.transport().self_card());
+    for (const auto& e : node.pss().view().entries()) hold(e.card);
+    std::string err;
+    if (!atomic_publish_file(orch.path("held." + std::to_string(opt.id)), to_bytes(held), &err)) {
+      logger.error("held_write_failed", {{"error", err}});
+    }
+  }
   node.stop();
 
   // One final record so post-mortem scrapes see the exit-time counters.
